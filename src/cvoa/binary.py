@@ -10,12 +10,18 @@ position choice is biased to close the bit-level gap to that value, with
 the bias eased off far from it; the flip-count contract is unchanged. The
 codec wires its own target in as `toward`, which is what makes default
 benchmark runs converge inside the short pandemic window.
+
+The engine hashes, compares and sorts genotypes once per routing step and
+per population pass, so a genotype is a plain `(length, value)` tuple
+underneath (hashing and ordering run in C), and replication picks flip
+positions from bit masks rather than position lists.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from random import Random
 
 from .params import DistanceMode
@@ -32,18 +38,35 @@ _H_MID = 6
 _H_NEAR = 2
 
 
-@dataclass(frozen=True, order=True)
-class BitGenotype:
-    """Immutable bit string of fixed length, ordered by (length, value)."""
+class BitGenotype(tuple):
+    """Immutable bit string of fixed length: the tuple (length, value).
 
-    length: int
-    value: int
+    Equality, hashing and ordering are the tuple's, so a genotype hashes as
+    hash((length, value)) and orders by length, then value. Construction
+    validates through __post_init__.
+    """
+
+    __slots__ = ()
+
+    length = property(itemgetter(0), doc="Number of bits.")
+    value = property(itemgetter(1), doc="The bits as an unsigned integer, most significant first.")
+
+    def __new__(cls, length: int, value: int) -> "BitGenotype":
+        self = tuple.__new__(cls, (length, value))
+        self.__post_init__()
+        return self
 
     def __post_init__(self) -> None:
         if not MIN_BITS <= self.length <= MAX_BITS:
             raise ValueError(f"bit length {self.length} outside [{MIN_BITS},{MAX_BITS}]")
         if not 0 <= self.value < (1 << self.length):
             raise ValueError(f"value {self.value} does not fit in {self.length} bits")
+
+    def __getnewargs__(self) -> tuple[int, int]:
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return f"BitGenotype(length={self.length!r}, value={self.value!r})"
 
     @classmethod
     def from_string(cls, bits: str) -> "BitGenotype":
@@ -99,26 +122,36 @@ def replicate_bits(
     Either way the child differs from the parent in exactly the contracted
     number of positions and keeps its length.
     """
-    n = parent.length
+    n, child = parent
     k = traveler_flip_count(n) if mode is DistanceMode.TRAVELER else 1
     traveling = mode is DistanceMode.TRAVELER
-    child = parent.value
-    used: set[int] = set()
+    full = (1 << n) - 1
+    used = 0
     for _ in range(k):
         pos = None
         if toward is not None:
             delta = child ^ toward
             e = _bias_strength(delta.bit_count(), traveling)
             if rng.random() < e:
-                diff = [p for p in range(n) if (delta >> p) & 1 and p not in used]
+                diff = delta & full & ~used
                 if diff:
-                    pos = diff[rng.randrange(len(diff))]
+                    pos = _nth_set_bit(diff, rng.randrange(diff.bit_count()))
         if pos is None:
-            free = [p for p in range(n) if p not in used]
-            pos = free[rng.randrange(len(free))]
-        used.add(pos)
+            if used:
+                free = full & ~used
+                pos = _nth_set_bit(free, rng.randrange(free.bit_count()))
+            else:
+                pos = rng.randrange(n)
+        used |= 1 << pos
         child ^= 1 << pos
     return BitGenotype(n, child)
+
+
+def _nth_set_bit(mask: int, index: int) -> int:
+    """Position of the index-th set bit of mask, counting from bit 0 up."""
+    for _ in range(index):
+        mask &= mask - 1
+    return (mask & -mask).bit_length() - 1
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,10 @@ A codec owns the genotype representation: how patient zeros are drawn, how
 an infected individual replicates into a mutated child, and how fitness is
 computed. Genotypes must be immutable, hashable, equality-comparable and
 totally ordered (the engine iterates populations in sorted order so that
-seeded runs are reproducible).
+seeded runs are reproducible). The engine hashes and compares every
+candidate several times per iteration (ledger lookups, sorts, tie-breaks),
+so genotypes should do both cheaply: a tuple, or a type whose hashing and
+ordering are a tuple's, keeps that work in C.
 
 A codec may also offer a batch hook, `prefetch(genotypes)`. The engine
 calls it with each iteration's not yet scored genotypes, in genotype

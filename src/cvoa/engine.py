@@ -201,17 +201,29 @@ def infect(
     return added
 
 
-def resolve_isolates(ledger: PopulationLedger, params: EpidemicParameters, rng: Random) -> set:
+def resolve_isolates(
+    ledger: PopulationLedger,
+    params: EpidemicParameters,
+    rng: Random,
+    isolates: Iterable[Any] | None = None,
+) -> set:
     """End-of-iteration fate of this iteration's isolates: each one not
     reinfected meanwhile, and not itself a spreader (spreaders took their
-    draw already), dies with p_die or recovers. Returns the buried ones."""
+    draw already), dies with p_die or recovers. Returns the buried ones.
+
+    `isolates` is the isolates not reinfected, for a caller that already
+    holds them (in genotype order, so die() sorts them in linear time);
+    by default they are read from the ledger."""
     shared = ledger.shared
-    isolates = ledger.isolated_now - ledger.new_infected - ledger.infected
+    if isolates is None:
+        isolates = ledger.isolated_now - ledger.new_infected
+    isolates = [g for g in isolates if g not in ledger.infected]
     dying = die(isolates, params, rng)
     for genotype in dying:
         shared.bury(genotype)
-    for genotype in isolates - dying:
-        shared.recover(genotype)
+    for genotype in isolates:
+        if genotype not in dying:
+            shared.recover(genotype)
     return dying
 
 
@@ -226,12 +238,11 @@ def select_best(
 ) -> EvaluatedIndividual:
     """Optimal individual under the objective; ties go to the smallest
     genotype in its natural order, so repeated runs agree."""
-    ordered = sorted(population, key=lambda e: e.genotype)
-    if not ordered:
+    sign = 1 if objective is Objective.MINIMIZE else -1
+    best = min(population, key=lambda e: (sign * e.fitness, e.genotype), default=None)
+    if best is None:
         raise ValueError("select_best on empty population")
-    if objective is Objective.MINIMIZE:
-        return min(ordered, key=lambda e: e.fitness)
-    return max(ordered, key=lambda e: e.fitness)
+    return best
 
 
 class Strain:
@@ -264,6 +275,8 @@ class Strain:
         pz = patient_zero if patient_zero is not None else codec.generate_patient_zero(rng)
         self.best = EvaluatedIndividual(pz, self._evaluate_all([pz])[0])
         self.ledger.infected = {pz}
+        # ledger.infected in genotype order, so die() sorts it in linear time
+        self._infected_order = [pz]
 
     @property
     def active(self) -> bool:
@@ -297,7 +310,7 @@ class Strain:
         params, ledger, shared, rng = self.params, self.ledger, self.shared, self.rng
         self.iteration += 1
 
-        dying = die(ledger.infected, params, rng)
+        dying = die(self._infected_order, params, rng)
         ledger.infected -= dying
         for genotype in dying:
             shared.bury(genotype)
@@ -309,18 +322,21 @@ class Strain:
         for rank, spreader in enumerate(self._ranked(ledger.infected)):
             infect(spreader, ledger, wide if rank < superspreaders else narrow, self.codec, rng)
 
-        fresh = sorted(ledger.new_infected) + sorted(ledger.isolated_now - ledger.new_infected)
+        infected_order = sorted(ledger.new_infected)
+        isolates = sorted(ledger.isolated_now - ledger.new_infected)
+        fresh = infected_order + isolates
         if fresh:
             values = self._evaluate_all(fresh)
             challenger = select_best(map(EvaluatedIndividual, fresh, values), params.objective)
             if params.objective.better(challenger.fitness, self.best.fitness):
                 self.best = challenger
 
-        resolve_isolates(ledger, params, rng)
+        resolve_isolates(ledger, params, rng, isolates)
         for genotype in ledger.infected:
             shared.recover(genotype)
         ledger.infected = ledger.new_infected
         ledger.new_infected = set()
+        self._infected_order = infected_order
 
         deaths_total, recovered_total = shared.counts()
         self.history.append(

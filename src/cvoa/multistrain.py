@@ -70,7 +70,8 @@ class PandemicResult:
 
 def seed_patient_zeros(n: int, codec: Codec, strategy: PzStrategy, rng: Random) -> list:
     """n starting genotypes; MAX_HAMMING_SPREAD greedily maximizes the
-    minimum pairwise codec distance over a pool of 50*n random draws."""
+    minimum pairwise codec distance over a pool of 50*n random draws: each
+    pick is the first pool member farthest from all earlier picks."""
     if n < 1:
         raise ValueError(f"need at least one patient zero, got {n}")
     if n > codec.search_space_size():
@@ -79,15 +80,13 @@ def seed_patient_zeros(n: int, codec: Codec, strategy: PzStrategy, rng: Random) 
         return [codec.generate_patient_zero(rng) for _ in range(n)]
     pool = [codec.generate_patient_zero(rng) for _ in range(50 * n)]
     chosen = [pool[rng.randrange(len(pool))]]
+    # each pool member's distance to its nearest pick so far
+    nearest = [float("inf")] * len(pool)
     while len(chosen) < n:
-        best_candidate = None
-        best_distance = -1
-        for candidate in pool:
-            d = min(codec.distance(candidate, picked) for picked in chosen)
-            if d > best_distance:
-                best_candidate = candidate
-                best_distance = d
-        chosen.append(best_candidate)
+        last = chosen[-1]
+        nearest = [min(d, codec.distance(c, last)) for d, c in zip(nearest, pool)]
+        # max() keeps the first of equal distances: the earliest in the pool
+        chosen.append(pool[max(range(len(pool)), key=nearest.__getitem__)])
     return chosen
 
 

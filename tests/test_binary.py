@@ -1,6 +1,8 @@
 """Bit-string codec: decoding, the quadratic objective, and replication."""
 
+import copy
 import math
+import pickle
 from random import Random
 
 import pytest
@@ -16,7 +18,7 @@ from cvoa import (
     replicate_bits,
     traveler_flip_count,
 )
-from cvoa.binary import decode
+from cvoa.binary import _bias_strength, decode
 
 
 def hamming(a: BitGenotype, b: BitGenotype) -> int:
@@ -93,6 +95,48 @@ class TestGenotype:
         assert BitGenotype(8, 255) < BitGenotype(9, 0)
         assert sorted([BitGenotype(8, 9), BitGenotype(8, 1)])[0].value == 1
 
+    @given(genotypes, genotypes)
+    def test_hash_and_order_follow_length_then_value(self, a, b):
+        assert hash(a) == hash((a.length, a.value))
+        assert (a < b) == ((a.length, a.value) < (b.length, b.value))
+        assert (a == b) == ((a.length, a.value) == (b.length, b.value))
+
+    def test_fields_are_read_only(self):
+        g = BitGenotype(10, 15)
+        with pytest.raises(AttributeError):
+            g.length = 11
+        with pytest.raises(AttributeError):
+            g.value = 0
+        with pytest.raises(AttributeError):
+            g.extra = 1
+
+    @given(genotypes)
+    def test_pickle_and_deepcopy_round_trip(self, g):
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            clone = pickle.loads(pickle.dumps(g, protocol))
+            assert type(clone) is BitGenotype and clone == g
+        assert type(copy.deepcopy(g)) is BitGenotype and copy.deepcopy(g) == g
+        assert copy.copy(g) == g
+
+    def test_repr_names_the_fields(self):
+        assert repr(BitGenotype(10, 15)) == "BitGenotype(length=10, value=15)"
+
+    def test_construction_validates_through_post_init(self, monkeypatch):
+        seen = []
+        original = BitGenotype.__post_init__
+
+        def recording(self):
+            seen.append((self.length, self.value))
+            original(self)
+
+        monkeypatch.setattr(BitGenotype, "__post_init__", recording)
+        BitGenotype(10, 15)
+        with pytest.raises(ValueError):
+            BitGenotype(10, 1024)
+        with pytest.raises(ValueError):
+            BitGenotype(65, 0)
+        assert seen == [(10, 15), (10, 1024), (65, 0)]
+
 
 class TestPatientZero:
     def test_requested_length(self):
@@ -127,7 +171,57 @@ class TestTravelerFlipCount:
         assert traveler_flip_count(n) == max(2, math.ceil(n / 10))
 
 
+def reference_replicate_bits(parent, mode, rng, *, toward=None):
+    """replicate_bits as first written, with position lists; the mask-based
+    version must make the same draws and return the same child."""
+    n = parent.length
+    k = traveler_flip_count(n) if mode is DistanceMode.TRAVELER else 1
+    traveling = mode is DistanceMode.TRAVELER
+    child = parent.value
+    used: set[int] = set()
+    for _ in range(k):
+        pos = None
+        if toward is not None:
+            delta = child ^ toward
+            e = _bias_strength(delta.bit_count(), traveling)
+            if rng.random() < e:
+                diff = [p for p in range(n) if (delta >> p) & 1 and p not in used]
+                if diff:
+                    pos = diff[rng.randrange(len(diff))]
+        if pos is None:
+            free = [p for p in range(n) if p not in used]
+            pos = free[rng.randrange(len(free))]
+        used.add(pos)
+        child ^= 1 << pos
+    return BitGenotype(n, child)
+
+
+# toward values: none, within the genotype's width, up to 10 bits wider, negative
+towards = st.one_of(
+    st.none(),
+    st.integers(min_value=0, max_value=2**64 - 1),
+    st.integers(min_value=0, max_value=2**74 - 1),
+    st.integers(min_value=-(2**70), max_value=-1),
+)
+
+
 class TestReplicateBits:
+    @given(
+        genotypes,
+        st.sampled_from(DistanceMode),
+        towards,
+        st.booleans(),
+        st.integers(min_value=0, max_value=2**32),
+    )
+    @settings(max_examples=500)
+    def test_matches_reference_draw_for_draw(self, parent, mode, toward, narrow, seed):
+        if narrow and toward is not None and toward >= 0:
+            toward %= 1 << parent.length
+        expected_rng, rng = Random(seed), Random(seed)
+        expected = reference_replicate_bits(parent, mode, expected_rng, toward=toward)
+        assert replicate_bits(parent, mode, rng, toward=toward) == expected
+        assert rng.getstate() == expected_rng.getstate()
+
     @given(genotypes, st.booleans())
     @settings(max_examples=200)
     def test_ordinary_flips_exactly_one_bit(self, parent, guided):

@@ -1,8 +1,11 @@
 """Shared-ledger pandemics: PZ spreading, concurrency, aggregation."""
 
+import hashlib
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cvoa.engine
 from cvoa import (
@@ -22,7 +25,42 @@ from cvoa import (
 from cvoa.nn import generate_net_patient_zero
 
 
+def reference_seed_patient_zeros(n, codec, strategy, rng):
+    """seed_patient_zeros as first written: every round recomputes each pool
+    member's distance to every pick. The incremental version must agree."""
+    if strategy is PzStrategy.RANDOM or n == 1:
+        return [codec.generate_patient_zero(rng) for _ in range(n)]
+    pool = [codec.generate_patient_zero(rng) for _ in range(50 * n)]
+    chosen = [pool[rng.randrange(len(pool))]]
+    while len(chosen) < n:
+        best_candidate = None
+        best_distance = -1
+        for candidate in pool:
+            d = min(codec.distance(candidate, picked) for picked in chosen)
+            if d > best_distance:
+                best_candidate = candidate
+                best_distance = d
+        chosen.append(best_candidate)
+    return chosen
+
+
 class TestSeedPatientZeros:
+    @given(
+        st.one_of(
+            st.integers(min_value=8, max_value=24).map(lambda bits: BinaryCodec(bits=bits)),
+            st.just(NetCodec(target=generate_net_patient_zero(Random(0)))),
+        ),
+        st.integers(min_value=1, max_value=6),
+        st.sampled_from(PzStrategy),
+        st.integers(min_value=0, max_value=2**32),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_quadratic_reference(self, codec, n, strategy, seed):
+        expected_rng, rng = Random(seed), Random(seed)
+        expected = reference_seed_patient_zeros(n, codec, strategy, expected_rng)
+        assert seed_patient_zeros(n, codec, strategy, rng) == expected
+        assert rng.getstate() == expected_rng.getstate()
+
     def test_single_pz_matches_plain_draw(self):
         codec = BinaryCodec(bits=10)
         for strategy in PzStrategy:
@@ -240,3 +278,43 @@ class TestRunPandemic:
         assert isinstance(partial, PandemicResult)
         assert partial.termination is None
         assert len(partial.strains) <= 5
+
+
+# (bits, seed) -> (evaluations_total, best text, iterations, last history row,
+# sha256 prefix of repr() of the (deaths, recovered, infected, best) rows)
+SINGLE_STRAIN_PINS = {
+    (10, 1): (22, "0000001111", 12, (1, 32, 0, 0), "70203f0daf06cfc8"),
+    (10, 2): (132, "0000001111", 10, (7, 134, 0, 0), "8be008a9efd6cbfc"),
+    (10, 3): (46, "0000001111", 16, (4, 53, 0, 0), "9d6e2d1890608d22"),
+    (20, 1): (71, "00000000000000001111", 11, (4, 72, 0, 0), "a146a36992d185b2"),
+    (20, 2): (583, "00000000000000001111", 21, (27, 591, 0, 0), "042951baa0001b10"),
+    (20, 3): (395, "00000000000000001111", 19, (17, 396, 0, 0), "9d5371767b9ccea6"),
+    (50, 1): (14765, "0" * 46 + "1111", 30, (736, 14306, 193, 0), "492bd4a2d3fd1495"),
+    (50, 2): (11405, "0" * 46 + "1111", 30, (601, 10816, 306, 0), "9ee6e6e554da634b"),
+    (50, 3): (46871, "0" * 46 + "1111", 30, (2357, 45014, 1049, 0), "74a193cb9c34387f"),
+}
+
+
+@pytest.mark.parametrize("bits,seed", sorted(SINGLE_STRAIN_PINS))
+def test_single_strain_trajectory_is_pinned(bits, seed):
+    """A change meant to keep the search as it is must keep these runs
+    exactly. A deliberate change to the search (such as removing the
+    target-aware mutation) re-pins them and says so in CHANGES.md."""
+    codec = BinaryCodec(bits=bits)
+    params = EpidemicParameters(seed=seed, strains=1)
+    result = run_pandemic(MultiStrainConfig.uniform(params), codec)
+    rows = [
+        (r.deaths_total, r.recovered_total, r.infected_count, r.best_fitness)
+        for r in result.history
+    ]
+    observed = (
+        result.evaluations_total,
+        codec.text(result.best.genotype),
+        len(rows),
+        rows[-1],
+        hashlib.sha256(repr(rows).encode()).hexdigest()[:16],
+    )
+    assert observed == SINGLE_STRAIN_PINS[(bits, seed)], (
+        f"the fixed-seed single-strain run at {bits} bits, seed {seed} changed; "
+        "if the search was changed on purpose, re-pin and declare it in CHANGES.md"
+    )
