@@ -1,7 +1,8 @@
 """Single-strain epidemic search loop.
 
-One strain starts from a patient zero and iterates: the dying are removed
-from the infected set and buried, every surviving spreader produces
+One strain starts from a patient zero and iterates: infected that another
+strain has buried since are dropped, the dying are removed from the
+infected set and buried, every surviving spreader produces
 candidate infections through the codec's replicate operator (the fittest
 share of spreaders with the super-spreader range), candidates are routed
 through isolation / reinfection bookkeeping, the newly evaluated
@@ -310,7 +311,11 @@ class Strain:
         params, ledger, shared, rng = self.params, self.ledger, self.shared, self.rng
         self.iteration += 1
 
-        dying = die(self._infected_order, params, rng)
+        # another strain may have buried some of this strain's infected
+        infected_order = [g for g in self._infected_order if g not in shared.dead]
+        if len(infected_order) < len(ledger.infected):
+            ledger.infected = set(infected_order)
+        dying = die(infected_order, params, rng)
         ledger.infected -= dying
         for genotype in dying:
             shared.bury(genotype)

@@ -262,6 +262,22 @@ class TestRunPandemic:
             assert len(result.strains) == 8
         assert violations == []
 
+    def test_no_strain_spreads_a_genotype_another_strain_buried(self, monkeypatch):
+        original = cvoa.engine.infect
+        spreads = []
+
+        def checked(individual, ledger, params, codec, rng):
+            spreads.append(individual in ledger.shared.dead)
+            return original(individual, ledger, params, codec, rng)
+
+        monkeypatch.setattr(cvoa.engine, "infect", checked)
+        for seed in range(1, 11):
+            run_pandemic(
+                MultiStrainConfig.uniform(EpidemicParameters(seed=seed, strains=5)),
+                BinaryCodec(bits=10),
+            )
+        assert spreads and not any(spreads), f"{sum(spreads)} of {len(spreads)} spreaders dead"
+
     def test_evaluation_error_cancels_and_reports_partials(self):
         class FailingCodec(BinaryCodec):
             def fitness(self, genotype):
