@@ -11,10 +11,10 @@ the bias eased off far from it; the flip-count contract is unchanged. The
 codec wires its own target in as `toward`, which is what makes default
 benchmark runs converge inside the short pandemic window.
 
-The engine hashes, compares and sorts genotypes once per routing step and
-per population pass, so a genotype is a plain `(length, value)` tuple
-underneath (hashing and ordering run in C), and replication picks flip
-positions from bit masks rather than position lists.
+The engine hashes and compares every candidate several times per
+iteration, so a genotype is a `(length, value)` tuple underneath (hashing
+and ordering run in C), and replication picks flip positions from bit
+masks rather than position lists.
 """
 
 from __future__ import annotations
@@ -42,8 +42,9 @@ class BitGenotype(tuple):
     """Immutable bit string of fixed length: the tuple (length, value).
 
     Equality, hashing and ordering are the tuple's, so a genotype hashes as
-    hash((length, value)) and orders by length, then value. Construction
-    validates through __post_init__.
+    hash((length, value)), orders by length, then value, and equals the
+    plain tuple (length, value). Construction validates through
+    __post_init__.
     """
 
     __slots__ = ()

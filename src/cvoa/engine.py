@@ -312,10 +312,10 @@ class Strain:
         self.iteration += 1
 
         # another strain may have buried some of this strain's infected
-        infected_order = [g for g in self._infected_order if g not in shared.dead]
-        if len(infected_order) < len(ledger.infected):
-            ledger.infected = set(infected_order)
-        dying = die(infected_order, params, rng)
+        alive = [g for g in self._infected_order if g not in shared.dead]
+        if len(alive) < len(ledger.infected):
+            ledger.infected = set(alive)
+        dying = die(alive, params, rng)
         ledger.infected -= dying
         for genotype in dying:
             shared.bury(genotype)
