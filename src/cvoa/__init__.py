@@ -57,45 +57,12 @@ from .params import (
 
 __version__ = "1.0.0"
 
+# the documented API; the other names imported above stay importable
 __all__ = [
-    "ArchitectureSpec",
     "BinaryCodec",
-    "BitGenotype",
-    "Codec",
-    "DistanceMode",
-    "Disposition",
     "EpidemicParameters",
-    "EvaluatedIndividual",
-    "EvaluationError",
-    "ExternalEvaluator",
-    "IterationRecord",
     "MultiStrainConfig",
-    "NetCodec",
-    "NetGenotype",
-    "Objective",
-    "PandemicResult",
-    "ParameterError",
-    "PopulationLedger",
-    "PzStrategy",
-    "SharedLedger",
-    "StrainResult",
-    "Termination",
-    "die",
-    "infect",
-    "mutate_position",
-    "new_infection",
-    "parse_net_text",
-    "quadratic_fitness",
-    "random_patient_zero",
-    "replicate_bits",
-    "replicate_net",
-    "resize_layers",
     "run_pandemic",
     "run_strain",
-    "seed_patient_zeros",
-    "select_best",
-    "surrogate_fitness",
-    "traveler_flip_count",
-    "validate_parameters",
     "__version__",
 ]

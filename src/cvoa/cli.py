@@ -23,7 +23,13 @@ from random import Random
 
 from .binary import BinaryCodec
 from .codec import Codec, EvaluationError
-from .multistrain import MultiStrainConfig, PandemicResult, PzStrategy, run_pandemic
+from .multistrain import (
+    STRAIN_SEED_STRIDE,
+    MultiStrainConfig,
+    PandemicResult,
+    PzStrategy,
+    run_pandemic,
+)
 from .nn import ExternalEvaluator, NetCodec, generate_net_patient_zero, parse_net_text
 from .params import EpidemicParameters, Objective, ParameterError, validate_parameters
 
@@ -51,26 +57,39 @@ def _require(condition: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _parse_parameters(raw: dict) -> EpidemicParameters:
+    """Each field must have the type of its default; a bool is no number."""
     _require(isinstance(raw, dict), "parameters must be an object")
     known = {f.name for f in fields(EpidemicParameters)}
     unknown = sorted(set(raw) - known)
     _require(not unknown, f"unknown parameter field(s): {', '.join(unknown)}")
+    defaults = EpidemicParameters()
     values = dict(raw)
-    if "objective" in values:
-        try:
-            values["objective"] = Objective(values["objective"])
-        except ValueError:
-            raise ConfigError(f"objective must be minimize or maximize, got {values['objective']!r}")
-    for name in ("ordinary_spread_range", "superspreader_spread_range"):
-        if name in values:
-            pair = values[name]
+    for name, value in raw.items():
+        default = getattr(defaults, name)
+        if isinstance(default, Objective):
+            try:
+                values[name] = Objective(value)
+            except ValueError:
+                raise ConfigError(f"objective must be minimize or maximize, got {value!r}")
+        elif isinstance(default, tuple):
             _require(
-                isinstance(pair, (list, tuple)) and len(pair) == 2,
-                f"{name} must be a [low, high] pair",
+                isinstance(value, list) and len(value) == 2 and all(map(_is_int, value)),
+                f"{name} must be a [low, high] pair of integers, got {value!r}",
             )
-            values[name] = (int(pair[0]), int(pair[1]))
-    params = replace(EpidemicParameters(), **values)
+            values[name] = tuple(value)
+        elif isinstance(default, float):
+            _require(
+                _is_int(value) or isinstance(value, float),
+                f"{name} must be a number, got {value!r}",
+            )
+        else:
+            _require(_is_int(value), f"{name} must be an integer, got {value!r}")
+    params = replace(defaults, **values)
     try:
         validate_parameters(params)
     except ParameterError as exc:
@@ -84,6 +103,9 @@ def _parse_codec_spec(raw: dict) -> dict:
     _require(kind in ("binary", "nn"), f"codec.kind must be binary or nn, got {kind!r}")
     if kind == "binary":
         allowed = {"kind", "bits", "target"}
+        for name in ("bits", "target"):
+            if name in raw:
+                _require(_is_int(raw[name]), f"codec.{name} must be an integer, got {raw[name]!r}")
     else:
         allowed = {"kind", "surrogate_target", "evaluator"}
         has_target = "surrogate_target" in raw
@@ -119,14 +141,27 @@ def load_config(path: Path) -> RunConfig:
     except ValueError:
         raise ConfigError(f"pz_strategy must be random or max_hamming_spread, got {strategy_name!r}")
     repeat = raw.get("repeat", 1)
-    _require(isinstance(repeat, int) and repeat >= 1, f"repeat must be an integer >= 1, got {repeat!r}")
-    out = Path(raw.get("out", "out"))
+    _require(_is_int(repeat) and repeat >= 1, f"repeat must be an integer >= 1, got {repeat!r}")
+    out = raw.get("out", "out")
+    _require(isinstance(out, str), f"out must be a path string, got {out!r}")
     return RunConfig(
         codec_spec=codec_spec,
         parameters=parameters,
         pz_strategy=pz_strategy,
         repeat=repeat,
-        out=out,
+        out=Path(out),
+    )
+
+
+def _check_seeds(config: RunConfig) -> None:
+    """Every seed a run will use, repeats (seed + r) and the strain fan-out
+    (+ j * STRAIN_SEED_STRIDE) included, is a 64-bit unsigned integer."""
+    seed, strains = config.parameters.seed, config.parameters.strains
+    highest = seed + config.repeat - 1 + (strains - 1) * STRAIN_SEED_STRIDE
+    _require(
+        0 <= seed and highest < 2**64,
+        f"seed {seed} with repeat={config.repeat} and strains={strains} uses seeds"
+        f" {seed} to {highest}; each must be a 64-bit unsigned integer",
     )
 
 
@@ -332,6 +367,7 @@ def main(argv: list[str] | None = None) -> int:
             config.parameters = config.parameters.with_seed(args.seed)
         if args.out is not None:
             config.out = args.out
+        _check_seeds(config)
         if args.command == "run":
             return cmd_run(config)
         lengths = _parse_lengths(args.lengths)

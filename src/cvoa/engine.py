@@ -19,7 +19,6 @@ spreaders), so a fixed seed reproduces a run exactly.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from random import Random
@@ -42,11 +41,13 @@ class Termination(Enum):
 
 
 class SharedLedger:
-    """Recovered/dead membership plus the fitness memo, shareable by strains.
+    """Recovered/dead membership plus the fitness memo, shared by strains.
 
-    A single lock guards every compound transition, so the disjointness of
-    dead and recovered and the remove-then-add step of reinfection are
-    atomic even when several strains work against the same ledger.
+    One thread only: the strains that share a ledger take turns on the
+    caller's thread, and each compound transition (a burial, the
+    remove-then-add step of reinfection) runs whole before another strain
+    looks, so dead and recovered stay disjoint. An evaluator may score a
+    prefetch batch on worker threads, but those never touch the ledger.
     `recoveries` counts every move into the recovered population, so it
     never falls when a recovered individual is reinfected or dies.
     """
@@ -56,38 +57,32 @@ class SharedLedger:
         self.dead: set = set()
         self.recoveries = 0
         self.fitness_cache: dict[Any, float] = {}
-        self.lock = threading.RLock()
 
     def bury(self, genotype: Any) -> None:
-        with self.lock:
-            self.dead.add(genotype)
-            self.recovered.discard(genotype)
+        self.dead.add(genotype)
+        self.recovered.discard(genotype)
 
     def recover(self, genotype: Any) -> None:
-        with self.lock:
-            if genotype not in self.dead:
-                self.recovered.add(genotype)
-                self.recoveries += 1
+        if genotype not in self.dead:
+            self.recovered.add(genotype)
+            self.recoveries += 1
 
     def counts(self) -> tuple[int, int]:
         """(deaths so far, recoveries so far); both are cumulative."""
-        with self.lock:
-            return len(self.dead), self.recoveries
+        return len(self.dead), self.recoveries
 
     def evaluations_total(self) -> int:
-        with self.lock:
-            return len(self.fitness_cache)
+        return len(self.fitness_cache)
 
     def evaluate(self, codec: Codec, genotype: Any) -> float:
         """Memoized fitness; a non-finite result is an error, never cached."""
-        with self.lock:
-            if genotype in self.fitness_cache:
-                return self.fitness_cache[genotype]
+        if genotype in self.fitness_cache:
+            return self.fitness_cache[genotype]
         value = codec.fitness(genotype)
         if not math.isfinite(value):
             raise EvaluationError(f"non-finite fitness {value!r} for {genotype!r}")
-        with self.lock:
-            return self.fitness_cache.setdefault(genotype, value)
+        self.fitness_cache[genotype] = value
+        return value
 
     def evaluate_all(self, codec: Codec, genotypes: list) -> list[float]:
         """Memoized fitness of each genotype, evaluated in list order.
@@ -98,8 +93,7 @@ class SharedLedger:
         """
         prefetch = getattr(codec, "prefetch", None)
         if prefetch is not None:
-            with self.lock:
-                uncached = [g for g in genotypes if g not in self.fitness_cache]
+            uncached = [g for g in genotypes if g not in self.fitness_cache]
             if uncached:
                 prefetch(uncached)
         return [self.evaluate(codec, g) for g in genotypes]
@@ -138,7 +132,6 @@ class StrainResult:
     best: EvaluatedIndividual | None
     history: list[IterationRecord]
     termination: Termination | None
-    cancelled: bool = False
 
 
 def die(infected: Iterable[Any], params: EpidemicParameters, rng: Random) -> set:
@@ -157,21 +150,20 @@ def new_infection(
     reinfection chance. An isolate enters the recovered population at once
     and takes its death draw at the end of the iteration (resolve_isolates)."""
     shared = ledger.shared
-    with shared.lock:
-        if candidate in shared.dead or candidate in ledger.new_infected:
-            return Disposition.IGNORED
-        if candidate not in shared.recovered:
-            if rng.random() > params.p_isolation:
-                ledger.new_infected.add(candidate)
-                return Disposition.ADDED_TO_NEW_INFECTED
-            shared.recovered.add(candidate)
-            ledger.isolated_now.add(candidate)
-            return Disposition.ISOLATED
-        if rng.random() < params.p_reinfection:
-            shared.recovered.remove(candidate)
-            ledger.new_infected.add(candidate)
-            return Disposition.REINFECTED
+    if candidate in shared.dead or candidate in ledger.new_infected:
         return Disposition.IGNORED
+    if candidate not in shared.recovered:
+        if rng.random() > params.p_isolation:
+            ledger.new_infected.add(candidate)
+            return Disposition.ADDED_TO_NEW_INFECTED
+        shared.recovered.add(candidate)
+        ledger.isolated_now.add(candidate)
+        return Disposition.ISOLATED
+    if rng.random() < params.p_reinfection:
+        shared.recovered.remove(candidate)
+        ledger.new_infected.add(candidate)
+        return Disposition.REINFECTED
+    return Disposition.IGNORED
 
 
 def infect(
@@ -290,9 +282,7 @@ class Strain:
             termination = Termination.EXTINCTION
         else:
             termination = Termination.DURATION_REACHED
-        return StrainResult(
-            best=self.best, history=self.history, termination=termination, cancelled=cancelled
-        )
+        return StrainResult(best=self.best, history=self.history, termination=termination)
 
     def _evaluate_all(self, genotypes: list) -> list[float]:
         try:
@@ -363,37 +353,16 @@ def run_strain(
     shared_ledger: SharedLedger | None = None,
     *,
     patient_zero: Any = None,
-    stop_event: threading.Event | None = None,
-    goal_event: threading.Event | None = None,
-    stop_fitness: float | None = None,
 ) -> StrainResult:
     """Run one strain to extinction or for pandemic_duration iterations.
 
     A shared ledger makes the strain participate in a multi-strain pandemic;
-    without one the strain owns a private ledger. For callers that run
-    strains in threads of their own, `stop_event` cancels the strain
-    between iterations, while `goal_event` plus `stop_fitness` implement
-    cooperative early exit once any strain's best is at least that good.
-    run_pandemic steps Strain objects in lockstep instead.
+    without one the strain owns a private ledger. run_pandemic steps Strain
+    objects in turn instead, and is the one place where a run stops early
+    at a goal fitness.
     """
     shared = shared_ledger if shared_ledger is not None else SharedLedger()
     strain = Strain(params, codec, rng, shared, patient_zero)
-
-    def reached_goal() -> bool:
-        if stop_fitness is None:
-            return False
-        return not params.objective.better(stop_fitness, strain.best.fitness)
-
-    if reached_goal() and goal_event is not None:
-        goal_event.set()
     while strain.active:
-        if stop_event is not None and stop_event.is_set():
-            return strain.result(cancelled=True)
-        if goal_event is not None and goal_event.is_set():
-            break
         strain.step()
-        if reached_goal():
-            if goal_event is not None:
-                goal_event.set()
-            break
     return strain.result()

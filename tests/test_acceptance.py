@@ -156,22 +156,20 @@ def test_instrumented_run_upholds_ledger_invariants(monkeypatch):
     original_new_infection = cvoa.engine.new_infection
 
     def checked_infect(individual, ledger, params, codec, rng):
-        with ledger.shared.lock:
-            if individual in ledger.shared.dead:
-                violations.append(("spreader is dead", individual))
-            if ledger.infected & ledger.shared.dead:
-                violations.append(("dead overlap infected at spread time",))
+        if individual in ledger.shared.dead:
+            violations.append(("spreader is dead", individual))
+        if ledger.infected & ledger.shared.dead:
+            violations.append(("dead overlap infected at spread time",))
         return original_infect(individual, ledger, params, codec, rng)
 
     def checked_new_infection(candidate, ledger, params, rng):
         disposition = original_new_infection(candidate, ledger, params, rng)
-        with ledger.shared.lock:
-            if ledger.shared.dead & ledger.shared.recovered:
-                violations.append(("dead overlap recovered",))
-            if candidate in ledger.shared.dead and disposition is not Disposition.IGNORED:
-                violations.append(("dead candidate admitted", candidate))
-            if ledger.new_infected & ledger.shared.dead:
-                violations.append(("dead member in new_infected",))
+        if ledger.shared.dead & ledger.shared.recovered:
+            violations.append(("dead overlap recovered",))
+        if candidate in ledger.shared.dead and disposition is not Disposition.IGNORED:
+            violations.append(("dead candidate admitted", candidate))
+        if ledger.new_infected & ledger.shared.dead:
+            violations.append(("dead member in new_infected",))
         return disposition
 
     monkeypatch.setattr(cvoa.engine, "infect", checked_infect)

@@ -1,12 +1,15 @@
 """Command-line behavior: artifacts, determinism, exit codes."""
 
 import json
+import re
 import sys
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from cvoa import BinaryCodec, Objective, PandemicResult
-from cvoa.cli import iterations_to_optimum, main
+from cvoa import BinaryCodec, EpidemicParameters, Objective, PandemicResult
+from cvoa.cli import iterations_to_optimum, load_config, main
 
 BINARY_CONFIG = {
     "codec": {"kind": "binary", "bits": 10, "target": 15},
@@ -44,10 +47,56 @@ class TestConfigErrors:
         assert main(["run", "--config", str(path)]) == 2
         assert "bogus" in capsys.readouterr().err
 
-    def test_bad_parameter_value(self, tmp_path, capsys):
-        path = write_config(tmp_path, {"parameters": {"p_travel": 1.5}})
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"parameters": {"p_travel": 1.5}}, "p_travel out of [0,1]"),
+            ({"parameters": {"p_die": "x"}}, "p_die"),
+            ({"parameters": {"p_die": True}}, "p_die"),
+            ({"parameters": {"ordinary_spread_range": ["a", 2]}}, "ordinary_spread_range"),
+            ({"parameters": {"strains": 2.5}}, "strains"),
+            ({"parameters": {"pandemic_duration": 2.5}}, "pandemic_duration"),
+            ({"codec": {"bits": "ten"}}, "bits"),
+            ({"codec": {"target": 15.5}}, "target"),
+            ({"repeat": True}, "repeat"),
+            ({"out": 5}, "out"),
+        ],
+        ids=[
+            "p_travel",
+            "p_die-string",
+            "p_die-bool",
+            "spread-range-string",
+            "strains-float",
+            "duration-float",
+            "bits-string",
+            "target-float",
+            "repeat-bool",
+            "out-number",
+        ],
+    )
+    def test_bad_parameter_value(self, tmp_path, capsys, overrides, message):
+        path = write_config(tmp_path, overrides)
         assert main(["run", "--config", str(path)]) == 2
-        assert "p_travel out of [0,1]" in capsys.readouterr().err
+        err_lines = capsys.readouterr().err.splitlines()
+        assert any(line.startswith("error:") and message in line for line in err_lines)
+
+    @pytest.mark.parametrize(
+        "argv, overrides",
+        [
+            (["run", "--seed", "-1"], {}),
+            (["sweep", "--lengths", "10", "--seed", str(2**64)], {}),
+            (["run"], {"parameters": {"seed": 2**64 - 1, "strains": 2}}),
+            (["run"], {"parameters": {"seed": 2**64 - 2, "strains": 1}, "repeat": 3}),
+        ],
+        ids=["negative", "sweep-too-large", "strain-fan-out", "repeat"],
+    )
+    def test_out_of_range_seed_rejected_before_any_run(self, tmp_path, capsys, argv, overrides):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, {"out": str(out), **overrides})
+        assert main([*argv, "--config", str(path)]) == 2
+        err_lines = capsys.readouterr().err.splitlines()
+        assert any(line.startswith("error:") and "seed" in line for line in err_lines)
+        assert not out.exists()
 
     def test_unknown_parameter_field(self, tmp_path, capsys):
         path = write_config(tmp_path, {"parameters": {"p_zombie": 0.1}})
@@ -253,3 +302,13 @@ class TestIterationsToOptimum:
             termination=None,
         )
         assert iterations_to_optimum(result, NoOptimum(), Objective.MINIMIZE) is None
+
+
+class TestReadmeConfigExample:
+    def test_example_carries_defaults_except_strains_and_seed(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        example = re.search(r"### Config file.*?```json\n(.*?)```", readme, re.S).group(1)
+        path = tmp_path / "config.json"
+        path.write_text(example, encoding="utf-8")
+        config = load_config(path)
+        assert config.parameters == replace(EpidemicParameters(), strains=5, seed=1)

@@ -15,6 +15,7 @@ from cvoa import (
     EpidemicParameters,
     EvaluatedIndividual,
     EvaluationError,
+    MultiStrainConfig,
     Objective,
     PopulationLedger,
     SharedLedger,
@@ -22,6 +23,7 @@ from cvoa import (
     die,
     infect,
     new_infection,
+    run_pandemic,
     run_strain,
     select_best,
 )
@@ -352,10 +354,9 @@ class TestRunStrain:
 
         def checked(candidate, ledger, params, rng):
             disposition = original(candidate, ledger, params, rng)
-            with ledger.shared.lock:
-                if candidate in ledger.shared.dead:
-                    assert disposition is Disposition.IGNORED
-                    assert candidate not in ledger.new_infected
+            if candidate in ledger.shared.dead:
+                assert disposition is Disposition.IGNORED
+                assert candidate not in ledger.new_infected
             return disposition
 
         monkeypatch.setattr(cvoa.engine, "new_infection", checked)
@@ -364,18 +365,12 @@ class TestRunStrain:
         assert shared.dead  # the hook actually saw runs with deaths
 
     def test_stop_fitness_halts_at_goal(self):
-        import threading
-
-        goal = threading.Event()
-        result = run_strain(
-            EpidemicParameters(seed=0),
+        result = run_pandemic(
+            MultiStrainConfig.uniform(EpidemicParameters(seed=0, strains=1)),
             BinaryCodec(bits=10),
-            Random(0),
             stop_fitness=0,
-            goal_event=goal,
         )
         assert result.best.fitness == 0
-        assert goal.is_set()
         assert result.history[-1].best_fitness == 0
 
     def test_evaluation_error_carries_partial_history(self):

@@ -238,6 +238,21 @@ class TestRunPandemic:
         )
         assert long.termination is Termination.EXTINCTION
 
+    def test_stop_fitness_halts_every_strain_in_the_goal_round(self):
+        codec = BinaryCodec(bits=20)
+        for seed in range(1, 9):
+            result = run_pandemic(
+                MultiStrainConfig.uniform(EpidemicParameters(seed=seed, strains=5)),
+                codec,
+                stop_fitness=0,
+            )
+            assert result.history[-1].best_fitness == 0
+            lengths = [len(s.history) for s in result.strains]
+            first = next(i for i, s in enumerate(result.strains) if s.best.fitness == 0)
+            assert lengths[first] == max(lengths)
+            # later strains did not step in the round that reached the goal
+            assert all(n < lengths[first] for n in lengths[first + 1 :])
+
     def test_dead_genotypes_stay_out_of_circulation_under_contention(self, monkeypatch):
         # tiny space + many strains forces heavy ledger contention
         original = cvoa.engine.new_infection
@@ -245,11 +260,10 @@ class TestRunPandemic:
 
         def checked(candidate, ledger, params, rng):
             disposition = original(candidate, ledger, params, rng)
-            with ledger.shared.lock:
-                if candidate in ledger.shared.dead and disposition is not Disposition.IGNORED:
-                    violations.append(candidate)
-                if ledger.shared.dead & ledger.shared.recovered:
-                    violations.append("overlap")
+            if candidate in ledger.shared.dead and disposition is not Disposition.IGNORED:
+                violations.append(candidate)
+            if ledger.shared.dead & ledger.shared.recovered:
+                violations.append("overlap")
             return disposition
 
         monkeypatch.setattr(cvoa.engine, "new_infection", checked)
