@@ -272,6 +272,46 @@ class TestSelectBest:
         assert winners == {BitGenotype(10, 7)}
 
 
+class TieCodec:
+    """Integer genotypes: the patient zero 10 spreads the two children in
+    `brood`, in that order, and those two tie for the best fitness."""
+
+    def __init__(self, brood, objective):
+        self.brood = list(brood)
+        self.sign = 1 if objective is Objective.MINIMIZE else -1
+        self.spread = 0
+
+    def generate_patient_zero(self, rng):
+        return 10
+
+    def replicate(self, parent, mode, traveler_rate, rng):
+        child = self.brood[self.spread % len(self.brood)]
+        self.spread += 1
+        return child
+
+    def fitness(self, genotype):
+        return self.sign * (0.0 if genotype in self.brood else 1.0)
+
+
+class TestIterationBest:
+    @pytest.mark.parametrize("objective", list(Objective))
+    @pytest.mark.parametrize("brood", [(7, 3), (3, 7)])
+    def test_fitness_tie_goes_to_the_smallest_genotype(self, objective, brood):
+        params = EpidemicParameters(
+            p_die=0.0,
+            p_isolation=0.0,
+            p_travel=0.0,
+            ordinary_spread_range=(2, 2),
+            superspreader_spread_range=(2, 2),
+            pandemic_duration=1,
+            objective=objective,
+        )
+        codec = TieCodec(brood, objective)
+        result = run_strain(params, codec, Random(0))
+        assert codec.spread == 2
+        assert result.best == EvaluatedIndividual(3, codec.fitness(3))
+
+
 class TestRunStrain:
     def test_total_mortality_ends_after_one_iteration(self):
         codec = BinaryCodec()

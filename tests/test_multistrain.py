@@ -15,6 +15,7 @@ from cvoa import (
     EvaluationError,
     MultiStrainConfig,
     NetCodec,
+    Objective,
     PandemicResult,
     PzStrategy,
     Termination,
@@ -346,5 +347,64 @@ def test_single_strain_trajectory_is_pinned(bits, seed):
     )
     assert observed == SINGLE_STRAIN_PINS[(bits, seed)], (
         f"the fixed-seed single-strain run at {bits} bits, seed {seed} changed; "
+        "if the search was changed on purpose, re-pin and declare it in CHANGES.md"
+    )
+
+
+# (bits, seed, objective) -> the same fields as SINGLE_STRAIN_PINS, for
+# 5 strains: minimize stops at the optimum, maximize runs 12 iterations
+MULTI_STRAIN_PINS = {
+    (10, 1, "minimize"): (57, "0000001111", 2, (1, 38, 15, 0), "d88be9d76a1075c2"),
+    (10, 2, "minimize"): (13, "0000001111", 1, (0, 6, 4, 0), "9af26f484dc8a4f5"),
+    (10, 3, "minimize"): (90, "0000001111", 3, (7, 66, 12, 0), "23dc358f5a2d63eb"),
+    (20, 1, "minimize"): (1082, "00000000000000001111", 9, (41, 984, 14, 0), "20aef36c56e3ffdd"),
+    (20, 2, "minimize"): (829, "00000000000000001111", 7, (29, 675, 2, 0), "6674901691c6f1fa"),
+    (20, 3, "minimize"): (727, "00000000000000001111", 6, (32, 583, 115, 0), "865d1f6bce638d5e"),
+    (50, 1, "minimize"): (4044, "0" * 46 + "1111", 9, (177, 3220, 542, 0), "4358d6d8babfb9a9"),
+    (50, 2, "minimize"): (4284, "0" * 46 + "1111", 10, (163, 3557, 548, 0), "7dd11286ac450e6a"),
+    (50, 3, "minimize"): (3214, "0" * 46 + "1111", 8, (133, 2578, 509, 0), "c6420512baf70fd8"),
+    (20, 1, "maximize"): (
+        3228,
+        "11111111110110001100",
+        12,
+        (131, 2858, 346, 1098163572489),
+        "351c24210029aa24",
+    ),
+    (20, 2, "maximize"): (
+        3761,
+        "11111111100111001111",
+        12,
+        (182, 3335, 377, 1096158744576),
+        "613c8a4287aaf503",
+    ),
+}
+
+
+@pytest.mark.parametrize("bits,seed,objective", sorted(MULTI_STRAIN_PINS))
+def test_multi_strain_trajectory_is_pinned(bits, seed, objective):
+    """The 5-strain counterpart of the single-strain pins, under both
+    objectives, so that a drift in the lockstep or maximize paths shows."""
+    codec = BinaryCodec(bits=bits)
+    if objective == "minimize":
+        params = EpidemicParameters(seed=seed, strains=5)
+        result = run_pandemic(MultiStrainConfig.uniform(params), codec, stop_fitness=0)
+    else:
+        params = EpidemicParameters(
+            seed=seed, strains=5, objective=Objective(objective), pandemic_duration=12
+        )
+        result = run_pandemic(MultiStrainConfig.uniform(params), codec)
+    rows = [
+        (r.deaths_total, r.recovered_total, r.infected_count, r.best_fitness)
+        for r in result.history
+    ]
+    observed = (
+        result.evaluations_total,
+        codec.text(result.best.genotype),
+        len(rows),
+        rows[-1],
+        hashlib.sha256(repr(rows).encode()).hexdigest()[:16],
+    )
+    assert observed == MULTI_STRAIN_PINS[(bits, seed, objective)], (
+        f"the fixed-seed 5-strain run at {bits} bits, seed {seed}, {objective} changed; "
         "if the search was changed on purpose, re-pin and declare it in CHANGES.md"
     )
