@@ -14,7 +14,11 @@ benchmark runs converge inside the short pandemic window.
 The engine hashes and compares every candidate several times per
 iteration, so a genotype is a `(length, value)` tuple underneath (hashing
 and ordering run in C), and replication picks flip positions from bit
-masks rather than position lists.
+masks rather than position lists. Ordinary moves, most of all calls, take
+a one-flip path with no mask of used positions and no loop; traveler moves
+loop over their flips. Position draws go through `params.randbelow`, which
+makes the same draws as `Random.randrange` with fewer Python frames, so a
+fixed seed still flips the same bits.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from random import Random
 
-from .params import DistanceMode
+from .params import DistanceMode, randbelow
 
 MIN_BITS = 8
 MAX_BITS = 64
@@ -36,6 +40,8 @@ _E_NEAR = 1.0
 _E_TRAVELER = 0.9
 _H_MID = 6
 _H_NEAR = 2
+
+_TRAVELER = DistanceMode.TRAVELER
 
 
 class BitGenotype(tuple):
@@ -58,10 +64,11 @@ class BitGenotype(tuple):
         return self
 
     def __post_init__(self) -> None:
-        if not MIN_BITS <= self.length <= MAX_BITS:
-            raise ValueError(f"bit length {self.length} outside [{MIN_BITS},{MAX_BITS}]")
-        if not 0 <= self.value < (1 << self.length):
-            raise ValueError(f"value {self.value} does not fit in {self.length} bits")
+        n, v = self
+        if not MIN_BITS <= n <= MAX_BITS:
+            raise ValueError(f"bit length {n} outside [{MIN_BITS},{MAX_BITS}]")
+        if not 0 <= v < (1 << n):
+            raise ValueError(f"value {v} does not fit in {n} bits")
 
     def __getnewargs__(self) -> tuple[int, int]:
         return tuple(self)
@@ -124,25 +131,34 @@ def replicate_bits(
     number of positions and keeps its length.
     """
     n, child = parent
-    k = traveler_flip_count(n) if mode is DistanceMode.TRAVELER else 1
-    traveling = mode is DistanceMode.TRAVELER
+    if mode is not _TRAVELER:
+        # the one-flip path: the traveler loop below run once, with nothing used yet
+        if toward is not None:
+            delta = child ^ toward
+            h = delta.bit_count()
+            if rng.random() < (_E_NEAR if h <= _H_NEAR else _E_MID if h <= _H_MID else _E_FAR):
+                diff = delta & ((1 << n) - 1)
+                if diff:
+                    pos = _nth_set_bit(diff, randbelow(rng, diff.bit_count()))
+                    return BitGenotype(n, child ^ (1 << pos))
+        return BitGenotype(n, child ^ (1 << randbelow(rng, n)))
     full = (1 << n) - 1
     used = 0
-    for _ in range(k):
+    for _ in range(traveler_flip_count(n)):
         pos = None
         if toward is not None:
             delta = child ^ toward
-            e = _bias_strength(delta.bit_count(), traveling)
+            e = _bias_strength(delta.bit_count(), True)
             if rng.random() < e:
                 diff = delta & full & ~used
                 if diff:
-                    pos = _nth_set_bit(diff, rng.randrange(diff.bit_count()))
+                    pos = _nth_set_bit(diff, randbelow(rng, diff.bit_count()))
         if pos is None:
             if used:
                 free = full & ~used
-                pos = _nth_set_bit(free, rng.randrange(free.bit_count()))
+                pos = _nth_set_bit(free, randbelow(rng, free.bit_count()))
             else:
-                pos = rng.randrange(n)
+                pos = randbelow(rng, n)
         used |= 1 << pos
         child ^= 1 << pos
     return BitGenotype(n, child)
@@ -179,7 +195,9 @@ class BinaryCodec:
         return replicate_bits(parent, mode, rng, toward=self.target)
 
     def fitness(self, genotype: BitGenotype) -> int:
-        return quadratic_fitness(genotype, self.target)
+        # quadratic_fitness inlined: this runs once per fresh genotype
+        d = genotype[1] - self.target
+        return d * d
 
     def distance(self, a: BitGenotype, b: BitGenotype) -> int:
         return (a.value ^ b.value).bit_count()

@@ -21,11 +21,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from operator import neg
 from random import Random
 from typing import Any, Iterable
 
 from .codec import Codec, EvaluatedIndividual, EvaluationError
-from .params import DistanceMode, EpidemicParameters, Objective
+from .params import DistanceMode, EpidemicParameters, Objective, randbelow
 
 
 class Disposition(Enum):
@@ -38,6 +39,11 @@ class Disposition(Enum):
 class Termination(Enum):
     EXTINCTION = "extinction"
     DURATION_REACHED = "duration_reached"
+
+
+# bound once: infect() tests every candidate's disposition against these
+_ADDED = Disposition.ADDED_TO_NEW_INFECTED
+_REINFECTED = Disposition.REINFECTED
 
 
 class SharedLedger:
@@ -66,6 +72,12 @@ class SharedLedger:
         if genotype not in self.dead:
             self.recovered.add(genotype)
             self.recoveries += 1
+
+    def recover_all(self, genotypes: set) -> None:
+        """recover() of each genotype in the set, as one set update."""
+        alive = genotypes - self.dead
+        self.recovered |= alive
+        self.recoveries += len(alive)
 
     def counts(self) -> tuple[int, int]:
         """(deaths so far, recoveries so far); both are cumulative."""
@@ -183,13 +195,16 @@ def infect(
     lo, hi = (
         params.superspreader_spread_range if super_spreading else params.ordinary_spread_range
     )
-    count = rng.randint(lo, hi)
+    count = lo + randbelow(rng, hi - lo + 1)  # rng.randint(lo, hi), draw for draw
     mode = DistanceMode.TRAVELER if traveling else DistanceMode.ORDINARY
+    replicate = codec.replicate
+    traveler_rate = params.traveler_rate
     added: set = set()
     for _ in range(count):
-        candidate = codec.replicate(individual, mode, params.traveler_rate, rng)
+        candidate = replicate(individual, mode, traveler_rate, rng)
+        # a module-global lookup on every candidate, so a wrapper of it sees each one
         disposition = new_infection(candidate, ledger, params, rng)
-        if disposition in (Disposition.ADDED_TO_NEW_INFECTED, Disposition.REINFECTED):
+        if disposition is _ADDED or disposition is _REINFECTED:
             added.add(candidate)
     return added
 
@@ -226,16 +241,26 @@ def superspreader_count(p_superspreader: float, spreaders: int) -> int:
     return math.ceil(round(p_superspreader * spreaders, 9))
 
 
+def best_of(genotypes: list, values: list[float], objective: Objective) -> tuple[Any, float]:
+    """The (genotype, fitness) pair optimal under the objective, from
+    parallel lists; ties go to the smallest genotype in its natural order,
+    so repeated runs agree."""
+    signed = values if objective is Objective.MINIMIZE else map(neg, values)
+    best = min(zip(signed, genotypes, values), default=None)
+    if best is None:
+        raise ValueError("best of an empty population")
+    return best[1], best[2]
+
+
 def select_best(
     population: Iterable[EvaluatedIndividual], objective: Objective
 ) -> EvaluatedIndividual:
-    """Optimal individual under the objective; ties go to the smallest
-    genotype in its natural order, so repeated runs agree."""
-    sign = 1 if objective is Objective.MINIMIZE else -1
-    best = min(population, key=lambda e: (sign * e.fitness, e.genotype), default=None)
-    if best is None:
-        raise ValueError("select_best on empty population")
-    return best
+    """Optimal individual under the objective, by best_of's rule."""
+    population = list(population)
+    genotype, fitness = best_of(
+        [e.genotype for e in population], [e.fitness for e in population], objective
+    )
+    return EvaluatedIndividual(genotype, fitness)
 
 
 class Strain:
@@ -322,13 +347,13 @@ class Strain:
         fresh = infected_order + isolates
         if fresh:
             values = self._evaluate_all(fresh)
-            challenger = select_best(map(EvaluatedIndividual, fresh, values), params.objective)
-            if params.objective.better(challenger.fitness, self.best.fitness):
-                self.best = challenger
+            genotype, value = best_of(fresh, values, params.objective)
+            if params.objective.better(value, self.best.fitness):
+                # evaluate() has rejected non-finite values already
+                self.best = EvaluatedIndividual(genotype, value)
 
         resolve_isolates(ledger, params, rng, isolates)
-        for genotype in ledger.infected:
-            shared.recover(genotype)
+        shared.recover_all(ledger.infected)
         ledger.infected = ledger.new_infected
         ledger.new_infected = set()
         self._infected_order = infected_order

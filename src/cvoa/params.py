@@ -2,12 +2,33 @@
 
 All probabilities and spread ranges carry the suggested disease-statistics
 defaults, so a default-constructed parameter set is immediately runnable.
+The module also holds `randbelow`, the integer draw that the engine and the
+bit codec share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from random import Random
+
+
+def randbelow(rng: Random, n: int) -> int:
+    """Uniform integer in [0, n), drawn exactly as rng.randrange(n) draws it.
+
+    For a `Random` (not a subclass that overrides `random()` alone) this
+    makes the same getrandbits calls as CPython's `randrange(n)` and
+    `randint(lo, lo + n - 1) - lo`: k = n.bit_length() bits, redrawn until
+    the value is below n. It skips randrange's argument handling, which
+    costs more than the draw on the engine's per-candidate path.
+    """
+    if n <= 0:
+        raise ValueError(f"empty range for randbelow: {n}")
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
 
 
 class Objective(Enum):

@@ -1,10 +1,14 @@
 """Parameter defaults and validation."""
 
 import dataclasses
+from random import Random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cvoa import EpidemicParameters, Objective, ParameterError, validate_parameters
+from cvoa.params import randbelow
 
 
 def test_disease_statistics_defaults():
@@ -87,3 +91,28 @@ def test_objective_direction():
     assert not Objective.MINIMIZE.better(1.0, 1.0)
     assert Objective.MAXIMIZE.better(2.0, 1.0)
     assert not Objective.MAXIMIZE.better(1.0, 2.0)
+
+
+class TestRandbelow:
+    """The engine relies on randbelow drawing exactly as Random does, so a
+    fixed seed gives the same run on every supported interpreter."""
+
+    @given(st.integers(0, 2**64 - 1), st.integers(1, 2**70 - 1))
+    def test_matches_randrange_draw_for_draw(self, seed, n):
+        ours, theirs = Random(seed), Random(seed)
+        for _ in range(3):
+            assert randbelow(ours, n) == theirs.randrange(n)
+        assert ours.getstate() == theirs.getstate()
+
+    @given(st.integers(0, 2**64 - 1), st.integers(-(2**40), 2**40), st.integers(0, 2**70))
+    def test_offset_matches_randint(self, seed, lo, width):
+        ours, theirs = Random(seed), Random(seed)
+        hi = lo + width
+        for _ in range(3):
+            assert lo + randbelow(ours, hi - lo + 1) == theirs.randint(lo, hi)
+        assert ours.getstate() == theirs.getstate()
+
+    @pytest.mark.parametrize("n", [0, -1, -(2**65)])
+    def test_empty_range_rejected(self, n):
+        with pytest.raises(ValueError):
+            randbelow(Random(0), n)
