@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import shlex
 import statistics
 import sys
 from dataclasses import dataclass, fields, replace
@@ -114,9 +115,31 @@ def _parse_codec_spec(raw: dict) -> dict:
             has_target != has_evaluator,
             "nn codec needs exactly one of surrogate_target / evaluator",
         )
+        if has_target:
+            target = raw["surrogate_target"]
+            _require(
+                isinstance(target, str),
+                f"codec.surrogate_target must be a string, got {target!r}",
+            )
+        else:
+            _check_evaluator_command(raw["evaluator"])
     unknown = sorted(set(raw) - allowed)
     _require(not unknown, f"unknown codec field(s) for kind {kind}: {', '.join(unknown)}")
     return dict(raw)
+
+
+def _check_evaluator_command(command: object) -> None:
+    """A non-empty list of strings, or a string that splits into one."""
+    words = command
+    if isinstance(command, str):
+        try:
+            words = shlex.split(command)
+        except ValueError as exc:
+            raise ConfigError(f"codec.evaluator {command!r} does not parse: {exc}")
+    _require(
+        isinstance(words, list) and bool(words) and all(isinstance(w, str) for w in words),
+        f"codec.evaluator must be a non-empty list of strings or a command string, got {command!r}",
+    )
 
 
 def load_config(path: Path) -> RunConfig:
@@ -173,12 +196,7 @@ def build_codec(spec: dict, seed: int) -> Codec:
         except ValueError as exc:
             raise ConfigError(str(exc))
     if "evaluator" in spec:
-        command = spec["evaluator"]
-        _require(
-            isinstance(command, (str, list)) and command,
-            "codec.evaluator must be a non-empty command",
-        )
-        return NetCodec(evaluator=ExternalEvaluator(command))
+        return NetCodec(evaluator=ExternalEvaluator(spec["evaluator"]))
     target_text = spec["surrogate_target"]
     if target_text == "random":
         target = generate_net_patient_zero(Random((seed * _TARGET_SEED_MIX) % 2**64))

@@ -114,6 +114,36 @@ class TestConfigErrors:
         assert main(["run", "--config", str(path)]) == 2
         assert "exactly one" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "codec, field",
+        [
+            ({"kind": "nn", "surrogate_target": 5}, "surrogate_target"),
+            ({"kind": "nn", "surrogate_target": None}, "surrogate_target"),
+            ({"kind": "nn", "evaluator": ["python3", 5]}, "evaluator"),
+            ({"kind": "nn", "evaluator": []}, "evaluator"),
+            ({"kind": "nn", "evaluator": "   "}, "evaluator"),
+            ({"kind": "nn", "evaluator": "python3 'unclosed"}, "evaluator"),
+            ({"kind": "nn", "evaluator": {"cmd": "python3"}}, "evaluator"),
+        ],
+        ids=[
+            "target-number",
+            "target-null",
+            "evaluator-list-with-number",
+            "evaluator-empty-list",
+            "evaluator-blank-string",
+            "evaluator-unbalanced-quote",
+            "evaluator-object",
+        ],
+    )
+    def test_nn_codec_field_of_wrong_type(self, tmp_path, capsys, codec, field):
+        out = tmp_path / "out"
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"codec": codec, "out": str(out)}), encoding="utf-8")
+        assert main(["run", "--config", str(path)]) == 2
+        err_lines = capsys.readouterr().err.splitlines()
+        assert any(line.startswith("error:") and f"codec.{field}" in line for line in err_lines)
+        assert not out.exists()
+
     def test_bad_repeat(self, tmp_path, capsys):
         path = write_config(tmp_path, {"repeat": 0})
         assert main(["run", "--config", str(path)]) == 2
