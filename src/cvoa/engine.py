@@ -243,13 +243,11 @@ def superspreader_count(p_superspreader: float, spreaders: int) -> int:
 
 def best_of(genotypes: list, values: list[float], objective: Objective) -> tuple[Any, float]:
     """The (genotype, fitness) pair optimal under the objective, from
-    parallel lists; ties go to the smallest genotype in its natural order,
-    so repeated runs agree."""
+    parallel non-empty lists; ties go to the smallest genotype in its
+    natural order, so repeated runs agree."""
     signed = values if objective is Objective.MINIMIZE else map(neg, values)
-    best = min(zip(signed, genotypes, values), default=None)
-    if best is None:
-        raise ValueError("best of an empty population")
-    return best[1], best[2]
+    _, genotype, value = min(zip(signed, genotypes, values))
+    return genotype, value
 
 
 def select_best(
@@ -349,7 +347,7 @@ class Strain:
             values = self._evaluate_all(fresh)
             genotype, value = best_of(fresh, values, params.objective)
             if params.objective.better(value, self.best.fitness):
-                # evaluate() has rejected non-finite values already
+                # only the winner is wrapped: evaluate() rejected non-finite values
                 self.best = EvaluatedIndividual(genotype, value)
 
         resolve_isolates(ledger, params, rng, isolates)
