@@ -5,7 +5,12 @@ mutated candidates, some die, some isolate, some recover and may be
 reinfected, and the best individual ever evaluated is the answer. Several
 strains can advance in lockstep against a shared ledger of dead and
 recovered genotypes.
+
+The nn codec's names load on first use, so a binary run never imports
+`cvoa.nn`.
 """
+
+import importlib
 
 from .binary import (
     BinaryCodec,
@@ -36,17 +41,6 @@ from .multistrain import (
     run_pandemic,
     seed_patient_zeros,
 )
-from .nn import (
-    ArchitectureSpec,
-    ExternalEvaluator,
-    NetCodec,
-    NetGenotype,
-    mutate_position,
-    parse_net_text,
-    replicate_net,
-    resize_layers,
-    surrogate_fitness,
-)
 from .params import (
     DistanceMode,
     EpidemicParameters,
@@ -57,7 +51,31 @@ from .params import (
 
 __version__ = "1.0.0"
 
-# the documented API; the other names imported above stay importable
+# re-exported from .nn, which loads when one of them is first read
+_NN_NAMES = frozenset({
+    "ArchitectureSpec",
+    "ExternalEvaluator",
+    "NetCodec",
+    "NetGenotype",
+    "mutate_position",
+    "parse_net_text",
+    "replicate_net",
+    "resize_layers",
+    "surrogate_fitness",
+})
+
+
+def __getattr__(name: str):
+    # import_module, not `from . import nn`: that form reads this attribute
+    # first and would recurse
+    if name == "nn" or name in _NN_NAMES:
+        nn = importlib.import_module(".nn", __name__)
+        return nn if name == "nn" else getattr(nn, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+# the documented API; the other names imported above, and the nn names,
+# stay importable
 __all__ = [
     "BinaryCodec",
     "EpidemicParameters",

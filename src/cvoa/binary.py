@@ -14,7 +14,8 @@ benchmark runs converge inside the short pandemic window.
 The engine hashes and compares every candidate several times per
 iteration, so a genotype is a `(length, value)` tuple underneath (hashing
 and ordering run in C), and replication picks flip positions from bit
-masks rather than position lists. Ordinary moves, most of all calls, take
+masks rather than position lists, walking a mask a byte at a time to
+find its k-th set bit. Ordinary moves, most of all calls, take
 a one-flip path with no mask of used positions and no loop; traveler moves
 loop over their flips. Position draws go through `params.randbelow`, which
 makes the same draws as `Random.randrange` with fewer Python frames, so a
@@ -164,11 +165,28 @@ def replicate_bits(
     return BitGenotype(n, child)
 
 
+# _BYTE_SET_BITS[b]: positions of the set bits of byte value b, lowest first;
+# each entry is the lowest set bit of b followed by the entry for b without it
+_BYTE_SET_BITS: list[tuple[int, ...]] = [()]
+for _b in range(1, 256):
+    _BYTE_SET_BITS.append(((_b & -_b).bit_length() - 1,) + _BYTE_SET_BITS[_b & (_b - 1)])
+del _b
+
+
 def _nth_set_bit(mask: int, index: int) -> int:
-    """Position of the index-th set bit of mask, counting from bit 0 up."""
-    for _ in range(index):
-        mask &= mask - 1
-    return (mask & -mask).bit_length() - 1
+    """Position of the index-th set bit of mask, counting from bit 0 up.
+
+    Walks the mask a byte at a time against a table of set-bit positions.
+    """
+    shift = 0
+    while mask:
+        positions = _BYTE_SET_BITS[mask & 255]
+        if index < len(positions):
+            return shift + positions[index]
+        index -= len(positions)
+        mask >>= 8
+        shift += 8
+    raise ValueError("index is not below the number of set bits")
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,6 @@ import argparse
 import csv
 import json
 import shlex
-import statistics
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -31,7 +30,6 @@ from .multistrain import (
     PzStrategy,
     run_pandemic,
 )
-from .nn import ExternalEvaluator, NetCodec, generate_net_patient_zero, parse_net_text
 from .params import EpidemicParameters, Objective, ParameterError, validate_parameters
 
 CSV_HEADER = ("Iteration", "Deaths", "Recovered", "Infected", "Fitness")
@@ -195,6 +193,9 @@ def build_codec(spec: dict, seed: int) -> Codec:
             return BinaryCodec(bits=spec.get("bits", 10), target=spec.get("target", 15))
         except ValueError as exc:
             raise ConfigError(str(exc))
+    # loaded here, not at import, so a binary run never loads the nn codec
+    from .nn import ExternalEvaluator, NetCodec, generate_net_patient_zero, parse_net_text
+
     if "evaluator" in spec:
         return NetCodec(evaluator=ExternalEvaluator(spec["evaluator"]))
     target_text = spec["surrogate_target"]
@@ -258,6 +259,9 @@ def run_summary(
 
 
 def aggregate_summaries(runs: list[dict], space_size: int) -> dict:
+    # loaded here, not at import: nothing before the last run needs it
+    import statistics
+
     reached = [r["iterations_to_optimum"] for r in runs if r["iterations_to_optimum"] is not None]
     fractions = [r["evaluations_total"] / space_size for r in runs]
     return {

@@ -19,7 +19,6 @@ import math
 import os
 import shlex
 import subprocess
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from random import Random
 
@@ -290,6 +289,9 @@ class ExternalEvaluator:
         if not pending:
             return
         self.invocations += len(pending)
+        # loaded on first use: a surrogate run never needs the thread pool
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=min(len(pending), os.cpu_count() or 1)) as pool:
             outcomes = list(pool.map(self._attempt, pending))
         self._outcomes.update(zip(pending, outcomes))

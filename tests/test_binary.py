@@ -18,7 +18,7 @@ from cvoa import (
     replicate_bits,
     traveler_flip_count,
 )
-from cvoa.binary import _bias_strength, decode
+from cvoa.binary import _bias_strength, _nth_set_bit, decode
 
 
 def hamming(a: BitGenotype, b: BitGenotype) -> int:
@@ -194,6 +194,30 @@ def reference_replicate_bits(parent, mode, rng, *, toward=None):
         used.add(pos)
         child ^= 1 << pos
     return BitGenotype(n, child)
+
+
+def reference_nth_set_bit(mask, index):
+    """_nth_set_bit as first written: clear the lowest set bit index times."""
+    for _ in range(index):
+        mask &= mask - 1
+    return (mask & -mask).bit_length() - 1
+
+
+class TestNthSetBit:
+    @given(st.integers(min_value=1, max_value=2**64 - 1), st.data())
+    @settings(max_examples=500)
+    def test_matches_reference(self, mask, data):
+        index = data.draw(st.integers(min_value=0, max_value=mask.bit_count() - 1))
+        assert _nth_set_bit(mask, index) == reference_nth_set_bit(mask, index)
+
+    def test_every_index_of_a_sparse_wide_mask(self):
+        mask = (1 << 63) | (1 << 40) | (1 << 17) | (1 << 8) | 1
+        assert [_nth_set_bit(mask, i) for i in range(5)] == [0, 8, 17, 40, 63]
+
+    @pytest.mark.parametrize("mask, index", [(0, 0), (0b1011, 3), (1 << 63, 1)])
+    def test_index_past_the_last_set_bit_rejected(self, mask, index):
+        with pytest.raises(ValueError):
+            _nth_set_bit(mask, index)
 
 
 # toward values: none, within the genotype's width, up to 10 bits wider, negative
