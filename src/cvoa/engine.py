@@ -39,6 +39,8 @@ class Disposition(Enum):
 class Termination(Enum):
     EXTINCTION = "extinction"
     DURATION_REACHED = "duration_reached"
+    # run_pandemic(stop_fitness=...) stopped the run at its goal
+    GOAL_REACHED = "goal_reached"
 
 
 # bound once: infect() tests every candidate's disposition against these

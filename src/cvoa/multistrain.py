@@ -138,7 +138,10 @@ def run_pandemic(
 
     Each round advances every live strain by one iteration, in strain
     order. The pandemic stops when no strain is live, or as soon as a
-    strain's best is at least as good as `stop_fitness`. The first strain
+    strain's best is at least as good as `stop_fitness`; it then reports
+    GOAL_REACHED, as do the strain that reached the goal and every strain
+    still live (a patient zero at the goal stops it before any step). The
+    first strain
     continues the stream that drew the patient zeros, so `strains=1`
     reproduces run_strain with the same seed. An evaluation error in any
     strain cancels the others; the raised error carries a PandemicResult
@@ -176,7 +179,7 @@ def run_pandemic(
     initial_best = _fittest([s.best for s in cohort], objective).fitness
 
     error: EvaluationError | None = None
-    failed = -1
+    failed = reacher = -1
     goal = reached_goal(initial_best)
     while not goal and error is None and any(s.active for s in cohort):
         for index, strain in enumerate(cohort):
@@ -188,16 +191,22 @@ def run_pandemic(
                 error, failed = exc, index
                 break
             if reached_goal(strain.best.fitness):
-                goal = True
+                goal, reacher = True, index
                 break
 
     results = [s.result(cancelled=error is not None and s.active) for s in cohort]
     if error is not None:
         results[failed] = error.partial
+    if goal:
+        for index, (strain, result) in enumerate(zip(cohort, results)):
+            if strain.active or index == reacher:
+                result.termination = Termination.GOAL_REACHED
 
     dead_total, recovered_total = shared.counts()
     if error is not None:
         termination: Termination | None = None
+    elif goal:
+        termination = Termination.GOAL_REACHED
     elif all(r.termination is Termination.EXTINCTION for r in results):
         termination = Termination.EXTINCTION
     else:

@@ -254,6 +254,51 @@ class TestRunPandemic:
             # later strains did not step in the round that reached the goal
             assert all(n < lengths[first] for n in lengths[first + 1 :])
 
+    def test_goal_stop_reports_goal_reached(self):
+        # 20 bits, seed 1: strain 0 reaches 0 in iteration 9 of 30
+        result = run_pandemic(
+            MultiStrainConfig.uniform(EpidemicParameters(seed=1, strains=5)),
+            BinaryCodec(bits=20),
+            stop_fitness=0,
+        )
+        assert len(result.history) == 9
+        assert result.termination is Termination.GOAL_REACHED
+        assert [s.termination for s in result.strains] == [Termination.GOAL_REACHED] * 5
+
+    def test_strain_extinct_before_the_goal_keeps_extinction(self):
+        # 20 bits, seed 8: strain 4 dies out in iteration 1, the goal comes in 6
+        result = run_pandemic(
+            MultiStrainConfig.uniform(EpidemicParameters(seed=8, strains=5)),
+            BinaryCodec(bits=20),
+            stop_fitness=0,
+        )
+        assert result.termination is Termination.GOAL_REACHED
+        assert [len(s.history) for s in result.strains] == [6, 6, 6, 5, 1]
+        assert [s.termination for s in result.strains] == [Termination.GOAL_REACHED] * 4 + [
+            Termination.EXTINCTION
+        ]
+
+    def test_patient_zero_at_the_goal_reports_goal_reached(self):
+        # every 10-bit genotype scores below 2**20, so each patient zero is at the goal
+        result = run_pandemic(
+            MultiStrainConfig.uniform(EpidemicParameters(seed=1, strains=3)),
+            BinaryCodec(bits=10),
+            stop_fitness=2**20,
+        )
+        assert result.history == []
+        assert result.termination is Termination.GOAL_REACHED
+        assert [s.termination for s in result.strains] == [Termination.GOAL_REACHED] * 3
+
+    def test_goal_never_reached_keeps_the_old_terminations(self):
+        result = run_pandemic(
+            MultiStrainConfig.uniform(EpidemicParameters(seed=1, strains=5, pandemic_duration=2)),
+            BinaryCodec(bits=20),
+            stop_fitness=0,
+        )
+        assert result.best.fitness > 0
+        assert result.termination is Termination.DURATION_REACHED
+        assert Termination.GOAL_REACHED not in {s.termination for s in result.strains}
+
     def test_dead_genotypes_stay_out_of_circulation_under_contention(self, monkeypatch):
         # tiny space + many strains forces heavy ledger contention
         original = cvoa.engine.new_infection
