@@ -141,11 +141,10 @@ def run_pandemic(
     strain's best is at least as good as `stop_fitness`; it then reports
     GOAL_REACHED, as do the strain that reached the goal and every strain
     still live (a patient zero at the goal stops it before any step). The
-    first strain
-    continues the stream that drew the patient zeros, so `strains=1`
-    reproduces run_strain with the same seed. An evaluation error in any
-    strain cancels the others; the raised error carries a PandemicResult
-    with whatever partial histories were produced.
+    first strain continues the stream that drew the patient zeros, so
+    `strains=1` reproduces run_strain with the same seed. An evaluation
+    error in any strain cancels the others; the raised error carries a
+    PandemicResult with whatever partial histories were produced.
     """
     for params in config.parameters:
         validate_parameters(params)
