@@ -9,12 +9,13 @@ candidate several times per iteration (ledger lookups, sorts, tie-breaks),
 so genotypes should do both cheaply: a tuple, or a type whose hashing and
 ordering are a tuple's, keeps that work in C.
 
-A codec may also offer a batch hook, `prefetch(genotypes)`. The engine
-calls it with each iteration's not yet scored genotypes, in genotype
-order, before it asks `fitness` for them one by one in that order. The
-hook may score them together (concurrently, say) and keep the results for
-those `fitness` calls; a failure should surface only when `fitness` is
-asked for the failing genotype, so the first failure in order is raised.
+A codec may also offer a batch hook, `fitness_all(genotypes)`. The engine
+calls it with a patient zero, and then once per iteration, with the
+genotypes it has not scored yet, each once and in genotype order; it
+caches the scores the hook returns and never asks for them again. The
+hook may score them together (concurrently, say); it returns an iterable
+of the scores in the same order, and iterating it raises at the first
+failure in that order, after the scores before it.
 """
 
 from __future__ import annotations

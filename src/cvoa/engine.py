@@ -54,8 +54,9 @@ class SharedLedger:
     One thread only: the strains that share a ledger take turns on the
     caller's thread, and each compound transition (a burial, the
     remove-then-add step of reinfection) runs whole before another strain
-    looks, so dead and recovered stay disjoint. An evaluator may score a
-    prefetch batch on worker threads, but those never touch the ledger.
+    looks, so dead and recovered stay disjoint. A codec's fitness_all
+    hook may score a batch on worker threads, but those never touch the
+    ledger: the ledger stores the scores the batch returns.
     `recoveries` counts every move into the recovered population, so it
     never falls when a recovered individual is reinfected or dies.
     """
@@ -70,13 +71,9 @@ class SharedLedger:
         self.dead.add(genotype)
         self.recovered.discard(genotype)
 
-    def recover(self, genotype: Any) -> None:
-        if genotype not in self.dead:
-            self.recovered.add(genotype)
-            self.recoveries += 1
-
     def recover_all(self, genotypes: set) -> None:
-        """recover() of each genotype in the set, as one set update."""
+        """Move each genotype not dead into the recovered population, and
+        count each such move."""
         alive = genotypes - self.dead
         self.recovered |= alive
         self.recoveries += len(alive)
@@ -101,15 +98,18 @@ class SharedLedger:
     def evaluate_all(self, codec: Codec, genotypes: list) -> list[float]:
         """Memoized fitness of each genotype, evaluated in list order.
 
-        A codec with a `prefetch` hook first receives every uncached
-        genotype in one call, so it can score them together; the first
-        failure in list order is still the one raised.
+        A codec with a `fitness_all` hook scores every uncached genotype
+        in one call, each once and in list order; the scores before the
+        first failure are cached, and that failure is raised.
         """
-        prefetch = getattr(codec, "prefetch", None)
-        if prefetch is not None:
-            uncached = [g for g in genotypes if g not in self.fitness_cache]
+        fitness_all = getattr(codec, "fitness_all", None)
+        if fitness_all is not None:
+            uncached = list(dict.fromkeys(g for g in genotypes if g not in self.fitness_cache))
             if uncached:
-                prefetch(uncached)
+                for genotype, value in zip(uncached, fitness_all(uncached)):
+                    if not math.isfinite(value):
+                        raise EvaluationError(f"non-finite fitness {value!r} for {genotype!r}")
+                    self.fitness_cache[genotype] = value
         return [self.evaluate(codec, g) for g in genotypes]
 
 
@@ -231,9 +231,7 @@ def resolve_isolates(
     dying = die(isolates, params, rng)
     for genotype in dying:
         shared.bury(genotype)
-    for genotype in isolates:
-        if genotype not in dying:
-            shared.recover(genotype)
+    shared.recover_all(set(isolates))
     return dying
 
 

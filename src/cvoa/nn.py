@@ -21,6 +21,7 @@ import shlex
 import subprocess
 from dataclasses import dataclass
 from random import Random
+from typing import Iterator
 
 from .codec import EvaluationError
 from .params import DistanceMode
@@ -263,46 +264,35 @@ class ExternalEvaluator:
 
     The decoded architecture goes to the evaluator's stdin as
     {"learning_rate": ..., "dropout": ..., "units": [...]} and the reply
-    must be {"fitness": <finite number>}. Outcomes, failures included, are
-    memoized per genotype, so each genotype runs the evaluator at most
-    once. prefetch() runs a batch of genotypes with at most one evaluator
-    process per CPU at a time; a failure is held until fitness() asks for
-    that genotype. One caller at a time.
+    must be {"fitness": <finite number>}. Each fitness() call is one
+    evaluator process; the evaluator keeps no per-genotype state, because
+    the engine's ledger already scores each genotype once per pandemic.
+    `invocations` counts the round trips that fitness_all() started, the
+    one way the engine reaches an evaluator. One caller at a time.
     """
 
     def __init__(self, command: str | list[str], timeout: float | None = 60.0) -> None:
         self.command = shlex.split(command) if isinstance(command, str) else list(command)
+        if not self.command:
+            raise ValueError(f"evaluator command {command!r} is empty")
         self.timeout = timeout
-        self._outcomes: dict[NetGenotype, float | EvaluationError] = {}
         self.invocations = 0
 
-    def fitness(self, genotype: NetGenotype) -> float:
-        self.prefetch([genotype])
-        outcome = self._outcomes[genotype]
-        if isinstance(outcome, EvaluationError):
-            raise outcome
-        return outcome
-
-    def prefetch(self, genotypes: list[NetGenotype]) -> None:
-        """Run the evaluator on every genotype not seen before."""
-        pending = [g for g in dict.fromkeys(genotypes) if g not in self._outcomes]
-        if not pending:
-            return
-        self.invocations += len(pending)
+    def fitness_all(self, genotypes: list[NetGenotype]) -> Iterator[float]:
+        """Scores of the genotypes in order, from at most one evaluator
+        process per CPU at a time. Every process has finished on return;
+        iterating the result raises the first failure in order."""
+        self.invocations += len(genotypes)
         # loaded on first use: a surrogate run never needs the thread pool
         from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=min(len(pending), os.cpu_count() or 1)) as pool:
-            outcomes = list(pool.map(self._attempt, pending))
-        self._outcomes.update(zip(pending, outcomes))
+        workers = max(1, min(len(genotypes), os.cpu_count() or 1))
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            scores = pool.map(self.fitness, genotypes)
+        return scores
 
-    def _attempt(self, genotype: NetGenotype) -> float | EvaluationError:
-        try:
-            return self._evaluate(genotype)
-        except EvaluationError as exc:
-            return exc
-
-    def _evaluate(self, genotype: NetGenotype) -> float:
+    def fitness(self, genotype: NetGenotype) -> float:
+        """One round trip; a crash, timeout or bad reply is an EvaluationError."""
         spec = decode(genotype)
         request = json.dumps(
             {
@@ -366,10 +356,11 @@ class NetCodec:
         assert self.evaluator is not None
         return self.evaluator.fitness(genotype)
 
-    def prefetch(self, genotypes: list[NetGenotype]) -> None:
+    def fitness_all(self, genotypes: list[NetGenotype]) -> Iterator[float]:
         """Batch hook: an evaluator scores the genotypes concurrently."""
         if self.evaluator is not None:
-            self.evaluator.prefetch(genotypes)
+            return self.evaluator.fitness_all(genotypes)
+        return map(self.fitness, genotypes)
 
     def distance(self, a: NetGenotype, b: NetGenotype) -> int:
         return net_distance(a, b)

@@ -302,6 +302,48 @@ class TestEvaluationFailure:
         assert csv_path.read_text().splitlines()[0] == "Iteration,Deaths,Recovered,Infected,Fitness"
 
 
+class TestExternalEvaluatorRun:
+    def test_one_evaluator_process_per_ledger_evaluation(self, tmp_path, monkeypatch):
+        # the ledger is the only fitness memo: each pandemic starts the
+        # evaluator once per distinct genotype, and repeats share no memo
+        import cvoa.nn
+
+        evaluators = []
+
+        class RecordedEvaluator(cvoa.nn.ExternalEvaluator):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                evaluators.append(self)
+
+        monkeypatch.setattr(cvoa.nn, "ExternalEvaluator", RecordedEvaluator)
+        log = tmp_path / "requests.log"
+        script = tmp_path / "evaluator.py"
+        script.write_text(
+            "import json, sys\n"
+            "line = sys.stdin.readline()\n"
+            f"open({str(log)!r}, 'a').write(line)\n"
+            "req = json.loads(line)\n"
+            "print(json.dumps({'fitness': sum(req['units']) / 100 + req['dropout']}))\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "out"
+        config = {
+            "codec": {"kind": "nn", "evaluator": [sys.executable, "-I", "-S", str(script)]},
+            "parameters": {"seed": 1, "strains": 2, "pandemic_duration": 2},
+            "repeat": 3,
+            "out": str(out),
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["run", "--config", str(path)]) == 0
+        runs = json.loads((out / "summary.json").read_text())["runs"]
+        assert len(runs) == 3
+        evaluations = sum(r["evaluations_total"] for r in runs)
+        [evaluator] = evaluators
+        assert evaluator.invocations == evaluations
+        assert len(log.read_text().splitlines()) == evaluations
+
+
 class TestIterationsToOptimum:
     def test_optimal_patient_zero_counts_as_zero(self):
         result = PandemicResult(

@@ -62,6 +62,30 @@ class RecordingCodec:
         return self.inner.text(genotype)
 
 
+class BatchingCodec(RecordingCodec):
+    """RecordingCodec with a fitness_all hook that scores a whole batch
+    first, then yields the scores in order and raises at a failing one."""
+
+    def __init__(self, failing=(), scores=None):
+        super().__init__()
+        self.batches = []
+        self.failing = set(failing)
+        self.scores = scores or {}
+
+    def fitness_all(self, genotypes):
+        self.batches.append(list(genotypes))
+        outcomes = [
+            EvaluationError(f"synthetic failure of {g!r}")
+            if g in self.failing
+            else self.scores.get(g, self.inner.fitness(g))
+            for g in genotypes
+        ]
+        for outcome in outcomes:
+            if isinstance(outcome, EvaluationError):
+                raise outcome
+            yield outcome
+
+
 class TestDie:
     def test_nobody_dies_at_zero(self):
         assert die({1, 2, 3}, EpidemicParameters(p_die=0.0), Random(0)) == set()
@@ -435,7 +459,7 @@ class TestRunStrain:
 class TestSharedLedger:
     def test_bury_overrides_recovered(self):
         shared = SharedLedger()
-        shared.recover(5)
+        shared.recover_all({5})
         shared.bury(5)
         assert 5 in shared.dead
         assert 5 not in shared.recovered
@@ -443,9 +467,9 @@ class TestSharedLedger:
     def test_recover_never_resurrects(self):
         shared = SharedLedger()
         shared.bury(5)
-        shared.recover(5)
+        shared.recover_all({5, 6})
         assert 5 in shared.dead
-        assert 5 not in shared.recovered
+        assert shared.recovered == {6}
 
     def test_evaluate_memoizes(self):
         shared = SharedLedger()
@@ -457,31 +481,44 @@ class TestSharedLedger:
 
     def test_recoveries_are_counted_not_membership(self):
         shared = SharedLedger()
-        shared.recover(5)
+        shared.recover_all({5})
         shared.recovered.remove(5)  # reinfection
-        shared.recover(5)
+        shared.recover_all({5})
         shared.bury(6)
-        shared.recover(6)
+        shared.recover_all({6})
         assert shared.counts() == (1, 2)
 
-    def test_evaluate_all_prefetches_uncached_in_order(self):
-        class PrefetchingCodec(RecordingCodec):
-            def __init__(self):
-                super().__init__()
-                self.batches = []
-
-            def prefetch(self, genotypes):
-                self.batches.append(list(genotypes))
-
+    def test_evaluate_all_batches_uncached_once_in_order(self):
         shared = SharedLedger()
-        codec = PrefetchingCodec()
+        codec = BatchingCodec()
         a, b, c = BitGenotype(10, 1), BitGenotype(10, 2), BitGenotype(10, 3)
         shared.evaluate(codec, b)
-        values = shared.evaluate_all(codec, [c, b, a])
-        assert values == [codec.inner.fitness(g) for g in (c, b, a)]
+        values = shared.evaluate_all(codec, [c, b, a, c])
+        assert values == [codec.inner.fitness(g) for g in (c, b, a, c)]
         assert codec.batches == [[c, a]]
         assert shared.evaluate_all(codec, [a, c]) == [values[2], values[0]]
         assert codec.batches == [[c, a]]
+        assert codec.fitness_calls == Counter({b: 1})
+
+    def test_evaluate_all_caches_the_scores_before_a_failure(self):
+        a, b, c, d = (BitGenotype(10, v) for v in (1, 2, 3, 4))
+        shared = SharedLedger()
+        codec = BatchingCodec(failing={b, c})
+        with pytest.raises(EvaluationError) as err:
+            shared.evaluate_all(codec, [a, b, c, d])
+        assert str(err.value) == f"synthetic failure of {b!r}"
+        assert codec.batches == [[a, b, c, d]]
+        assert shared.fitness_cache == {a: codec.inner.fitness(a)}
+        assert shared.evaluations_total() == 1
+
+    def test_evaluate_all_rejects_a_non_finite_batch_score(self):
+        a, b = BitGenotype(10, 1), BitGenotype(10, 2)
+        shared = SharedLedger()
+        codec = BatchingCodec(scores={b: float("nan")})
+        with pytest.raises(EvaluationError, match="non-finite"):
+            shared.evaluate_all(codec, [a, b])
+        assert b not in shared.fitness_cache
+        assert shared.evaluations_total() == 1
 
     def test_non_finite_fitness_raises_and_is_not_cached(self):
         class BadCodec(RecordingCodec):

@@ -311,15 +311,6 @@ class TestExternalEvaluator:
         # units[0] = 25*(3+1) = 100, lr = 0.1, dropout = 0.15
         assert ExternalEvaluator(command).fitness(g) == pytest.approx(100.25)
 
-    def test_memoized_per_genotype(self, tmp_path):
-        command = write_script(
-            tmp_path, "fixed.py", "import sys; sys.stdin.readline(); print('{\"fitness\": 2.0}')"
-        )
-        evaluator = ExternalEvaluator(command)
-        g = NetGenotype(0, 0, (0, 0))
-        assert evaluator.fitness(g) == evaluator.fitness(g) == 2.0
-        assert evaluator.invocations == 1
-
     def test_nan_reply_is_error(self, tmp_path):
         command = write_script(
             tmp_path, "nan.py", "import sys; sys.stdin.readline(); print('{\"fitness\": NaN}')"
@@ -339,17 +330,12 @@ class TestExternalEvaluator:
         with pytest.raises(EvaluationError, match="malformed"):
             ExternalEvaluator(command).fitness(NetGenotype(0, 0, (0, 0)))
 
-    def test_failed_genotype_stays_failed(self, tmp_path):
-        command = write_script(tmp_path, "boom.py", "import sys; sys.exit(1)")
-        evaluator = ExternalEvaluator(command)
-        g = NetGenotype(0, 0, (0, 0))
-        for _ in range(2):
-            with pytest.raises(EvaluationError):
-                evaluator.fitness(g)
-        assert evaluator.invocations == 1
+    @pytest.mark.parametrize("command", ["", [], "   "])
+    def test_empty_command_is_rejected(self, command):
+        with pytest.raises(ValueError, match="empty"):
+            ExternalEvaluator(command)
 
-
-    def test_prefetch_runs_each_new_genotype_once(self, tmp_path):
+    def test_fitness_all_scores_in_order(self, tmp_path):
         command = write_script(
             tmp_path,
             "units.py",
@@ -359,27 +345,26 @@ class TestExternalEvaluator:
         )
         evaluator = ExternalEvaluator(command)
         genotypes = [NetGenotype(0, 0, (c, 0)) for c in range(4)]
-        evaluator.prefetch(genotypes + genotypes[:2])
+        assert list(evaluator.fitness_all(genotypes)) == [25.0, 50.0, 75.0, 100.0]
         assert evaluator.invocations == 4
-        assert [evaluator.fitness(g) for g in genotypes] == [25.0, 50.0, 75.0, 100.0]
-        evaluator.prefetch(genotypes)
-        assert evaluator.invocations == 4
+        assert list(evaluator.fitness_all(genotypes[:2])) == [25.0, 50.0]
+        assert evaluator.invocations == 6
 
-    def test_prefetch_holds_failures_until_asked(self, tmp_path):
+    def test_fitness_all_raises_the_first_failure_in_order(self, tmp_path):
         command = write_script(
             tmp_path,
             "picky.py",
             "import json, sys\n"
-            "req = json.loads(sys.stdin.readline())\n"
-            "sys.exit(4) if req['units'][0] == 25 else print(json.dumps({'fitness': 1.0}))\n",
+            "unit = json.loads(sys.stdin.readline())['units'][0]\n"
+            "sys.exit(unit // 25) if unit in (50, 75) else print(json.dumps({'fitness': 1.0}))\n",
         )
         evaluator = ExternalEvaluator(command)
-        bad, good = NetGenotype(0, 0, (0, 0)), NetGenotype(0, 0, (1, 0))
-        evaluator.prefetch([bad, good])
-        assert evaluator.fitness(good) == 1.0
-        with pytest.raises(EvaluationError, match="exited 4"):
-            evaluator.fitness(bad)
-        assert evaluator.invocations == 2
+        genotypes = [NetGenotype(0, 0, (c, 0)) for c in range(4)]
+        scores = iter(evaluator.fitness_all(genotypes))
+        assert next(scores) == 1.0
+        with pytest.raises(EvaluationError, match="exited 2"):
+            next(scores)
+        assert evaluator.invocations == 4
 
 
 class TestNetCodec:
@@ -412,6 +397,11 @@ class TestNetCodec:
             g = codec.replicate(g, DistanceMode.ORDINARY, 3, rng)
             assert 2 <= g.layer_count <= 11
 
+    def test_surrogate_fitness_all_scores_in_order(self):
+        codec = NetCodec(target=NetGenotype(1, 2, (3, 4)))
+        genotypes = [NetGenotype(0, 0, (c, 4)) for c in range(5)]
+        assert list(codec.fitness_all(genotypes)) == [codec.fitness(g) for g in genotypes]
+
     def test_text_round_trips_through_parser(self):
         codec = NetCodec(target=NetGenotype(1, 2, (3, 4)))
         g = NetGenotype(5, 8, (0, 11, 6))
@@ -419,7 +409,7 @@ class TestNetCodec:
 
 
 def test_evaluator_reply_shape_matches_request_contract(tmp_path):
-    # full round trip: request keys, reply key, memo through the codec
+    # full round trip through the codec: request keys, reply key
     record = tmp_path / "seen.json"
     command = write_script(
         tmp_path,
