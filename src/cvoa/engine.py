@@ -43,11 +43,6 @@ class Termination(Enum):
     GOAL_REACHED = "goal_reached"
 
 
-# bound once: infect() tests every candidate's disposition against these
-_ADDED = Disposition.ADDED_TO_NEW_INFECTED
-_REINFECTED = Disposition.REINFECTED
-
-
 class SharedLedger:
     """Recovered/dead membership plus the fitness memo, shared by strains.
 
@@ -145,6 +140,7 @@ class IterationRecord:
 class StrainResult:
     best: EvaluatedIndividual | None
     history: list[IterationRecord]
+    # None: an evaluation failed while the strain was still active
     termination: Termination | None
 
 
@@ -186,7 +182,7 @@ def infect(
     params: EpidemicParameters,
     codec: Codec,
     rng: Random,
-) -> set:
+) -> None:
     """Spread from one individual: one travel draw and one super-spreader
     draw against params.p_superspreader decide the move distance and the
     candidate count for the whole brood; each candidate is routed through
@@ -201,14 +197,10 @@ def infect(
     mode = DistanceMode.TRAVELER if traveling else DistanceMode.ORDINARY
     replicate = codec.replicate
     traveler_rate = params.traveler_rate
-    added: set = set()
     for _ in range(count):
         candidate = replicate(individual, mode, traveler_rate, rng)
         # a module-global lookup on every candidate, so a wrapper of it sees each one
-        disposition = new_infection(candidate, ledger, params, rng)
-        if disposition is _ADDED or disposition is _REINFECTED:
-            added.add(candidate)
-    return added
+        new_infection(candidate, ledger, params, rng)
 
 
 def resolve_isolates(
@@ -264,8 +256,8 @@ def select_best(
 class Strain:
     """One strain's state between iterations; step() runs one iteration.
 
-    The patient zero is scored on construction. An evaluation error, here
-    or in step(), carries a StrainResult with the history so far.
+    The strain starts from a patient zero that its driver has already
+    scored. A step that raises leaves the strain active.
     """
 
     def __init__(
@@ -274,45 +266,35 @@ class Strain:
         codec: Codec,
         rng: Random,
         shared: SharedLedger,
-        patient_zero: Any = None,
+        patient_zero: EvaluatedIndividual,
     ) -> None:
         self.params = params
         self.codec = codec
         self.rng = rng
         self.shared = shared
-        self.ledger = PopulationLedger(shared=shared)
+        self.ledger = PopulationLedger(shared=shared, infected={patient_zero.genotype})
         self.history: list[IterationRecord] = []
         self.iteration = 0
-        self.best: EvaluatedIndividual | None = None
+        self.best = patient_zero
         self._spread_params = (
             replace(params, p_superspreader=1.0),
             replace(params, p_superspreader=0.0),
         )
-        pz = patient_zero if patient_zero is not None else codec.generate_patient_zero(rng)
-        self.best = EvaluatedIndividual(pz, self._evaluate_all([pz])[0])
-        self.ledger.infected = {pz}
         # ledger.infected in genotype order, so die() sorts it in linear time
-        self._infected_order = [pz]
+        self._infected_order = [patient_zero.genotype]
 
     @property
     def active(self) -> bool:
         return self.iteration < self.params.pandemic_duration and bool(self.ledger.infected)
 
-    def result(self, cancelled: bool = False) -> StrainResult:
-        if cancelled:
+    def result(self) -> StrainResult:
+        if self.active:
             termination = None
         elif not self.ledger.infected:
             termination = Termination.EXTINCTION
         else:
             termination = Termination.DURATION_REACHED
         return StrainResult(best=self.best, history=self.history, termination=termination)
-
-    def _evaluate_all(self, genotypes: list) -> list[float]:
-        try:
-            return self.shared.evaluate_all(self.codec, genotypes)
-        except EvaluationError as exc:
-            exc.partial = StrainResult(best=self.best, history=self.history, termination=None)
-            raise
 
     def _ranked(self, population: set) -> list:
         """Fittest first under the objective; ties in genotype order."""
@@ -322,7 +304,6 @@ class Strain:
 
     def step(self) -> None:
         params, ledger, shared, rng = self.params, self.ledger, self.shared, self.rng
-        self.iteration += 1
 
         # another strain may have buried some of this strain's infected
         alive = [g for g in self._infected_order if g not in shared.dead]
@@ -344,7 +325,7 @@ class Strain:
         isolates = sorted(ledger.isolated_now - ledger.new_infected)
         fresh = infected_order + isolates
         if fresh:
-            values = self._evaluate_all(fresh)
+            values = shared.evaluate_all(self.codec, fresh)
             genotype, value = best_of(fresh, values, params.objective)
             if params.objective.better(value, self.best.fitness):
                 # only the winner is wrapped: evaluate() rejected non-finite values
@@ -355,6 +336,7 @@ class Strain:
         ledger.infected = ledger.new_infected
         ledger.new_infected = set()
         self._infected_order = infected_order
+        self.iteration += 1
 
         deaths_total, recovered_total = shared.counts()
         self.history.append(
@@ -382,10 +364,18 @@ def run_strain(
     A shared ledger makes the strain participate in a multi-strain pandemic;
     without one the strain owns a private ledger. run_pandemic steps Strain
     objects in turn instead, and is the one place where a run stops early
-    at a goal fitness.
+    at a goal fitness. An evaluation error carries the strain's result so
+    far, or StrainResult(None, [], None) when the patient zero failed.
     """
     shared = shared_ledger if shared_ledger is not None else SharedLedger()
-    strain = Strain(params, codec, rng, shared, patient_zero)
-    while strain.active:
-        strain.step()
+    pz = patient_zero if patient_zero is not None else codec.generate_patient_zero(rng)
+    strain: Strain | None = None
+    try:
+        [fitness] = shared.evaluate_all(codec, [pz])
+        strain = Strain(params, codec, rng, shared, EvaluatedIndividual(pz, fitness))
+        while strain.active:
+            strain.step()
+    except EvaluationError as exc:
+        exc.partial = strain.result() if strain is not None else StrainResult(None, [], None)
+        raise
     return strain.result()

@@ -44,14 +44,14 @@ class MultiStrainConfig:
     def uniform(
         cls,
         params: EpidemicParameters,
-        strains: int | None = None,
         pz_strategy: PzStrategy = PzStrategy.MAX_HAMMING_SPREAD,
     ) -> "MultiStrainConfig":
-        """Same parameters for every strain, seeds fanned out from params.seed."""
+        """params.strains strains with the same parameters, seeds fanned out
+        from params.seed."""
         validate_parameters(params)
-        n = params.strains if strains is None else strains
         per_strain = tuple(
-            replace(params, seed=params.seed + j * STRAIN_SEED_STRIDE) for j in range(n)
+            replace(params, seed=params.seed + j * STRAIN_SEED_STRIDE)
+            for j in range(params.strains)
         )
         return cls(parameters=per_strain, pz_strategy=pz_strategy)
 
@@ -142,9 +142,13 @@ def run_pandemic(
     GOAL_REACHED, as do the strain that reached the goal and every strain
     still live (a patient zero at the goal stops it before any step). The
     first strain continues the stream that drew the patient zeros, so
-    `strains=1` reproduces run_strain with the same seed. An evaluation
-    error in any strain cancels the others; the raised error carries a
-    PandemicResult with whatever partial histories were produced.
+    `strains=1` reproduces run_strain with the same seed. The patient
+    zeros are scored as one batch.
+
+    An evaluation error stops the pandemic. The raised error carries a
+    PandemicResult with the histories so far, in which every strain still
+    active reports termination None; when the patient-zero batch failed,
+    it holds no strains and initial_best is None.
     """
     for params in config.parameters:
         validate_parameters(params)
@@ -159,43 +163,29 @@ def run_pandemic(
         return stop_fitness is not None and not objective.better(stop_fitness, fitness)
 
     cohort: list[Strain] = []
-    try:
-        for params, rng, pz in zip(config.parameters, rngs, pzs):
-            cohort.append(Strain(params, codec, rng, shared, pz))
-    except EvaluationError as exc:
-        first = _fittest([s.best for s in cohort], objective)
-        exc.partial = PandemicResult(
-            best=None,
-            strains=[],
-            history=[],
-            initial_best=first.fitness if first is not None else None,
-            evaluations_total=shared.evaluations_total(),
-            dead_total=0,
-            recovered_total=0,
-            termination=None,
-        )
-        raise
-    initial_best = _fittest([s.best for s in cohort], objective).fitness
-
+    initial_best: float | None = None
     error: EvaluationError | None = None
-    failed = reacher = -1
-    goal = reached_goal(initial_best)
-    while not goal and error is None and any(s.active for s in cohort):
-        for index, strain in enumerate(cohort):
-            if not strain.active:
-                continue
-            try:
+    goal, reacher = False, -1
+    try:
+        fitnesses = shared.evaluate_all(codec, pzs)
+        cohort = [
+            Strain(params, codec, rng, shared, EvaluatedIndividual(pz, fitness))
+            for params, rng, pz, fitness in zip(config.parameters, rngs, pzs, fitnesses)
+        ]
+        initial_best = _fittest([s.best for s in cohort], objective).fitness
+        goal = reached_goal(initial_best)
+        while not goal and any(s.active for s in cohort):
+            for index, strain in enumerate(cohort):
+                if not strain.active:
+                    continue
                 strain.step()
-            except EvaluationError as exc:
-                error, failed = exc, index
-                break
-            if reached_goal(strain.best.fitness):
-                goal, reacher = True, index
-                break
+                if reached_goal(strain.best.fitness):
+                    goal, reacher = True, index
+                    break
+    except EvaluationError as exc:
+        error = exc
 
-    results = [s.result(cancelled=error is not None and s.active) for s in cohort]
-    if error is not None:
-        results[failed] = error.partial
+    results = [s.result() for s in cohort]
     if goal:
         for index, (strain, result) in enumerate(zip(cohort, results)):
             if strain.active or index == reacher:

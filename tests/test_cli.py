@@ -302,6 +302,52 @@ class TestEvaluationFailure:
         assert csv_path.read_text().splitlines()[0] == "Iteration,Deaths,Recovered,Infected,Fitness"
 
 
+    def test_failure_after_the_patient_zeros_flushes_the_completed_rows(self, tmp_path, capsys):
+        # the evaluator fails from its `limit`-th request on; a run that
+        # fails on its last evaluation keeps every row before that step
+        def run(name, limit):
+            counter = tmp_path / f"{name}.count"
+            script = tmp_path / f"{name}.py"
+            script.write_text(
+                "import fcntl, json, sys\n"
+                "line = sys.stdin.readline()\n"
+                f"with open({str(counter)!r}, 'a+') as fh:\n"
+                "    fcntl.flock(fh, fcntl.LOCK_EX)\n"
+                "    fh.seek(0)\n"
+                "    n = len(fh.read()) + 1\n"
+                "    fh.write('x')\n"
+                f"if n >= {limit}:\n"
+                "    sys.exit(3)\n"
+                "req = json.loads(line)\n"
+                "print(json.dumps({'fitness': sum(req['units']) / 100 + req['dropout']}))\n",
+                encoding="utf-8",
+            )
+            out = tmp_path / name
+            config = {
+                "codec": {"kind": "nn", "evaluator": [sys.executable, "-I", "-S", str(script)]},
+                "parameters": {"seed": 1, "strains": 2, "pandemic_duration": 3},
+                "out": str(out),
+            }
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(config), encoding="utf-8")
+            status = main(["run", "--config", str(path)])
+            return status, out
+
+        status, out = run("whole", 10**9)
+        assert status == 0
+        [record] = json.loads((out / "summary.json").read_text())["runs"]
+        whole = (out / "run_1" / "iterations.csv").read_text().splitlines()
+        capsys.readouterr()
+        status, out = run("failing", record["evaluations_total"])
+        assert status == 1
+        assert "evaluation failed" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
+        rows = (out / "run_1" / "iterations.csv").read_text().splitlines()
+        assert len(rows) >= 2
+        assert rows[:-1] == whole[: len(rows) - 1]
+        assert rows[-1].split(",")[0] == str(len(rows) - 1)
+
+
 class TestExternalEvaluatorRun:
     def test_one_evaluator_process_per_ledger_evaluation(self, tmp_path, monkeypatch):
         # the ledger is the only fitness memo: each pandemic starts the

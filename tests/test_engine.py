@@ -19,6 +19,7 @@ from cvoa import (
     Objective,
     PopulationLedger,
     SharedLedger,
+    StrainResult,
     Termination,
     die,
     infect,
@@ -170,8 +171,8 @@ class TestInfect:
         codec = RecordingCodec()
         params = EpidemicParameters(p_superspreader=0.0, ordinary_spread_range=(0, 0))
         ledger = PopulationLedger(shared=SharedLedger())
-        added = infect(BitGenotype(10, 5), ledger, params, codec, Random(0))
-        assert added == set()
+        infect(BitGenotype(10, 5), ledger, params, codec, Random(0))
+        assert ledger.new_infected == set()
         assert codec.replicate_modes == []
 
     def test_forced_travel_uses_traveler_mode_for_whole_brood(self):
@@ -189,12 +190,22 @@ class TestInfect:
         infect(BitGenotype(20, 5), ledger, params, codec, Random(0))
         assert all(mode is DistanceMode.ORDINARY for mode in codec.replicate_modes)
 
-    def test_added_genotypes_land_in_new_infected(self):
-        codec = RecordingCodec()
+    def test_added_genotypes_land_in_new_infected(self, monkeypatch):
+        routed = []
+        original = cvoa.engine.new_infection
+
+        def recording(candidate, ledger, params, rng):
+            disposition = original(candidate, ledger, params, rng)
+            routed.append((candidate, disposition))
+            return disposition
+
+        monkeypatch.setattr(cvoa.engine, "new_infection", recording)
         params = EpidemicParameters(p_superspreader=1.0, p_isolation=0.0)
         ledger = PopulationLedger(shared=SharedLedger())
-        added = infect(BitGenotype(10, 5), ledger, params, codec, Random(1))
-        assert added <= ledger.new_infected
+        infect(BitGenotype(10, 5), ledger, params, RecordingCodec(), Random(1))
+        admitted = (Disposition.ADDED_TO_NEW_INFECTED, Disposition.REINFECTED)
+        assert ledger.new_infected
+        assert ledger.new_infected == {c for c, d in routed if d in admitted}
 
 
 class TestSuperspreaders:
@@ -446,6 +457,11 @@ class TestRunStrain:
         assert partial.termination is None
         assert partial.best is not None
         assert isinstance(partial.history, list)
+
+    def test_patient_zero_failure_carries_an_empty_partial(self):
+        with pytest.raises(EvaluationError) as err:
+            run_strain(EpidemicParameters(), RecordingCodec(fail_after=0), Random(9))
+        assert err.value.partial == StrainResult(None, [], None)
 
     def test_duration_bounds_iteration_count(self):
         result = run_strain(

@@ -1,6 +1,7 @@
 """Shared-ledger pandemics: PZ spreading, concurrency, aggregation."""
 
 import hashlib
+from dataclasses import replace
 from random import Random
 
 import pytest
@@ -354,6 +355,77 @@ class TestRunPandemic:
         assert isinstance(partial, PandemicResult)
         assert partial.termination is None
         assert len(partial.strains) <= 5
+
+
+class FailOnKth:
+    """A 20-bit BinaryCodec whose k-th fitness evaluation raises."""
+
+    def __init__(self, k):
+        self.inner = BinaryCodec(bits=20)
+        self.k = k
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def fitness(self, genotype):
+        self.calls += 1
+        if self.calls == self.k:
+            raise EvaluationError(f"synthetic failure at evaluation {self.k}")
+        return self.inner.fitness(genotype)
+
+
+def failed_pandemic(params, k):
+    with pytest.raises(EvaluationError) as err:
+        run_pandemic(MultiStrainConfig.uniform(params), FailOnKth(k))
+    return err.value.partial
+
+
+class TestPartialResults:
+    """What EvaluationError.partial holds when an evaluation fails."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_patient_zero_failure_reports_no_strains(self, k):
+        partial = failed_pandemic(EpidemicParameters(seed=7, strains=3), k)
+        assert partial.strains == []
+        assert partial.history == []
+        assert partial.best is None
+        assert partial.termination is None
+        assert partial.evaluations_total == k - 1
+
+    def test_patient_zero_failure_reports_no_initial_best(self):
+        # the patient zeros are scored as one batch, so none of them counts
+        partial = failed_pandemic(EpidemicParameters(seed=7, strains=3), 2)
+        assert partial.initial_best is None
+
+    def test_failure_in_a_middle_round(self):
+        # 20 bits, seed 8: strain 4 dies out in iteration 1; the failure
+        # comes in strain 2's step of round 3
+        params = EpidemicParameters(seed=8, strains=5)
+        full = run_pandemic(MultiStrainConfig.uniform(params), BinaryCodec(bits=20))
+        before = full.strains[1].history[2].evaluations_total
+        assert full.strains[2].history[2].evaluations_total > before
+        partial = failed_pandemic(params, before + 1)
+        assert partial.termination is None
+        assert [len(s.history) for s in partial.strains] == [3, 3, 2, 2, 1]
+        assert [s.termination for s in partial.strains] == [None] * 4 + [Termination.EXTINCTION]
+        for strain, reference in zip(partial.strains, full.strains):
+            assert strain.history == reference.history[: len(strain.history)]
+        assert [row.iteration for row in partial.history] == [1, 2, 3]
+        assert partial.history[:2] == full.history[:2]
+        assert partial.history[-1].evaluations_total == before
+
+    def test_failure_in_the_last_iteration_leaves_the_strain_unfinished(self):
+        params = EpidemicParameters(seed=1, strains=2, pandemic_duration=1)
+        full = run_pandemic(MultiStrainConfig.uniform(params), BinaryCodec(bits=20))
+        before = full.strains[0].history[0].evaluations_total
+        assert full.strains[1].history[0].evaluations_total > before
+        partial = failed_pandemic(params, before + 1)
+        assert [s.termination for s in partial.strains] == [Termination.DURATION_REACHED, None]
+        assert partial.strains[1].history == []
+        assert partial.history == full.strains[0].history
+        alone = failed_pandemic(replace(params, strains=1), 2)
+        assert [s.termination for s in alone.strains] == [None]
 
 
 # (bits, seed) -> (evaluations_total, best text, iterations, last history row,
