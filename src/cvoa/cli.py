@@ -229,19 +229,16 @@ def iterations_to_optimum(result: PandemicResult, codec: Codec, objective: Objec
     """Merged-trace iteration at which the codec's known optimum was reached.
 
     0 when a patient zero was already optimal; None when the optimum is
-    unknown (external evaluator) or was never reached.
+    unknown or was never reached. A codec's known optimum is its minimum,
+    so a maximize run (like an external evaluator) has none.
     """
     optimum = getattr(codec, "optimum_fitness", lambda: None)()
-    if optimum is None:
+    if optimum is None or objective is not Objective.MINIMIZE:
         return None
-
-    def reached(fitness: float) -> bool:
-        return not objective.better(optimum, fitness)
-
-    if result.initial_best is not None and reached(result.initial_best):
+    if result.initial_best is not None and result.initial_best <= optimum:
         return 0
     for record in result.history:
-        if reached(record.best_fitness):
+        if record.best_fitness <= optimum:
             return record.iteration
     return None
 
@@ -319,6 +316,10 @@ def cmd_run(config: RunConfig) -> int:
 def cmd_sweep(config: RunConfig, lengths: list[int]) -> int:
     _require(config.codec_spec["kind"] == "binary", "sweep requires a binary codec config")
     params = config.parameters
+    _require(
+        params.objective is Objective.MINIMIZE,
+        "sweep requires objective minimize: it stops each run at the codec's minimum",
+    )
     target = config.codec_spec.get("target", 15)
     rows: list[tuple[int, float | None, float]] = []
     for length in lengths:

@@ -277,6 +277,13 @@ class TestSweep:
         assert main(["sweep", "--config", str(path), "--lengths", "10"]) == 2
         assert "binary" in capsys.readouterr().err
 
+    def test_sweep_rejects_maximize_before_any_output(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, {"parameters": {"objective": "maximize"}, "out": str(out)})
+        assert main(["sweep", "--config", str(path), "--lengths", "10"]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_malformed_lengths_rejected(self, tmp_path, capsys):
         path = write_config(tmp_path)
         assert main(["sweep", "--config", str(path), "--lengths", "ten"]) == 2
@@ -420,6 +427,36 @@ class TestIterationsToOptimum:
             termination=None,
         )
         assert iterations_to_optimum(result, NoOptimum(), Objective.MINIMIZE) is None
+
+
+    def test_maximize_run_has_no_known_optimum(self):
+        result = PandemicResult(
+            best=None,
+            strains=[],
+            history=[],
+            initial_best=0,
+            evaluations_total=1,
+            dead_total=0,
+            recovered_total=0,
+            termination=None,
+        )
+        assert iterations_to_optimum(result, BinaryCodec(), Objective.MAXIMIZE) is None
+
+    def test_maximize_runs_never_claim_the_optimum(self, tmp_path):
+        out = tmp_path / "out"
+        path = write_config(
+            tmp_path,
+            {
+                "codec": {"bits": 20},
+                "parameters": {"objective": "maximize", "pandemic_duration": 5},
+                "repeat": 3,
+                "out": str(out),
+            },
+        )
+        assert main(["run", "--config", str(path)]) == 0
+        document = json.loads((out / "summary.json").read_text())
+        assert [r["iterations_to_optimum"] for r in document["runs"]] == [None] * 3
+        assert document["aggregates"]["success_rate"] == 0.0
 
 
 class TestReadmeConfigExample:
