@@ -10,8 +10,9 @@ so genotypes should do both cheaply: a tuple, or a type whose hashing and
 ordering are a tuple's, keeps that work in C.
 
 A codec may also offer a batch hook, `fitness_all(genotypes)`. The engine
-calls it with a patient zero, and then once per iteration, with the
-genotypes it has not scored yet, each once and in genotype order; it
+calls it once with all of a pandemic's patient zeros, in strain order, and
+then once per iteration of a strain, with the genotypes it has not scored
+yet, each once and in genotype order; it
 caches the scores the hook returns and never asks for them again. The
 hook may score them together (concurrently, say); it returns an iterable
 of the scores in the same order, and iterating it raises at the first

@@ -46,8 +46,7 @@ class MultiStrainConfig:
         params: EpidemicParameters,
         pz_strategy: PzStrategy = PzStrategy.MAX_HAMMING_SPREAD,
     ) -> "MultiStrainConfig":
-        """params.strains strains with the same parameters, seeds fanned out
-        from params.seed."""
+        """Same parameters for every strain, seeds fanned out from params.seed."""
         validate_parameters(params)
         per_strain = tuple(
             replace(params, seed=params.seed + j * STRAIN_SEED_STRIDE)
