@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import shlex
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -23,13 +22,7 @@ from random import Random
 
 from .binary import BinaryCodec
 from .codec import Codec, EvaluationError
-from .multistrain import (
-    STRAIN_SEED_STRIDE,
-    MultiStrainConfig,
-    PandemicResult,
-    PzStrategy,
-    run_pandemic,
-)
+from .multistrain import MultiStrainConfig, PandemicResult, PzStrategy, run_pandemic
 from .params import EpidemicParameters, Objective, ParameterError, validate_parameters
 
 CSV_HEADER = ("Iteration", "Deaths", "Recovered", "Infected", "Fitness")
@@ -113,31 +106,16 @@ def _parse_codec_spec(raw: dict) -> dict:
             has_target != has_evaluator,
             "nn codec needs exactly one of surrogate_target / evaluator",
         )
+        # build_codec checks an evaluator command, by ExternalEvaluator's rule
         if has_target:
             target = raw["surrogate_target"]
             _require(
                 isinstance(target, str),
                 f"codec.surrogate_target must be a string, got {target!r}",
             )
-        else:
-            _check_evaluator_command(raw["evaluator"])
     unknown = sorted(set(raw) - allowed)
     _require(not unknown, f"unknown codec field(s) for kind {kind}: {', '.join(unknown)}")
     return dict(raw)
-
-
-def _check_evaluator_command(command: object) -> None:
-    """A non-empty list of strings, or a string that splits into one."""
-    words = command
-    if isinstance(command, str):
-        try:
-            words = shlex.split(command)
-        except ValueError as exc:
-            raise ConfigError(f"codec.evaluator {command!r} does not parse: {exc}")
-    _require(
-        isinstance(words, list) and bool(words) and all(isinstance(w, str) for w in words),
-        f"codec.evaluator must be a non-empty list of strings or a command string, got {command!r}",
-    )
 
 
 def load_config(path: Path) -> RunConfig:
@@ -174,18 +152,6 @@ def load_config(path: Path) -> RunConfig:
     )
 
 
-def _check_seeds(config: RunConfig) -> None:
-    """Every seed a run will use, repeats (seed + r) and the strain fan-out
-    (+ j * STRAIN_SEED_STRIDE) included, is a 64-bit unsigned integer."""
-    seed, strains = config.parameters.seed, config.parameters.strains
-    highest = seed + config.repeat - 1 + (strains - 1) * STRAIN_SEED_STRIDE
-    _require(
-        0 <= seed and highest < 2**64,
-        f"seed {seed} with repeat={config.repeat} and strains={strains} uses seeds"
-        f" {seed} to {highest}; each must be a 64-bit unsigned integer",
-    )
-
-
 def build_codec(spec: dict, seed: int) -> Codec:
     """Instantiate the configured codec; `seed` pins a "random" surrogate target."""
     if spec["kind"] == "binary":
@@ -197,7 +163,11 @@ def build_codec(spec: dict, seed: int) -> Codec:
     from .nn import ExternalEvaluator, NetCodec, generate_net_patient_zero, parse_net_text
 
     if "evaluator" in spec:
-        return NetCodec(evaluator=ExternalEvaluator(spec["evaluator"]))
+        try:
+            evaluator = ExternalEvaluator(spec["evaluator"])
+        except ValueError as exc:
+            raise ConfigError(f"codec.evaluator: {exc}")
+        return NetCodec(evaluator=evaluator)
     target_text = spec["surrogate_target"]
     if target_text == "random":
         target = generate_net_patient_zero(Random((seed * _TARGET_SEED_MIX) % 2**64))
@@ -269,28 +239,43 @@ def aggregate_summaries(runs: list[dict], space_size: int) -> dict:
     }
 
 
-def _execute(params: EpidemicParameters, codec: Codec, pz_strategy: PzStrategy,
-             stop_fitness: float | None = None) -> PandemicResult:
-    config = MultiStrainConfig.uniform(params, pz_strategy=pz_strategy)
-    return run_pandemic(config, codec, stop_fitness=stop_fitness)
+def _repeat_configs(config: RunConfig) -> list[MultiStrainConfig]:
+    """One pandemic config per repeat (seeds seed, seed + 1, ...), built
+    before the first run, so that any strain's seed outside [0, 2**64)
+    is a ConfigError before any output."""
+    params = config.parameters
+    try:
+        return [
+            MultiStrainConfig.uniform(params.with_seed(params.seed + r), config.pz_strategy)
+            for r in range(config.repeat)
+        ]
+    except ParameterError as exc:
+        raise ConfigError(
+            f"seed {params.seed} with repeat={config.repeat} and strains={params.strains}: {exc}"
+        )
 
 
 def cmd_run(config: RunConfig) -> int:
+    """Run every repeat; the first failed evaluation ends the campaign
+    with status 1, after the summary of the runs that finished."""
     params = config.parameters
     codec = build_codec(config.codec_spec, params.seed)
+    pandemics = _repeat_configs(config)
     config.out.mkdir(parents=True, exist_ok=True)
     runs: list[dict] = []
-    for r in range(config.repeat):
-        seed = params.seed + r
+    status = 0
+    for pandemic in pandemics:
+        seed = pandemic.parameters[0].seed
         run_dir = config.out / f"run_{seed}"
         run_dir.mkdir(parents=True, exist_ok=True)
         try:
-            result = _execute(params.with_seed(seed), codec, config.pz_strategy)
+            result = run_pandemic(pandemic, codec)
         except EvaluationError as exc:
             if isinstance(exc.partial, PandemicResult):
                 write_iterations_csv(run_dir / "iterations.csv", exc.partial)
             print(f"error: evaluation failed in run seed={seed}: {exc}", file=sys.stderr)
-            return 1
+            status = 1
+            break
         write_iterations_csv(run_dir / "iterations.csv", result)
         if result.best is not None:
             (run_dir / "best.txt").write_text(codec.text(result.best.genotype) + "\n", encoding="utf-8")
@@ -301,6 +286,8 @@ def cmd_run(config: RunConfig) -> int:
             f"iterations_to_optimum={summary['iterations_to_optimum']} "
             f"termination={summary['termination']}"
         )
+    if not runs:
+        return status
     document = {
         "codec": config.codec_spec["kind"],
         "search_space_size": codec.search_space_size(),
@@ -310,7 +297,7 @@ def cmd_run(config: RunConfig) -> int:
     summary_path = config.out / "summary.json"
     summary_path.write_text(json.dumps(document, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {summary_path}")
-    return 0
+    return status
 
 
 def cmd_sweep(config: RunConfig, lengths: list[int]) -> int:
@@ -321,6 +308,7 @@ def cmd_sweep(config: RunConfig, lengths: list[int]) -> int:
         "sweep requires objective minimize: it stops each run at the codec's minimum",
     )
     target = config.codec_spec.get("target", 15)
+    pandemics = _repeat_configs(config)
     rows: list[tuple[int, float | None, float]] = []
     for length in lengths:
         try:
@@ -329,12 +317,9 @@ def cmd_sweep(config: RunConfig, lengths: list[int]) -> int:
             raise ConfigError(f"length {length}: {exc}")
         optimum = codec.optimum_fitness()
         runs: list[dict] = []
-        for r in range(config.repeat):
-            seed = params.seed + r
-            result = _execute(
-                params.with_seed(seed), codec, config.pz_strategy, stop_fitness=optimum
-            )
-            runs.append(run_summary(seed, result, codec, params.objective))
+        for pandemic in pandemics:
+            result = run_pandemic(pandemic, codec, stop_fitness=optimum)
+            runs.append(run_summary(pandemic.parameters[0].seed, result, codec, params.objective))
         aggregates = aggregate_summaries(runs, codec.search_space_size())
         rows.append(
             (length, aggregates["mean_iterations_to_optimum"], aggregates["mean_evaluated_fraction"])
@@ -390,7 +375,6 @@ def main(argv: list[str] | None = None) -> int:
             config.parameters = config.parameters.with_seed(args.seed)
         if args.out is not None:
             config.out = args.out
-        _check_seeds(config)
         if args.command == "run":
             return cmd_run(config)
         lengths = _parse_lengths(args.lengths)

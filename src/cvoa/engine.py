@@ -13,7 +13,9 @@ duration elapses.
 
 Every loop that draws random numbers visits its population in a fixed
 order (genotype order, or fitness rank with genotype tie-breaks for the
-spreaders), so a fixed seed reproduces a run exactly.
+spreaders), so a fixed seed reproduces a run exactly. Strain.step is the
+one place that sets that order; die and resolve_isolates draw in the
+order they are given.
 """
 
 from __future__ import annotations
@@ -145,8 +147,9 @@ class StrainResult:
 
 
 def die(infected: Iterable[Any], params: EpidemicParameters, rng: Random) -> set:
-    """Select each infected individual for death independently with p_die."""
-    return {g for g in sorted(infected) if rng.random() < params.p_die}
+    """Select each infected individual for death independently with p_die,
+    drawing in the order given (Strain.step passes genotype order)."""
+    return {g for g in infected if rng.random() < params.p_die}
 
 
 def new_infection(
@@ -207,18 +210,15 @@ def resolve_isolates(
     ledger: PopulationLedger,
     params: EpidemicParameters,
     rng: Random,
-    isolates: Iterable[Any] | None = None,
+    isolates: Iterable[Any],
 ) -> set:
     """End-of-iteration fate of this iteration's isolates: each one not
-    reinfected meanwhile, and not itself a spreader (spreaders took their
-    draw already), dies with p_die or recovers. Returns the buried ones.
+    itself a spreader (spreaders took their draw already) dies with p_die
+    or recovers. Returns the buried ones.
 
-    `isolates` is the isolates not reinfected, for a caller that already
-    holds them (in genotype order, so die() sorts them in linear time);
-    by default they are read from the ledger."""
+    `isolates` is this iteration's isolates not reinfected meanwhile, in
+    the order Strain.step sets (genotype order); die() draws in it."""
     shared = ledger.shared
-    if isolates is None:
-        isolates = ledger.isolated_now - ledger.new_infected
     isolates = [g for g in isolates if g not in ledger.infected]
     dying = die(isolates, params, rng)
     for genotype in dying:
@@ -280,7 +280,7 @@ class Strain:
             replace(params, p_superspreader=1.0),
             replace(params, p_superspreader=0.0),
         )
-        # ledger.infected in genotype order, so die() sorts it in linear time
+        # ledger.infected in genotype order, the order die() draws in
         self._infected_order = [patient_zero.genotype]
 
     @property
@@ -295,12 +295,6 @@ class Strain:
         else:
             termination = Termination.DURATION_REACHED
         return StrainResult(best=self.best, history=self.history, termination=termination)
-
-    def _ranked(self, population: set) -> list:
-        """Fittest first under the objective; ties in genotype order."""
-        fitness = self.shared.fitness_cache
-        sign = 1 if self.params.objective is Objective.MINIMIZE else -1
-        return sorted(population, key=lambda g: (sign * fitness[g], g))
 
     def step(self) -> None:
         params, ledger, shared, rng = self.params, self.ledger, self.shared, self.rng
@@ -318,7 +312,14 @@ class Strain:
         ledger.isolated_now = set()
         superspreaders = superspreader_count(params.p_superspreader, len(ledger.infected))
         wide, narrow = self._spread_params
-        for rank, spreader in enumerate(self._ranked(ledger.infected)):
+        # fittest first: a stable sort of genotype order, which reverse=True
+        # keeps too, so ties stay in genotype order under either objective
+        spreaders = sorted(
+            [g for g in alive if g not in dying],
+            key=shared.fitness_cache.__getitem__,
+            reverse=params.objective is Objective.MAXIMIZE,
+        )
+        for rank, spreader in enumerate(spreaders):
             infect(spreader, ledger, wide if rank < superspreaders else narrow, self.codec, rng)
 
         infected_order = sorted(ledger.new_infected)

@@ -46,10 +46,11 @@ class MultiStrainConfig:
         params: EpidemicParameters,
         pz_strategy: PzStrategy = PzStrategy.MAX_HAMMING_SPREAD,
     ) -> "MultiStrainConfig":
-        """Same parameters for every strain, seeds fanned out from params.seed."""
+        """Same parameters for every strain, seeds fanned out from params.seed;
+        a ParameterError names any strain's seed outside [0, 2**64)."""
         validate_parameters(params)
         per_strain = tuple(
-            replace(params, seed=params.seed + j * STRAIN_SEED_STRIDE)
+            validate_parameters(replace(params, seed=params.seed + j * STRAIN_SEED_STRIDE))
             for j in range(params.strains)
         )
         return cls(parameters=per_strain, pz_strategy=pz_strategy)

@@ -264,7 +264,9 @@ class ExternalEvaluator:
 
     The decoded architecture goes to the evaluator's stdin as
     {"learning_rate": ..., "dropout": ..., "units": [...]} and the reply
-    must be {"fitness": <finite number>}. Each fitness() call is one
+    must be {"fitness": <finite number>}. `command` is a non-empty list of
+    strings, or a string that shlex splits into one; any other command is a
+    ValueError at construction. Each fitness() call is one
     evaluator process; the evaluator keeps no per-genotype state, because
     the engine's ledger already scores each genotype once per pandemic.
     `invocations` counts the round trips that fitness_all() started, the
@@ -272,9 +274,10 @@ class ExternalEvaluator:
     """
 
     def __init__(self, command: str | list[str], timeout: float | None = 60.0) -> None:
-        self.command = shlex.split(command) if isinstance(command, str) else list(command)
-        if not self.command:
-            raise ValueError(f"evaluator command {command!r} is empty")
+        words = shlex.split(command) if isinstance(command, str) else command
+        if not (isinstance(words, list) and words and all(isinstance(w, str) for w in words)):
+            raise ValueError(f"command must be a non-empty list of strings or a string, got {command!r}")
+        self.command = list(words)
         self.timeout = timeout
         self.invocations = 0
 

@@ -354,6 +354,53 @@ class TestEvaluationFailure:
         assert rows[:-1] == whole[: len(rows) - 1]
         assert rows[-1].split(",")[0] == str(len(rows) - 1)
 
+    def test_failure_in_a_later_run_keeps_the_finished_runs_summary(self, tmp_path, capsys):
+        # the counting evaluator above, failing from its `limit`-th request on
+        def run(name, limit):
+            counter = tmp_path / f"{name}.count"
+            script = tmp_path / f"{name}.py"
+            script.write_text(
+                "import fcntl, json, sys\n"
+                "line = sys.stdin.readline()\n"
+                f"with open({str(counter)!r}, 'a+') as fh:\n"
+                "    fcntl.flock(fh, fcntl.LOCK_EX)\n"
+                "    fh.seek(0)\n"
+                "    n = len(fh.read()) + 1\n"
+                "    fh.write('x')\n"
+                f"if n >= {limit}:\n"
+                "    sys.exit(3)\n"
+                "req = json.loads(line)\n"
+                "print(json.dumps({'fitness': sum(req['units']) / 100 + req['dropout']}))\n",
+                encoding="utf-8",
+            )
+            out = tmp_path / name
+            config = {
+                "codec": {"kind": "nn", "evaluator": [sys.executable, "-I", "-S", str(script)]},
+                "parameters": {"seed": 1, "strains": 2, "pandemic_duration": 2},
+                "repeat": 3,
+                "out": str(out),
+            }
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(config), encoding="utf-8")
+            return main(["run", "--config", str(path)]), out
+
+        status, out = run("whole", 10**9)
+        assert status == 0
+        whole = json.loads((out / "summary.json").read_text())
+        first = whole["runs"][0]
+        capsys.readouterr()
+        # run 1 takes first["evaluations_total"] requests; run 2 fails after its patient zeros
+        status, out = run("failing", first["evaluations_total"] + 3)
+        assert status == 1
+        assert "evaluation failed in run seed=2" in capsys.readouterr().err
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["runs"] == [first]
+        assert summary["aggregates"]["mean_evaluated_fraction"] == (
+            first["evaluations_total"] / whole["search_space_size"]
+        )
+        assert (out / "run_2" / "iterations.csv").exists()
+        assert not (out / "run_3").exists()
+
 
 class TestExternalEvaluatorRun:
     def test_one_evaluator_process_per_ledger_evaluation(self, tmp_path, monkeypatch):

@@ -105,6 +105,15 @@ class TestDie:
         sigma = math.sqrt(100_000 * 0.05 * 0.95)
         assert abs(len(dying) - 5000) <= 3 * sigma
 
+    def test_draws_in_the_order_given(self):
+        # die() owns no order: Strain.step sets it, so a reversed list draws reversed
+        population = list(range(50))[::-1]
+        rng = Random(3)
+        clone = Random()
+        clone.setstate(rng.getstate())
+        expected = {g for g in population if clone.random() < 0.3}
+        assert die(population, EpidemicParameters(p_die=0.3), rng) == expected
+
 
 class TestNewInfection:
     def fresh_ledger(self):
@@ -231,18 +240,24 @@ class TestSuperspreaders:
         original = cvoa.engine.infect
 
         def recording(individual, ledger, params, codec, rng):
-            seen.append((ledger.shared.fitness_cache[individual], params.p_superspreader))
+            seen.append((ledger.shared.fitness_cache[individual], individual, params.p_superspreader))
             return original(individual, ledger, params, codec, rng)
 
         monkeypatch.setattr(cvoa.engine, "infect", recording)
-        params = EpidemicParameters(p_die=0.0, p_isolation=0.0, pandemic_duration=2)
-        run_strain(params, BinaryCodec(bits=20), Random(1))
-        second = seen[1:]  # the spreaders of iteration 2, in the order they spread
-        wide = [f for f, p in second if p == 1.0]
-        narrow = [f for f, p in second if p == 0.0]
-        assert len(wide) == superspreader_count(0.1, len(second))
-        assert [f for f, _ in second] == sorted(f for f, _ in second)
-        assert max(wide) <= min(narrow)
+        for objective, sign in ((Objective.MINIMIZE, 1), (Objective.MAXIMIZE, -1)):
+            seen.clear()
+            params = EpidemicParameters(
+                p_die=0.0, p_isolation=0.0, pandemic_duration=2, objective=objective
+            )
+            run_strain(params, BinaryCodec(bits=20), Random(1))
+            second = seen[1:]  # the spreaders of iteration 2, in the order they spread
+            wide = [sign * f for f, _, p in second if p == 1.0]
+            narrow = [sign * f for f, _, p in second if p == 0.0]
+            assert len(wide) == superspreader_count(0.1, len(second))
+            # fittest first, ties in genotype order
+            keys = [(sign * f, g) for f, g, _ in second]
+            assert keys == sorted(keys)
+            assert max(wide) <= min(narrow)
 
 
 class TestResolveIsolates:
@@ -251,7 +266,8 @@ class TestResolveIsolates:
         params = EpidemicParameters(p_isolation=1.0, p_die=1.0)
         for candidate in range(5):
             assert new_infection(candidate, ledger, params, Random(0)) is Disposition.ISOLATED
-        assert resolve_isolates(ledger, params, Random(0)) == set(range(5))
+        isolates = sorted(ledger.isolated_now - ledger.new_infected)
+        assert resolve_isolates(ledger, params, Random(0), isolates) == set(range(5))
         assert ledger.dead == set(range(5))
         assert ledger.recovered == set()
         assert ledger.shared.recoveries == 0
@@ -261,7 +277,8 @@ class TestResolveIsolates:
         params = EpidemicParameters(p_isolation=1.0, p_die=0.0)
         for candidate in range(5):
             new_infection(candidate, ledger, params, Random(0))
-        assert resolve_isolates(ledger, params, Random(0)) == set()
+        isolates = sorted(ledger.isolated_now - ledger.new_infected)
+        assert resolve_isolates(ledger, params, Random(0), isolates) == set()
         assert ledger.recovered == set(range(5))
         assert ledger.shared.counts() == (0, 5)
 
@@ -271,7 +288,8 @@ class TestResolveIsolates:
         new_infection(7, ledger, isolate, Random(0))
         reinfect = EpidemicParameters(p_reinfection=1.0, p_die=1.0)
         assert new_infection(7, ledger, reinfect, Random(0)) is Disposition.REINFECTED
-        assert resolve_isolates(ledger, isolate, Random(0)) == set()
+        isolates = sorted(ledger.isolated_now - ledger.new_infected)
+        assert resolve_isolates(ledger, isolate, Random(0), isolates) == set()
         assert 7 not in ledger.dead
         assert 7 in ledger.new_infected
 

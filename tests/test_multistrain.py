@@ -133,6 +133,12 @@ class TestMultiStrainConfig:
         with pytest.raises(ParameterError):
             MultiStrainConfig.uniform(EpidemicParameters(p_die=2.0, strains=2))
 
+    def test_uniform_validates_each_fanned_out_seed(self):
+        from cvoa import ParameterError
+
+        with pytest.raises(ParameterError, match="seed"):
+            MultiStrainConfig.uniform(EpidemicParameters(seed=2**64 - 1, strains=2))
+
 
 class TestRunPandemic:
     def test_single_strain_path_equals_run_strain(self):

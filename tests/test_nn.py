@@ -330,7 +330,7 @@ class TestExternalEvaluator:
         with pytest.raises(EvaluationError, match="malformed"):
             ExternalEvaluator(command).fitness(NetGenotype(0, 0, (0, 0)))
 
-    @pytest.mark.parametrize("command", ["", [], "   "])
+    @pytest.mark.parametrize("command", ["", [], "   ", {"cmd": "python3"}, ["python3", 5]])
     def test_empty_command_is_rejected(self, command):
         with pytest.raises(ValueError, match="empty"):
             ExternalEvaluator(command)
