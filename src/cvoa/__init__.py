@@ -14,7 +14,6 @@ import importlib
 
 from .binary import (
     BinaryCodec,
-    BitGenotype,
     quadratic_fitness,
     random_patient_zero,
     replicate_bits,

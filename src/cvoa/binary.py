@@ -1,9 +1,10 @@
 """Fixed-length bit-string codification with the quadratic benchmark objective.
 
-Genotypes decode big-endian to an unsigned integer x and are scored with
-f(x) = (x - target)^2, so fitness 0 identifies the target exactly. The
-codec's replicate operator flips single bits for ordinary moves and
-max(2, ceil(n/10)) distinct bits for traveler moves.
+A genotype is the unsigned integer x that an n-bit string spells, most
+significant bit first, scored with f(x) = (x - target)^2, so fitness 0
+identifies the target exactly. The codec's replicate operator flips single
+bits for ordinary moves and max(2, ceil(n/10)) distinct bits for traveler
+moves.
 
 Flip positions are uniform by default. When a `toward` value is supplied,
 position choice is biased to close the bit-level gap to that value, with
@@ -11,22 +12,21 @@ the bias eased off far from it; the flip-count contract is unchanged. The
 codec wires its own target in as `toward`, which is what makes default
 benchmark runs converge inside the short pandemic window.
 
-The engine hashes and compares every candidate several times per
-iteration, so a genotype is a `(length, value)` tuple underneath (hashing
-and ordering run in C), and replication picks flip positions from bit
-masks rather than position lists, walking a mask a byte at a time to
-find its k-th set bit. Ordinary moves, most of all calls, take
-a one-flip path with no mask of used positions and no loop; traveler moves
-loop over their flips. Position draws go through `params.randbelow`, which
-makes the same draws as `Random.randrange` with fewer Python frames, so a
-fixed seed still flips the same bits.
+Genotypes are plain `int`s in [0, 2**n), not (length, value) pairs: every
+genotype of one codec has the same length, so the codec owns it, and the
+engine hashes, orders and compares every candidate in C. Replication
+picks flip positions from bit masks rather than position lists, walking a
+mask a byte at a time to find its k-th set bit. Ordinary moves, most of
+all calls, take a one-flip path with no mask of used positions and no
+loop; traveler moves loop over their flips. Position draws go through
+`params.randbelow`, which makes the same draws as `Random.randrange` with
+fewer Python frames, so a fixed seed still flips the same bits.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import itemgetter
 from random import Random
 
 from .params import DistanceMode, randbelow
@@ -45,62 +45,42 @@ _H_NEAR = 2
 _TRAVELER = DistanceMode.TRAVELER
 
 
-class BitGenotype(tuple):
-    """Immutable bit string of fixed length: the tuple (length, value).
+class BitGenotype(int):
+    """A bit string parsed from text: its value as an `int`, plus `length`.
 
-    Equality, hashing and ordering are the tuple's, so a genotype hashes as
-    hash((length, value)), orders by length, then value, and equals the
-    plain tuple (length, value). Construction validates through
-    __post_init__.
+    It equals, hashes and orders as its value. Construction validates
+    through __post_init__. Only text parsing builds one; the engine and the
+    codec work on plain `int`s.
     """
 
-    __slots__ = ()
-
-    length = property(itemgetter(0), doc="Number of bits.")
-    value = property(itemgetter(1), doc="The bits as an unsigned integer, most significant first.")
-
     def __new__(cls, length: int, value: int) -> "BitGenotype":
-        self = tuple.__new__(cls, (length, value))
+        self = int.__new__(cls, value)
+        self.length = length
         self.__post_init__()
         return self
 
     def __post_init__(self) -> None:
-        n, v = self
-        if not MIN_BITS <= n <= MAX_BITS:
-            raise ValueError(f"bit length {n} outside [{MIN_BITS},{MAX_BITS}]")
-        if not 0 <= v < (1 << n):
-            raise ValueError(f"value {v} does not fit in {n} bits")
-
-    def __getnewargs__(self) -> tuple[int, int]:
-        return tuple(self)
-
-    def __repr__(self) -> str:
-        return f"BitGenotype(length={self.length!r}, value={self.value!r})"
+        if not MIN_BITS <= self.length <= MAX_BITS:
+            raise ValueError(f"bit length {self.length} outside [{MIN_BITS},{MAX_BITS}]")
+        if not 0 <= self < (1 << self.length):
+            raise ValueError(f"value {int(self)} does not fit in {self.length} bits")
 
     @classmethod
     def from_string(cls, bits: str) -> "BitGenotype":
         return cls(len(bits), int(bits, 2))
 
-    def to_string(self) -> str:
-        return format(self.value, f"0{self.length}b")
 
-
-def decode(g: BitGenotype) -> int:
-    """Unsigned integer value of the genotype (most-significant bit first)."""
-    return g.value
-
-
-def quadratic_fitness(g: BitGenotype, target: int) -> int:
+def quadratic_fitness(g: int, target: int) -> int:
     # exact integer arithmetic; at n=50 the square exceeds 2^100
-    d = decode(g) - target
+    d = g - target
     return d * d
 
 
-def random_patient_zero(n: int, rng: Random) -> BitGenotype:
-    """Fresh genotype with each bit an independent fair coin."""
+def random_patient_zero(n: int, rng: Random) -> int:
+    """Fresh n-bit genotype with each bit an independent fair coin."""
     if not MIN_BITS <= n <= MAX_BITS:
         raise ValueError(f"unsupported bit length {n}, expected [{MIN_BITS},{MAX_BITS}]")
-    return BitGenotype(n, rng.getrandbits(n))
+    return rng.getrandbits(n)
 
 
 def traveler_flip_count(n: int) -> int:
@@ -118,20 +98,21 @@ def _bias_strength(hamming: int, traveling: bool) -> float:
 
 
 def replicate_bits(
-    parent: BitGenotype,
+    parent: int,
+    n: int,
     mode: DistanceMode,
     rng: Random,
     *,
     toward: int | None = None,
-) -> BitGenotype:
-    """Flip exactly 1 (ordinary) or k distinct (traveler) bits of parent.
+) -> int:
+    """Flip exactly 1 (ordinary) or k distinct (traveler) of the n bits of parent.
 
     With `toward` set, each flip prefers a position where the child still
     differs from that value; without it every position choice is uniform.
     Either way the child differs from the parent in exactly the contracted
-    number of positions and keeps its length.
+    number of positions, all below bit n.
     """
-    n, child = parent
+    child = parent
     if mode is not _TRAVELER:
         # the one-flip path: the traveler loop below run once, with nothing used yet
         if toward is not None:
@@ -141,8 +122,8 @@ def replicate_bits(
                 diff = delta & ((1 << n) - 1)
                 if diff:
                     pos = _nth_set_bit(diff, randbelow(rng, diff.bit_count()))
-                    return BitGenotype(n, child ^ (1 << pos))
-        return BitGenotype(n, child ^ (1 << randbelow(rng, n)))
+                    return child ^ (1 << pos)
+        return child ^ (1 << randbelow(rng, n))
     full = (1 << n) - 1
     used = 0
     for _ in range(traveler_flip_count(n)):
@@ -162,7 +143,7 @@ def replicate_bits(
                 pos = randbelow(rng, n)
         used |= 1 << pos
         child ^= 1 << pos
-    return BitGenotype(n, child)
+    return child
 
 
 # _BYTE_SET_BITS[b]: positions of the set bits of byte value b, lowest first;
@@ -191,7 +172,8 @@ def _nth_set_bit(mask: int, index: int) -> int:
 
 @dataclass(frozen=True)
 class BinaryCodec:
-    """Codec over n-bit genotypes scored by (decode(g) - target)^2."""
+    """Codec over n-bit genotypes, plain `int`s in [0, 2**bits), scored by
+    (g - target)^2."""
 
     bits: int = 10
     target: int = 15
@@ -202,29 +184,27 @@ class BinaryCodec:
         if not 0 <= self.target < (1 << self.bits):
             raise ValueError(f"target {self.target} does not fit in {self.bits} bits")
 
-    def generate_patient_zero(self, rng: Random) -> BitGenotype:
+    def generate_patient_zero(self, rng: Random) -> int:
         return random_patient_zero(self.bits, rng)
 
-    def replicate(
-        self, parent: BitGenotype, mode: DistanceMode, traveler_rate: int, rng: Random
-    ) -> BitGenotype:
+    def replicate(self, parent: int, mode: DistanceMode, traveler_rate: int, rng: Random) -> int:
         # traveler distance is length-derived for bit strings; the rate
         # field only parameterizes variable-length codecs
-        return replicate_bits(parent, mode, rng, toward=self.target)
+        return replicate_bits(parent, self.bits, mode, rng, toward=self.target)
 
-    def fitness(self, genotype: BitGenotype) -> int:
+    def fitness(self, genotype: int) -> int:
         # quadratic_fitness inlined: this runs once per fresh genotype
-        d = genotype[1] - self.target
+        d = genotype - self.target
         return d * d
 
-    def distance(self, a: BitGenotype, b: BitGenotype) -> int:
-        return (a.value ^ b.value).bit_count()
+    def distance(self, a: int, b: int) -> int:
+        return (a ^ b).bit_count()
 
     def search_space_size(self) -> int:
         return 1 << self.bits
 
-    def text(self, genotype: BitGenotype) -> str:
-        return genotype.to_string()
+    def text(self, genotype: int) -> str:
+        return format(genotype, f"0{self.bits}b")
 
     def optimum_fitness(self) -> int:
         return 0

@@ -6,8 +6,10 @@ computed. Genotypes must be immutable, hashable, equality-comparable and
 totally ordered (the engine iterates populations in sorted order so that
 seeded runs are reproducible). The engine hashes and compares every
 candidate several times per iteration (ledger lookups, sorts, tie-breaks),
-so genotypes should do both cheaply: a tuple, or a type whose hashing and
-ordering are a tuple's, keeps that work in C.
+so genotypes should do both cheaply. A plain `int` is the cheapest (the
+binary codec's genotypes are `int`s, their length kept by the codec); a
+tuple, or a type whose hashing and ordering are a tuple's, also keeps that
+work in C.
 
 A codec may also offer a batch hook, `fitness_all(genotypes)`. The engine
 calls it once with all of a pandemic's patient zeros, in strain order, and

@@ -13,9 +13,10 @@ duration elapses.
 
 Every loop that draws random numbers visits its population in a fixed
 order (genotype order, or fitness rank with genotype tie-breaks for the
-spreaders), so a fixed seed reproduces a run exactly. Strain.step is the
-one place that sets that order; die and resolve_isolates draw in the
-order they are given.
+spreaders), so a fixed seed reproduces a run exactly. For the binary
+codec, whose genotypes are plain `int`s, genotype order is numeric order.
+Strain.step is the one place that sets that order; die and
+resolve_isolates draw in the order they are given.
 """
 
 from __future__ import annotations

@@ -1,83 +1,91 @@
-"""Bit-string codec: decoding, the quadratic objective, and replication."""
+"""Bit-string codec: parsing, the quadratic objective, and replication."""
 
-import copy
 import math
-import pickle
 from random import Random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cvoa.binary
 from cvoa import (
     BinaryCodec,
-    BitGenotype,
     DistanceMode,
+    EpidemicParameters,
+    MultiStrainConfig,
     quadratic_fitness,
     random_patient_zero,
     replicate_bits,
+    run_pandemic,
     traveler_flip_count,
 )
-from cvoa.binary import _bias_strength, _nth_set_bit, decode
+from cvoa.binary import BitGenotype, _bias_strength, _nth_set_bit
 
 
-def hamming(a: BitGenotype, b: BitGenotype) -> int:
-    return (a.value ^ b.value).bit_count()
+def hamming(a: int, b: int) -> int:
+    return (a ^ b).bit_count()
 
 
 bit_lengths = st.integers(min_value=8, max_value=64)
-genotypes = bit_lengths.flatmap(
-    lambda n: st.integers(min_value=0, max_value=2**n - 1).map(lambda v: BitGenotype(n, v))
+# (n, genotype): an n-bit genotype is a plain int in [0, 2**n)
+sized_genotypes = bit_lengths.flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(min_value=0, max_value=2**n - 1))
 )
 
 
 class TestDecode:
+    # a bit string parses most significant bit first into the genotype's value
     def test_ten_bit_fifteen(self):
-        assert decode(BitGenotype.from_string("0000001111")) == 15
+        assert BitGenotype.from_string("0000001111") == 15
 
     def test_ten_bit_zero(self):
-        assert decode(BitGenotype.from_string("0000000000")) == 0
+        assert BitGenotype.from_string("0000000000") == 0
 
     def test_twenty_bit_fifteen_scores_zero(self):
         g = BitGenotype.from_string("00000000000000001111")
-        assert decode(g) == 15
-        assert quadratic_fitness(g, 15) == 0
+        assert g == 15 and g.length == 20
+        assert BinaryCodec(bits=20).fitness(g) == 0
 
     def test_most_significant_bit_first(self):
-        assert decode(BitGenotype.from_string("10000000")) == 128
+        assert BitGenotype.from_string("10000000") == 128
 
-    @given(genotypes)
-    def test_string_round_trip(self, g):
-        assert BitGenotype.from_string(g.to_string()) == g
-        assert len(g.to_string()) == g.length
+    @given(sized_genotypes)
+    def test_string_round_trip(self, sized):
+        n, g = sized
+        text = BinaryCodec(bits=n).text(g)
+        assert len(text) == n
+        parsed = BitGenotype.from_string(text)
+        assert parsed == g and parsed.length == n
 
 
 class TestQuadraticFitness:
     def test_at_target(self):
-        assert quadratic_fitness(BitGenotype(10, 15), 15) == 0
+        assert quadratic_fitness(15, 15) == 0
 
     def test_one_off(self):
-        assert quadratic_fitness(BitGenotype(10, 16), 15) == 1
+        assert quadratic_fitness(16, 15) == 1
 
     def test_at_zero(self):
-        assert quadratic_fitness(BitGenotype(10, 0), 15) == 225
+        assert quadratic_fitness(0, 15) == 225
 
     def test_exhaustive_ten_bit_oracle(self):
         # brute force over all 1024 genotypes against the closed form
         for x in range(1024):
-            f = quadratic_fitness(BitGenotype(10, x), 15)
+            f = quadratic_fitness(x, 15)
             assert f == (x - 15) ** 2
             assert f >= 0
             assert (f == 0) == (x == 15)
 
     def test_wide_integer_arithmetic_at_fifty_bits(self):
-        g = BitGenotype(50, 2**50 - 1)
+        g = 2**50 - 1
         expected = (2**50 - 1 - 15) ** 2
         assert quadratic_fitness(g, 15) == expected
         assert expected > 2**96  # would overflow fixed-width arithmetic
 
 
 class TestGenotype:
+    """The parse-only BitGenotype: bit-string text and its length."""
+
     def test_length_bounds(self):
         with pytest.raises(ValueError):
             BitGenotype(7, 0)
@@ -91,42 +99,17 @@ class TestGenotype:
             BitGenotype(8, -1)
 
     def test_total_order(self):
-        assert BitGenotype(8, 3) < BitGenotype(8, 4)
-        assert BitGenotype(8, 255) < BitGenotype(9, 0)
-        assert sorted([BitGenotype(8, 9), BitGenotype(8, 1)])[0].value == 1
-
-    @given(genotypes, genotypes)
-    def test_hash_and_order_follow_length_then_value(self, a, b):
-        assert hash(a) == hash((a.length, a.value))
-        assert (a < b) == ((a.length, a.value) < (b.length, b.value))
-        assert (a == b) == ((a.length, a.value) == (b.length, b.value))
-
-    def test_fields_are_read_only(self):
-        g = BitGenotype(10, 15)
-        with pytest.raises(AttributeError):
-            g.length = 11
-        with pytest.raises(AttributeError):
-            g.value = 0
-        with pytest.raises(AttributeError):
-            g.extra = 1
-
-    @given(genotypes)
-    def test_pickle_and_deepcopy_round_trip(self, g):
-        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
-            clone = pickle.loads(pickle.dumps(g, protocol))
-            assert type(clone) is BitGenotype and clone == g
-        assert type(copy.deepcopy(g)) is BitGenotype and copy.deepcopy(g) == g
-        assert copy.copy(g) == g
-
-    def test_repr_names_the_fields(self):
-        assert repr(BitGenotype(10, 15)) == "BitGenotype(length=10, value=15)"
+        # equals, hashes and orders as its value
+        assert BitGenotype(8, 3) < BitGenotype(8, 4) < 5
+        assert BitGenotype(8, 255) == 255 and hash(BitGenotype(8, 255)) == hash(255)
+        assert sorted([BitGenotype(8, 9), 1]) == [1, 9]
 
     def test_construction_validates_through_post_init(self, monkeypatch):
         seen = []
         original = BitGenotype.__post_init__
 
         def recording(self):
-            seen.append((self.length, self.value))
+            seen.append((self.length, int(self)))
             original(self)
 
         monkeypatch.setattr(BitGenotype, "__post_init__", recording)
@@ -137,10 +120,22 @@ class TestGenotype:
             BitGenotype(65, 0)
         assert seen == [(10, 15), (10, 1024), (65, 0)]
 
+    def test_is_parse_only(self):
+        # genotypes are ints: the package exports no wrapper and no decoder
+        assert not hasattr(cvoa, "BitGenotype")
+        assert not hasattr(cvoa.binary, "decode")
+        assert not hasattr(BitGenotype, "to_string")
+
 
 class TestPatientZero:
     def test_requested_length(self):
-        assert random_patient_zero(10, Random(0)).length == 10
+        rng = Random(0)
+        draws = [random_patient_zero(10, rng) for _ in range(200)]
+        assert all(type(g) is int and 0 <= g < 2**10 for g in draws)
+        assert max(draws).bit_length() == 10
+
+    def test_same_draw_as_getrandbits(self):
+        assert random_patient_zero(50, Random(4)) == Random(4).getrandbits(50)
 
     def test_below_minimum_rejected(self):
         with pytest.raises(ValueError):
@@ -157,7 +152,7 @@ class TestPatientZero:
         for _ in range(draws):
             g = random_patient_zero(10, rng)
             for p in range(10):
-                ones[p] += (g.value >> p) & 1
+                ones[p] += (g >> p) & 1
         for count in ones:
             assert abs(count / draws - 0.5) < 0.03
 
@@ -171,13 +166,12 @@ class TestTravelerFlipCount:
         assert traveler_flip_count(n) == max(2, math.ceil(n / 10))
 
 
-def reference_replicate_bits(parent, mode, rng, *, toward=None):
+def reference_replicate_bits(parent, n, mode, rng, *, toward=None):
     """replicate_bits as first written, with position lists; the mask-based
     version must make the same draws and return the same child."""
-    n = parent.length
     k = traveler_flip_count(n) if mode is DistanceMode.TRAVELER else 1
     traveling = mode is DistanceMode.TRAVELER
-    child = parent.value
+    child = parent
     used: set[int] = set()
     for _ in range(k):
         pos = None
@@ -193,7 +187,7 @@ def reference_replicate_bits(parent, mode, rng, *, toward=None):
             pos = free[rng.randrange(len(free))]
         used.add(pos)
         child ^= 1 << pos
-    return BitGenotype(n, child)
+    return child
 
 
 def reference_nth_set_bit(mask, index):
@@ -231,55 +225,55 @@ towards = st.one_of(
 
 class TestReplicateBits:
     @given(
-        genotypes,
+        sized_genotypes,
         st.sampled_from(DistanceMode),
         towards,
         st.booleans(),
         st.integers(min_value=0, max_value=2**32),
     )
     @settings(max_examples=500)
-    def test_matches_reference_draw_for_draw(self, parent, mode, toward, narrow, seed):
+    def test_matches_reference_draw_for_draw(self, sized, mode, toward, narrow, seed):
+        n, parent = sized
         if narrow and toward is not None and toward >= 0:
-            toward %= 1 << parent.length
+            toward %= 1 << n
         expected_rng, rng = Random(seed), Random(seed)
-        expected = reference_replicate_bits(parent, mode, expected_rng, toward=toward)
-        assert replicate_bits(parent, mode, rng, toward=toward) == expected
+        expected = reference_replicate_bits(parent, n, mode, expected_rng, toward=toward)
+        assert replicate_bits(parent, n, mode, rng, toward=toward) == expected
         assert rng.getstate() == expected_rng.getstate()
 
-    @given(genotypes, st.booleans())
+    @given(sized_genotypes, st.booleans())
     @settings(max_examples=200)
-    def test_ordinary_flips_exactly_one_bit(self, parent, guided):
-        toward = 15 % (1 << parent.length) if guided else None
-        child = replicate_bits(parent, DistanceMode.ORDINARY, Random(0), toward=toward)
-        assert child.length == parent.length
+    def test_ordinary_flips_exactly_one_bit(self, sized, guided):
+        n, parent = sized
+        toward = 15 % (1 << n) if guided else None
+        child = replicate_bits(parent, n, DistanceMode.ORDINARY, Random(0), toward=toward)
+        assert type(child) is int and 0 <= child < 2**n
         assert hamming(parent, child) == 1
 
-    @given(genotypes, st.booleans())
+    @given(sized_genotypes, st.booleans())
     @settings(max_examples=200)
-    def test_traveler_flips_contracted_distinct_bits(self, parent, guided):
-        toward = 15 % (1 << parent.length) if guided else None
-        child = replicate_bits(parent, DistanceMode.TRAVELER, Random(1), toward=toward)
-        assert child.length == parent.length
-        assert hamming(parent, child) == traveler_flip_count(parent.length)
+    def test_traveler_flips_contracted_distinct_bits(self, sized, guided):
+        n, parent = sized
+        toward = 15 % (1 << n) if guided else None
+        child = replicate_bits(parent, n, DistanceMode.TRAVELER, Random(1), toward=toward)
+        assert type(child) is int and 0 <= child < 2**n
+        assert hamming(parent, child) == traveler_flip_count(n)
 
     def test_traveler_twenty_bit_distance_two(self):
-        parent = BitGenotype(20, 0)
-        child = replicate_bits(parent, DistanceMode.TRAVELER, Random(3))
-        assert hamming(parent, child) == 2
+        child = replicate_bits(0, 20, DistanceMode.TRAVELER, Random(3))
+        assert hamming(0, child) == 2
 
     def test_traveler_fifty_bit_distance_five(self):
-        parent = BitGenotype(50, 0)
-        child = replicate_bits(parent, DistanceMode.TRAVELER, Random(3))
-        assert hamming(parent, child) == 5
+        child = replicate_bits(0, 50, DistanceMode.TRAVELER, Random(3))
+        assert hamming(0, child) == 5
 
     def test_unguided_positions_uniform(self):
         rng = Random(11)
-        parent = BitGenotype(10, 0)
         flips = [0] * 10
         draws = 20_000
         for _ in range(draws):
-            child = replicate_bits(parent, DistanceMode.ORDINARY, rng)
-            flips[(child.value ^ parent.value).bit_length() - 1] += 1
+            child = replicate_bits(0, 10, DistanceMode.ORDINARY, rng)
+            flips[child.bit_length() - 1] += 1
         for count in flips:
             assert abs(count / draws - 0.1) < 0.02
 
@@ -287,32 +281,34 @@ class TestReplicateBits:
         # one bit away from the bias value, an ordinary move closes the gap
         rng = Random(5)
         for bit in range(10):
-            parent = BitGenotype(10, 15 ^ (1 << bit))
-            child = replicate_bits(parent, DistanceMode.ORDINARY, rng, toward=15)
-            assert child.value == 15
+            parent = 15 ^ (1 << bit)
+            assert replicate_bits(parent, 10, DistanceMode.ORDINARY, rng, toward=15) == 15
 
     def test_guided_never_breaks_flip_contract(self):
         rng = Random(9)
-        parent = BitGenotype(10, 15)  # already at the bias value
+        parent = 15  # already at the bias value
         for _ in range(200):
-            child = replicate_bits(parent, DistanceMode.ORDINARY, rng, toward=15)
+            child = replicate_bits(parent, 10, DistanceMode.ORDINARY, rng, toward=15)
             assert hamming(parent, child) == 1
 
 
 class TestBinaryCodec:
     def test_distance_is_bit_disagreement(self):
         codec = BinaryCodec(bits=10, target=15)
-        assert codec.distance(BitGenotype(10, 0b1010), BitGenotype(10, 0b0110)) == 2
+        assert codec.distance(0b1010, 0b0110) == 2
 
     def test_search_space_size(self):
         assert BinaryCodec(bits=10).search_space_size() == 1024
         assert BinaryCodec(bits=20).search_space_size() == 2**20
 
     def test_text_is_bit_string(self):
-        assert BinaryCodec(bits=10).text(BitGenotype(10, 15)) == "0000001111"
+        assert BinaryCodec(bits=10).text(15) == "0000001111"
+        assert BinaryCodec(bits=64).text(2**63) == "1" + "0" * 63
 
     def test_generate_uses_configured_length(self):
-        assert BinaryCodec(bits=20).generate_patient_zero(Random(0)).length == 20
+        g = BinaryCodec(bits=20).generate_patient_zero(Random(0))
+        assert type(g) is int and 0 <= g < 2**20
+        assert g == random_patient_zero(20, Random(0))
 
     def test_target_must_fit(self):
         with pytest.raises(ValueError):
@@ -321,7 +317,22 @@ class TestBinaryCodec:
     def test_optimum_is_zero(self):
         assert BinaryCodec().optimum_fitness() == 0
 
+    def test_search_builds_no_bit_genotype(self, monkeypatch):
+        built = []
+        original = BitGenotype.__post_init__
+
+        def recording(self):
+            built.append(int(self))
+            original(self)
+
+        monkeypatch.setattr(BitGenotype, "__post_init__", recording)
+        codec = BinaryCodec(bits=20, target=15)
+        config = MultiStrainConfig.uniform(EpidemicParameters(seed=2, strains=5))
+        best = run_pandemic(config, codec).best.genotype
+        assert built == []
+        assert BitGenotype.from_string(codec.text(best)) == best and built == [best]
+
     def test_fitness_matches_free_function(self):
         codec = BinaryCodec(bits=10, target=15)
-        g = BitGenotype(10, 100)
+        g = 100
         assert codec.fitness(g) == quadratic_fitness(g, 15)

@@ -290,6 +290,38 @@ class TestSweep:
         assert "lengths" in capsys.readouterr().err
 
 
+def run_counting_evaluator(tmp_path, name, *, limit, repeat=1, pandemic_duration):
+    """`cvoa run` of a 2-strain nn config whose evaluator counts its
+    requests under a file lock and fails (exit 3) from the `limit`-th on.
+    Returns the exit status and the output directory."""
+    counter = tmp_path / f"{name}.count"
+    script = tmp_path / f"{name}.py"
+    script.write_text(
+        "import fcntl, json, sys\n"
+        "line = sys.stdin.readline()\n"
+        f"with open({str(counter)!r}, 'a+') as fh:\n"
+        "    fcntl.flock(fh, fcntl.LOCK_EX)\n"
+        "    fh.seek(0)\n"
+        "    n = len(fh.read()) + 1\n"
+        "    fh.write('x')\n"
+        f"if n >= {limit}:\n"
+        "    sys.exit(3)\n"
+        "req = json.loads(line)\n"
+        "print(json.dumps({'fitness': sum(req['units']) / 100 + req['dropout']}))\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / name
+    config = {
+        "codec": {"kind": "nn", "evaluator": [sys.executable, "-I", "-S", str(script)]},
+        "parameters": {"seed": 1, "strains": 2, "pandemic_duration": pandemic_duration},
+        "repeat": repeat,
+        "out": str(out),
+    }
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    return main(["run", "--config", str(path)]), out
+
+
 class TestEvaluationFailure:
     def test_failing_evaluator_exits_one_with_partial_csv(self, tmp_path, capsys):
         script = tmp_path / "boom.py"
@@ -310,42 +342,15 @@ class TestEvaluationFailure:
 
 
     def test_failure_after_the_patient_zeros_flushes_the_completed_rows(self, tmp_path, capsys):
-        # the evaluator fails from its `limit`-th request on; a run that
-        # fails on its last evaluation keeps every row before that step
-        def run(name, limit):
-            counter = tmp_path / f"{name}.count"
-            script = tmp_path / f"{name}.py"
-            script.write_text(
-                "import fcntl, json, sys\n"
-                "line = sys.stdin.readline()\n"
-                f"with open({str(counter)!r}, 'a+') as fh:\n"
-                "    fcntl.flock(fh, fcntl.LOCK_EX)\n"
-                "    fh.seek(0)\n"
-                "    n = len(fh.read()) + 1\n"
-                "    fh.write('x')\n"
-                f"if n >= {limit}:\n"
-                "    sys.exit(3)\n"
-                "req = json.loads(line)\n"
-                "print(json.dumps({'fitness': sum(req['units']) / 100 + req['dropout']}))\n",
-                encoding="utf-8",
-            )
-            out = tmp_path / name
-            config = {
-                "codec": {"kind": "nn", "evaluator": [sys.executable, "-I", "-S", str(script)]},
-                "parameters": {"seed": 1, "strains": 2, "pandemic_duration": 3},
-                "out": str(out),
-            }
-            path = tmp_path / f"{name}.json"
-            path.write_text(json.dumps(config), encoding="utf-8")
-            status = main(["run", "--config", str(path)])
-            return status, out
-
-        status, out = run("whole", 10**9)
+        # a run that fails on its last evaluation keeps every row before that step
+        status, out = run_counting_evaluator(tmp_path, "whole", limit=10**9, pandemic_duration=3)
         assert status == 0
         [record] = json.loads((out / "summary.json").read_text())["runs"]
         whole = (out / "run_1" / "iterations.csv").read_text().splitlines()
         capsys.readouterr()
-        status, out = run("failing", record["evaluations_total"])
+        status, out = run_counting_evaluator(
+            tmp_path, "failing", limit=record["evaluations_total"], pandemic_duration=3
+        )
         assert status == 1
         assert "evaluation failed" in capsys.readouterr().err
         assert not (out / "summary.json").exists()
@@ -355,42 +360,21 @@ class TestEvaluationFailure:
         assert rows[-1].split(",")[0] == str(len(rows) - 1)
 
     def test_failure_in_a_later_run_keeps_the_finished_runs_summary(self, tmp_path, capsys):
-        # the counting evaluator above, failing from its `limit`-th request on
-        def run(name, limit):
-            counter = tmp_path / f"{name}.count"
-            script = tmp_path / f"{name}.py"
-            script.write_text(
-                "import fcntl, json, sys\n"
-                "line = sys.stdin.readline()\n"
-                f"with open({str(counter)!r}, 'a+') as fh:\n"
-                "    fcntl.flock(fh, fcntl.LOCK_EX)\n"
-                "    fh.seek(0)\n"
-                "    n = len(fh.read()) + 1\n"
-                "    fh.write('x')\n"
-                f"if n >= {limit}:\n"
-                "    sys.exit(3)\n"
-                "req = json.loads(line)\n"
-                "print(json.dumps({'fitness': sum(req['units']) / 100 + req['dropout']}))\n",
-                encoding="utf-8",
-            )
-            out = tmp_path / name
-            config = {
-                "codec": {"kind": "nn", "evaluator": [sys.executable, "-I", "-S", str(script)]},
-                "parameters": {"seed": 1, "strains": 2, "pandemic_duration": 2},
-                "repeat": 3,
-                "out": str(out),
-            }
-            path = tmp_path / f"{name}.json"
-            path.write_text(json.dumps(config), encoding="utf-8")
-            return main(["run", "--config", str(path)]), out
-
-        status, out = run("whole", 10**9)
+        status, out = run_counting_evaluator(
+            tmp_path, "whole", limit=10**9, repeat=3, pandemic_duration=2
+        )
         assert status == 0
         whole = json.loads((out / "summary.json").read_text())
         first = whole["runs"][0]
         capsys.readouterr()
         # run 1 takes first["evaluations_total"] requests; run 2 fails after its patient zeros
-        status, out = run("failing", first["evaluations_total"] + 3)
+        status, out = run_counting_evaluator(
+            tmp_path,
+            "failing",
+            limit=first["evaluations_total"] + 3,
+            repeat=3,
+            pandemic_duration=2,
+        )
         assert status == 1
         assert "evaluation failed in run seed=2" in capsys.readouterr().err
         summary = json.loads((out / "summary.json").read_text())

@@ -9,7 +9,6 @@ import pytest
 import cvoa.engine
 from cvoa import (
     BinaryCodec,
-    BitGenotype,
     Disposition,
     DistanceMode,
     EpidemicParameters,
@@ -173,14 +172,14 @@ class TestInfect:
         for seed in range(20):
             codec.replicate_modes.clear()
             ledger = PopulationLedger(shared=SharedLedger())
-            infect(BitGenotype(20, 5), ledger, params, codec, Random(seed))
+            infect(5, ledger, params, codec, Random(seed))
             assert 6 <= len(codec.replicate_modes) <= 15
 
     def test_zero_width_ordinary_range_spreads_nothing(self):
         codec = RecordingCodec()
         params = EpidemicParameters(p_superspreader=0.0, ordinary_spread_range=(0, 0))
         ledger = PopulationLedger(shared=SharedLedger())
-        infect(BitGenotype(10, 5), ledger, params, codec, Random(0))
+        infect(5, ledger, params, codec, Random(0))
         assert ledger.new_infected == set()
         assert codec.replicate_modes == []
 
@@ -188,7 +187,7 @@ class TestInfect:
         codec = RecordingCodec(bits=20)
         params = EpidemicParameters(p_travel=1.0, p_superspreader=1.0)
         ledger = PopulationLedger(shared=SharedLedger())
-        infect(BitGenotype(20, 5), ledger, params, codec, Random(0))
+        infect(5, ledger, params, codec, Random(0))
         assert codec.replicate_modes
         assert all(mode is DistanceMode.TRAVELER for mode in codec.replicate_modes)
 
@@ -196,7 +195,7 @@ class TestInfect:
         codec = RecordingCodec(bits=20)
         params = EpidemicParameters(p_travel=0.0, p_superspreader=1.0)
         ledger = PopulationLedger(shared=SharedLedger())
-        infect(BitGenotype(20, 5), ledger, params, codec, Random(0))
+        infect(5, ledger, params, codec, Random(0))
         assert all(mode is DistanceMode.ORDINARY for mode in codec.replicate_modes)
 
     def test_added_genotypes_land_in_new_infected(self, monkeypatch):
@@ -211,7 +210,7 @@ class TestInfect:
         monkeypatch.setattr(cvoa.engine, "new_infection", recording)
         params = EpidemicParameters(p_superspreader=1.0, p_isolation=0.0)
         ledger = PopulationLedger(shared=SharedLedger())
-        infect(BitGenotype(10, 5), ledger, params, RecordingCodec(), Random(1))
+        infect(5, ledger, params, RecordingCodec(), Random(1))
         admitted = (Disposition.ADDED_TO_NEW_INFECTED, Disposition.REINFECTED)
         assert ledger.new_infected
         assert ledger.new_infected == {c for c, d in routed if d in admitted}
@@ -297,21 +296,21 @@ class TestResolveIsolates:
 class TestSelectBest:
     def test_minimize_picks_lowest(self):
         population = [
-            EvaluatedIndividual(BitGenotype(10, 1), 4.0),
-            EvaluatedIndividual(BitGenotype(10, 2), 1.0),
-            EvaluatedIndividual(BitGenotype(10, 3), 0.0),
+            EvaluatedIndividual(1, 4.0),
+            EvaluatedIndividual(2, 1.0),
+            EvaluatedIndividual(3, 0.0),
         ]
         assert select_best(population, Objective.MINIMIZE).fitness == 0.0
 
     def test_maximize_picks_highest(self):
         population = [
-            EvaluatedIndividual(BitGenotype(10, 1), 4.0),
-            EvaluatedIndividual(BitGenotype(10, 2), 9.0),
+            EvaluatedIndividual(1, 4.0),
+            EvaluatedIndividual(2, 9.0),
         ]
         assert select_best(population, Objective.MAXIMIZE).fitness == 9.0
 
     def test_singleton(self):
-        only = EvaluatedIndividual(BitGenotype(10, 1), 4.0)
+        only = EvaluatedIndividual(1, 4.0)
         assert select_best([only], Objective.MINIMIZE) == only
 
     def test_empty_population_rejected(self):
@@ -319,10 +318,10 @@ class TestSelectBest:
             select_best([], Objective.MINIMIZE)
 
     def test_ties_break_deterministically(self):
-        a = EvaluatedIndividual(BitGenotype(10, 100), 5.0)
-        b = EvaluatedIndividual(BitGenotype(10, 7), 5.0)
+        a = EvaluatedIndividual(100, 5.0)
+        b = EvaluatedIndividual(7, 5.0)
         winners = {select_best(order, Objective.MINIMIZE).genotype for order in ([a, b], [b, a])}
-        assert winners == {BitGenotype(10, 7)}
+        assert winners == {7}
 
 
 class TieCodec:
@@ -377,13 +376,13 @@ class TestRunStrain:
     def test_total_mortality_buries_patient_zero(self):
         codec = BinaryCodec()
         shared = SharedLedger()
-        pz = BitGenotype(10, 37)
+        pz = 37
         run_strain(EpidemicParameters(p_die=1.0), codec, Random(0), shared, patient_zero=pz)
         assert shared.dead == {pz}
 
     def test_zero_duration_returns_patient_zero(self):
         codec = BinaryCodec()
-        pz = BitGenotype(10, 37)
+        pz = 37
         result = run_strain(
             EpidemicParameters(pandemic_duration=0), codec, Random(0), patient_zero=pz
         )
@@ -508,7 +507,7 @@ class TestSharedLedger:
     def test_evaluate_memoizes(self):
         shared = SharedLedger()
         codec = RecordingCodec()
-        g = BitGenotype(10, 3)
+        g = 3
         assert shared.evaluate(codec, g) == shared.evaluate(codec, g)
         assert codec.fitness_calls[g] == 1
         assert shared.evaluations_total() == 1
@@ -525,7 +524,7 @@ class TestSharedLedger:
     def test_evaluate_all_batches_uncached_once_in_order(self):
         shared = SharedLedger()
         codec = BatchingCodec()
-        a, b, c = BitGenotype(10, 1), BitGenotype(10, 2), BitGenotype(10, 3)
+        a, b, c = 1, 2, 3
         shared.evaluate(codec, b)
         values = shared.evaluate_all(codec, [c, b, a, c])
         assert values == [codec.inner.fitness(g) for g in (c, b, a, c)]
@@ -535,7 +534,7 @@ class TestSharedLedger:
         assert codec.fitness_calls == Counter({b: 1})
 
     def test_evaluate_all_caches_the_scores_before_a_failure(self):
-        a, b, c, d = (BitGenotype(10, v) for v in (1, 2, 3, 4))
+        a, b, c, d = 1, 2, 3, 4
         shared = SharedLedger()
         codec = BatchingCodec(failing={b, c})
         with pytest.raises(EvaluationError) as err:
@@ -546,7 +545,7 @@ class TestSharedLedger:
         assert shared.evaluations_total() == 1
 
     def test_evaluate_all_rejects_a_non_finite_batch_score(self):
-        a, b = BitGenotype(10, 1), BitGenotype(10, 2)
+        a, b = 1, 2
         shared = SharedLedger()
         codec = BatchingCodec(scores={b: float("nan")})
         with pytest.raises(EvaluationError, match="non-finite"):
@@ -561,5 +560,5 @@ class TestSharedLedger:
 
         shared = SharedLedger()
         with pytest.raises(EvaluationError):
-            shared.evaluate(BadCodec(), BitGenotype(10, 3))
+            shared.evaluate(BadCodec(), 3)
         assert shared.evaluations_total() == 0

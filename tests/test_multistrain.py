@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cvoa.engine
+import cvoa.multistrain
 from cvoa import (
     BinaryCodec,
     Disposition,
@@ -108,7 +109,7 @@ class TestSeedPatientZeros:
         codec = BinaryCodec(bits=10)
         pzs = seed_patient_zeros(5, codec, PzStrategy.MAX_HAMMING_SPREAD, Random(1))
         assert len(pzs) == 5
-        assert all(g.length == 10 for g in pzs)
+        assert all(type(g) is int and 0 <= g < 2**10 for g in pzs)
 
 
 class TestMultiStrainConfig:
@@ -167,6 +168,23 @@ class TestRunPandemic:
         first = run_pandemic(config, codec)
         for _ in range(2):
             assert run_pandemic(config, codec) == first
+
+    def test_binary_genotypes_are_plain_ints(self, monkeypatch):
+        # the codec owns the length: every genotype the engine scores is an int
+        ledgers = []
+
+        class RecordedLedger(cvoa.multistrain.SharedLedger):
+            def __init__(self):
+                super().__init__()
+                ledgers.append(self)
+
+        monkeypatch.setattr(cvoa.multistrain, "SharedLedger", RecordedLedger)
+        config = MultiStrainConfig.uniform(EpidemicParameters(seed=1, strains=5))
+        result = run_pandemic(config, BinaryCodec(bits=20, target=15))
+        [shared] = ledgers
+        genotypes = [*shared.fitness_cache, result.best.genotype]
+        assert len(genotypes) > 5
+        assert all(type(g) is int and 0 <= g < 2**20 for g in genotypes)
 
     def test_five_strain_surrogate_run_is_reproducible(self):
         target = generate_net_patient_zero(Random((6 * 2654435761) % 2**64))
