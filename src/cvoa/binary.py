@@ -14,7 +14,7 @@ benchmark runs converge inside the short pandemic window.
 
 Genotypes are plain `int`s in [0, 2**n), not (length, value) pairs: every
 genotype of one codec has the same length, so the codec owns it, and the
-engine hashes, orders and compares every candidate in C. Replication
+engine hashes and compares every candidate in C. Replication
 picks flip positions from bit masks rather than position lists, walking a
 mask a byte at a time to find its k-th set bit. Ordinary moves, most of
 all calls, take a one-flip path with no mask of used positions and no

@@ -2,19 +2,18 @@
 
 A codec owns the genotype representation: how patient zeros are drawn, how
 an infected individual replicates into a mutated child, and how fitness is
-computed. Genotypes must be immutable, hashable, equality-comparable and
-totally ordered (the engine iterates populations in sorted order so that
-seeded runs are reproducible). The engine hashes and compares every
-candidate several times per iteration (ledger lookups, sorts, tie-breaks),
-so genotypes should do both cheaply. A plain `int` is the cheapest (the
-binary codec's genotypes are `int`s, their length kept by the codec); a
-tuple, or a type whose hashing and ordering are a tuple's, also keeps that
-work in C.
+computed. Genotypes must be immutable, hashable and equality-comparable;
+they need no order, because the engine keeps its populations in the order
+it discovers them, and a fixed seed reproduces that order. The engine
+hashes and compares every candidate several times per iteration (ledger
+lookups), so genotypes should do both cheaply. A plain `int` is the
+cheapest (the binary codec's genotypes are `int`s, their length kept by
+the codec); a tuple also keeps that work in C.
 
 A codec may also offer a batch hook, `fitness_all(genotypes)`. The engine
 calls it once with all of a pandemic's patient zeros, in strain order, and
 then once per iteration of a strain, with the genotypes it has not scored
-yet, each once and in genotype order; it
+yet, each once and in discovery order; it
 caches the scores the hook returns and never asks for them again. The
 hook may score them together (concurrently, say); it returns an iterable
 of the scores in the same order, and iterating it raises at the first

@@ -11,12 +11,15 @@ spreaders recover, and the new infections become the next generation. The
 run ends when the infected set empties (extinction) or the configured
 duration elapses.
 
-Every loop that draws random numbers visits its population in a fixed
-order (genotype order, or fitness rank with genotype tie-breaks for the
-spreaders), so a fixed seed reproduces a run exactly. For the binary
-codec, whose genotypes are plain `int`s, genotype order is numeric order.
-Strain.step is the one place that sets that order; die and
-resolve_isolates draw in the order they are given.
+Every population a loop draws random numbers over is kept in discovery
+order: an insertion-ordered dict admits each genotype in the order the
+strain first met it, so a fixed seed reproduces a run exactly, whatever
+the genotypes' hashes. The one other order is the spreaders' fitness
+rank, a stable sort of discovery order, and every fitness tie (among the
+spreaders, in best_of and in select_best) goes to the first in list
+order. Genotypes are never compared by anything but equality. Strain.step
+is the one place that sets these orders; die and resolve_isolates draw
+in the order they are given.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from operator import neg
 from random import Random
 from typing import Any, Iterable
 
@@ -69,10 +71,10 @@ class SharedLedger:
         self.dead.add(genotype)
         self.recovered.discard(genotype)
 
-    def recover_all(self, genotypes: set) -> None:
+    def recover_all(self, genotypes: Iterable[Any]) -> None:
         """Move each genotype not dead into the recovered population, and
         count each such move."""
-        alive = genotypes - self.dead
+        alive = set(genotypes) - self.dead
         self.recovered |= alive
         self.recoveries += len(alive)
 
@@ -113,20 +115,14 @@ class SharedLedger:
 
 @dataclass
 class PopulationLedger:
-    """One strain's populations: its own infected sets plus the shared half."""
+    """One strain's populations plus the shared half. Each population is
+    a dict used as an insertion-ordered set (keys only, values None), so
+    iterating it visits genotypes in discovery order."""
 
     shared: SharedLedger
-    infected: set = field(default_factory=set)
-    new_infected: set = field(default_factory=set)
-    isolated_now: set = field(default_factory=set)
-
-    @property
-    def recovered(self) -> set:
-        return self.shared.recovered
-
-    @property
-    def dead(self) -> set:
-        return self.shared.dead
+    infected: dict = field(default_factory=dict)
+    new_infected: dict = field(default_factory=dict)
+    isolated_now: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -149,7 +145,7 @@ class StrainResult:
 
 def die(infected: Iterable[Any], params: EpidemicParameters, rng: Random) -> set:
     """Select each infected individual for death independently with p_die,
-    drawing in the order given (Strain.step passes genotype order)."""
+    drawing in the order given (Strain.step passes discovery order)."""
     return {g for g in infected if rng.random() < params.p_die}
 
 
@@ -168,14 +164,14 @@ def new_infection(
         return Disposition.IGNORED
     if candidate not in shared.recovered:
         if rng.random() > params.p_isolation:
-            ledger.new_infected.add(candidate)
+            ledger.new_infected[candidate] = None
             return Disposition.ADDED_TO_NEW_INFECTED
         shared.recovered.add(candidate)
-        ledger.isolated_now.add(candidate)
+        ledger.isolated_now[candidate] = None
         return Disposition.ISOLATED
     if rng.random() < params.p_reinfection:
         shared.recovered.remove(candidate)
-        ledger.new_infected.add(candidate)
+        ledger.new_infected[candidate] = None
         return Disposition.REINFECTED
     return Disposition.IGNORED
 
@@ -218,13 +214,13 @@ def resolve_isolates(
     or recovers. Returns the buried ones.
 
     `isolates` is this iteration's isolates not reinfected meanwhile, in
-    the order Strain.step sets (genotype order); die() draws in it."""
+    the order Strain.step sets (discovery order); die() draws in it."""
     shared = ledger.shared
     isolates = [g for g in isolates if g not in ledger.infected]
     dying = die(isolates, params, rng)
     for genotype in dying:
         shared.bury(genotype)
-    shared.recover_all(set(isolates))
+    shared.recover_all(isolates)
     return dying
 
 
@@ -236,11 +232,10 @@ def superspreader_count(p_superspreader: float, spreaders: int) -> int:
 
 def best_of(genotypes: list, values: list[float], objective: Objective) -> tuple[Any, float]:
     """The (genotype, fitness) pair optimal under the objective, from
-    parallel non-empty lists; ties go to the smallest genotype in its
-    natural order, so repeated runs agree."""
-    signed = values if objective is Objective.MINIMIZE else map(neg, values)
-    _, genotype, value = min(zip(signed, genotypes, values))
-    return genotype, value
+    parallel non-empty lists; ties go to the first in list order."""
+    pick = min if objective is Objective.MINIMIZE else max
+    index = pick(range(len(values)), key=values.__getitem__)
+    return genotypes[index], values[index]
 
 
 def select_best(
@@ -273,7 +268,7 @@ class Strain:
         self.codec = codec
         self.rng = rng
         self.shared = shared
-        self.ledger = PopulationLedger(shared=shared, infected={patient_zero.genotype})
+        self.ledger = PopulationLedger(shared=shared, infected={patient_zero.genotype: None})
         self.history: list[IterationRecord] = []
         self.iteration = 0
         self.best = patient_zero
@@ -281,8 +276,6 @@ class Strain:
             replace(params, p_superspreader=1.0),
             replace(params, p_superspreader=0.0),
         )
-        # ledger.infected in genotype order, the order die() draws in
-        self._infected_order = [patient_zero.genotype]
 
     @property
     def active(self) -> bool:
@@ -301,31 +294,28 @@ class Strain:
         params, ledger, shared, rng = self.params, self.ledger, self.shared, self.rng
 
         # another strain may have buried some of this strain's infected
-        alive = [g for g in self._infected_order if g not in shared.dead]
-        if len(alive) < len(ledger.infected):
-            ledger.infected = set(alive)
+        alive = [g for g in ledger.infected if g not in shared.dead]
         dying = die(alive, params, rng)
-        ledger.infected -= dying
         for genotype in dying:
             shared.bury(genotype)
+        ledger.infected = dict.fromkeys(g for g in alive if g not in dying)
 
-        ledger.new_infected = set()
-        ledger.isolated_now = set()
+        ledger.new_infected = {}
+        ledger.isolated_now = {}
         superspreaders = superspreader_count(params.p_superspreader, len(ledger.infected))
         wide, narrow = self._spread_params
-        # fittest first: a stable sort of genotype order, which reverse=True
-        # keeps too, so ties stay in genotype order under either objective
+        # fittest first: a stable sort of discovery order, which reverse=True
+        # keeps too, so ties stay in discovery order under either objective
         spreaders = sorted(
-            [g for g in alive if g not in dying],
+            ledger.infected,
             key=shared.fitness_cache.__getitem__,
             reverse=params.objective is Objective.MAXIMIZE,
         )
         for rank, spreader in enumerate(spreaders):
             infect(spreader, ledger, wide if rank < superspreaders else narrow, self.codec, rng)
 
-        infected_order = sorted(ledger.new_infected)
-        isolates = sorted(ledger.isolated_now - ledger.new_infected)
-        fresh = infected_order + isolates
+        isolates = [g for g in ledger.isolated_now if g not in ledger.new_infected]
+        fresh = [*ledger.new_infected, *isolates]
         if fresh:
             values = shared.evaluate_all(self.codec, fresh)
             genotype, value = best_of(fresh, values, params.objective)
@@ -336,8 +326,7 @@ class Strain:
         resolve_isolates(ledger, params, rng, isolates)
         shared.recover_all(ledger.infected)
         ledger.infected = ledger.new_infected
-        ledger.new_infected = set()
-        self._infected_order = infected_order
+        ledger.new_infected = {}
         self.iteration += 1
 
         deaths_total, recovered_total = shared.counts()

@@ -16,7 +16,15 @@ from enum import Enum
 from random import Random
 
 from .codec import Codec, EvaluatedIndividual, EvaluationError
-from .engine import IterationRecord, Objective, SharedLedger, Strain, StrainResult, Termination
+from .engine import (
+    IterationRecord,
+    Objective,
+    SharedLedger,
+    Strain,
+    StrainResult,
+    Termination,
+    select_best,
+)
 from .engine import run_strain  # noqa: F401  (perfbench/child.py wraps this attribute)
 from .params import EpidemicParameters, validate_parameters
 
@@ -117,17 +125,6 @@ def _merge_histories(
     return merged
 
 
-def _fittest(
-    individuals: list[EvaluatedIndividual], objective: Objective
-) -> EvaluatedIndividual | None:
-    """The first individual that no later one strictly beats."""
-    best = None
-    for individual in individuals:
-        if best is None or objective.better(individual.fitness, best.fitness):
-            best = individual
-    return best
-
-
 def run_pandemic(
     config: MultiStrainConfig,
     codec: Codec,
@@ -172,7 +169,7 @@ def run_pandemic(
             Strain(params, codec, rng, shared, EvaluatedIndividual(pz, fitness))
             for params, rng, pz, fitness in zip(config.parameters, rngs, pzs, fitnesses)
         ]
-        initial_best = _fittest([s.best for s in cohort], objective).fitness
+        initial_best = select_best([s.best for s in cohort], objective).fitness
         goal = reached_goal(initial_best)
         while not goal and any(s.active for s in cohort):
             for index, strain in enumerate(cohort):
@@ -202,7 +199,8 @@ def run_pandemic(
         termination = Termination.DURATION_REACHED
 
     result = PandemicResult(
-        best=_fittest([r.best for r in results], objective),
+        # the first of tied strains wins; no strain was built if the patient zeros failed
+        best=select_best([r.best for r in results], objective) if results else None,
         strains=results,
         history=_merge_histories([r.history for r in results], objective),
         initial_best=initial_best,

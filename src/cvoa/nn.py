@@ -37,7 +37,7 @@ MISSING_LAYER_PENALTY = 12
 _E_GUIDE = 0.85
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class NetGenotype:
     lr_code: int
     drop_code: int

@@ -158,7 +158,7 @@ def test_instrumented_run_upholds_ledger_invariants(monkeypatch):
     def checked_infect(individual, ledger, params, codec, rng):
         if individual in ledger.shared.dead:
             violations.append(("spreader is dead", individual))
-        if ledger.infected & ledger.shared.dead:
+        if ledger.infected.keys() & ledger.shared.dead:
             violations.append(("dead overlap infected at spread time",))
         return original_infect(individual, ledger, params, codec, rng)
 
@@ -168,7 +168,7 @@ def test_instrumented_run_upholds_ledger_invariants(monkeypatch):
             violations.append(("dead overlap recovered",))
         if candidate in ledger.shared.dead and disposition is not Disposition.IGNORED:
             violations.append(("dead candidate admitted", candidate))
-        if ledger.new_infected & ledger.shared.dead:
+        if ledger.new_infected.keys() & ledger.shared.dead:
             violations.append(("dead member in new_infected",))
         return disposition
 

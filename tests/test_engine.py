@@ -135,7 +135,7 @@ class TestNewInfection:
         ledger = self.fresh_ledger()
         params = EpidemicParameters(p_isolation=1.0)
         assert new_infection(7, ledger, params, Random(0)) is Disposition.ISOLATED
-        assert 7 in ledger.recovered
+        assert 7 in ledger.shared.recovered
         assert 7 in ledger.isolated_now
         assert 7 not in ledger.new_infected
 
@@ -144,7 +144,7 @@ class TestNewInfection:
         ledger.shared.recovered.add(7)
         params = EpidemicParameters(p_reinfection=1.0)
         assert new_infection(7, ledger, params, Random(0)) is Disposition.REINFECTED
-        assert 7 not in ledger.recovered
+        assert 7 not in ledger.shared.recovered
         assert 7 in ledger.new_infected
 
     def test_duplicate_candidate_gets_no_second_isolation_draw(self):
@@ -154,7 +154,7 @@ class TestNewInfection:
         isolate = EpidemicParameters(p_isolation=1.0)
         assert new_infection(7, ledger, isolate, Random(0)) is Disposition.IGNORED
         assert 7 in ledger.new_infected
-        assert 7 not in ledger.recovered
+        assert 7 not in ledger.shared.recovered
         assert 7 not in ledger.isolated_now
 
     def test_recovered_candidate_ignored_without_reinfection(self):
@@ -162,7 +162,7 @@ class TestNewInfection:
         ledger.shared.recovered.add(7)
         params = EpidemicParameters(p_reinfection=0.0)
         assert new_infection(7, ledger, params, Random(0)) is Disposition.IGNORED
-        assert 7 in ledger.recovered
+        assert 7 in ledger.shared.recovered
 
 
 class TestInfect:
@@ -180,7 +180,7 @@ class TestInfect:
         params = EpidemicParameters(p_superspreader=0.0, ordinary_spread_range=(0, 0))
         ledger = PopulationLedger(shared=SharedLedger())
         infect(5, ledger, params, codec, Random(0))
-        assert ledger.new_infected == set()
+        assert ledger.new_infected.keys() == set()
         assert codec.replicate_modes == []
 
     def test_forced_travel_uses_traveler_mode_for_whole_brood(self):
@@ -213,7 +213,7 @@ class TestInfect:
         infect(5, ledger, params, RecordingCodec(), Random(1))
         admitted = (Disposition.ADDED_TO_NEW_INFECTED, Disposition.REINFECTED)
         assert ledger.new_infected
-        assert ledger.new_infected == {c for c, d in routed if d in admitted}
+        assert ledger.new_infected.keys() == {c for c, d in routed if d in admitted}
 
 
 class TestSuperspreaders:
@@ -238,13 +238,17 @@ class TestSuperspreaders:
         seen = []
         original = cvoa.engine.infect
 
+        discovered = []
+
         def recording(individual, ledger, params, codec, rng):
             seen.append((ledger.shared.fitness_cache[individual], individual, params.p_superspreader))
+            discovered.append(list(ledger.infected))
             return original(individual, ledger, params, codec, rng)
 
         monkeypatch.setattr(cvoa.engine, "infect", recording)
         for objective, sign in ((Objective.MINIMIZE, 1), (Objective.MAXIMIZE, -1)):
             seen.clear()
+            discovered.clear()
             params = EpidemicParameters(
                 p_die=0.0, p_isolation=0.0, pandemic_duration=2, objective=objective
             )
@@ -253,9 +257,10 @@ class TestSuperspreaders:
             wide = [sign * f for f, _, p in second if p == 1.0]
             narrow = [sign * f for f, _, p in second if p == 0.0]
             assert len(wide) == superspreader_count(0.1, len(second))
-            # fittest first, ties in genotype order
-            keys = [(sign * f, g) for f, g, _ in second]
-            assert keys == sorted(keys)
+            # fittest first, ties in discovery order: the infected's own order
+            fitness = {g: sign * f for f, g, _ in second}
+            spreaders = [g for _, g, _ in second]
+            assert spreaders == sorted(discovered[1], key=fitness.__getitem__)
             assert max(wide) <= min(narrow)
 
 
@@ -265,10 +270,10 @@ class TestResolveIsolates:
         params = EpidemicParameters(p_isolation=1.0, p_die=1.0)
         for candidate in range(5):
             assert new_infection(candidate, ledger, params, Random(0)) is Disposition.ISOLATED
-        isolates = sorted(ledger.isolated_now - ledger.new_infected)
+        isolates = sorted(ledger.isolated_now.keys() - ledger.new_infected.keys())
         assert resolve_isolates(ledger, params, Random(0), isolates) == set(range(5))
-        assert ledger.dead == set(range(5))
-        assert ledger.recovered == set()
+        assert ledger.shared.dead == set(range(5))
+        assert ledger.shared.recovered == set()
         assert ledger.shared.recoveries == 0
 
     def test_surviving_isolates_count_as_recovered(self):
@@ -276,9 +281,9 @@ class TestResolveIsolates:
         params = EpidemicParameters(p_isolation=1.0, p_die=0.0)
         for candidate in range(5):
             new_infection(candidate, ledger, params, Random(0))
-        isolates = sorted(ledger.isolated_now - ledger.new_infected)
+        isolates = sorted(ledger.isolated_now.keys() - ledger.new_infected.keys())
         assert resolve_isolates(ledger, params, Random(0), isolates) == set()
-        assert ledger.recovered == set(range(5))
+        assert ledger.shared.recovered == set(range(5))
         assert ledger.shared.counts() == (0, 5)
 
     def test_reinfected_isolate_is_not_buried(self):
@@ -287,9 +292,9 @@ class TestResolveIsolates:
         new_infection(7, ledger, isolate, Random(0))
         reinfect = EpidemicParameters(p_reinfection=1.0, p_die=1.0)
         assert new_infection(7, ledger, reinfect, Random(0)) is Disposition.REINFECTED
-        isolates = sorted(ledger.isolated_now - ledger.new_infected)
+        isolates = sorted(ledger.isolated_now.keys() - ledger.new_infected.keys())
         assert resolve_isolates(ledger, isolate, Random(0), isolates) == set()
-        assert 7 not in ledger.dead
+        assert 7 not in ledger.shared.dead
         assert 7 in ledger.new_infected
 
 
@@ -317,11 +322,12 @@ class TestSelectBest:
         with pytest.raises(ValueError):
             select_best([], Objective.MINIMIZE)
 
-    def test_ties_break_deterministically(self):
+    @pytest.mark.parametrize("objective", list(Objective))
+    def test_tie_goes_to_the_first_in_list_order(self, objective):
         a = EvaluatedIndividual(100, 5.0)
         b = EvaluatedIndividual(7, 5.0)
-        winners = {select_best(order, Objective.MINIMIZE).genotype for order in ([a, b], [b, a])}
-        assert winners == {7}
+        assert select_best([a, b], objective).genotype == 100
+        assert select_best([b, a], objective).genotype == 7
 
 
 class TieCodec:
@@ -348,7 +354,7 @@ class TieCodec:
 class TestIterationBest:
     @pytest.mark.parametrize("objective", list(Objective))
     @pytest.mark.parametrize("brood", [(7, 3), (3, 7)])
-    def test_fitness_tie_goes_to_the_smallest_genotype(self, objective, brood):
+    def test_fitness_tie_goes_to_the_first_discovered(self, objective, brood):
         params = EpidemicParameters(
             p_die=0.0,
             p_isolation=0.0,
@@ -361,7 +367,8 @@ class TestIterationBest:
         codec = TieCodec(brood, objective)
         result = run_strain(params, codec, Random(0))
         assert codec.spread == 2
-        assert result.best == EvaluatedIndividual(3, codec.fitness(3))
+        first = brood[0]
+        assert result.best == EvaluatedIndividual(first, codec.fitness(first))
 
 
 class TestRunStrain:
