@@ -456,14 +456,14 @@ class TestPartialResults:
 # sha256 prefix of repr() of the (deaths, recovered, infected, best) rows)
 SINGLE_STRAIN_PINS = {
     (10, 1): (22, "0000001111", 12, (1, 32, 0, 0), "70203f0daf06cfc8"),
-    (10, 2): (132, "0000001111", 10, (7, 134, 0, 0), "8be008a9efd6cbfc"),
-    (10, 3): (46, "0000001111", 16, (4, 53, 0, 0), "9d6e2d1890608d22"),
-    (20, 1): (71, "00000000000000001111", 11, (4, 72, 0, 0), "a146a36992d185b2"),
-    (20, 2): (583, "00000000000000001111", 21, (27, 591, 0, 0), "042951baa0001b10"),
-    (20, 3): (395, "00000000000000001111", 19, (17, 396, 0, 0), "9d5371767b9ccea6"),
-    (50, 1): (14765, "0" * 46 + "1111", 30, (736, 14306, 193, 0), "492bd4a2d3fd1495"),
-    (50, 2): (11405, "0" * 46 + "1111", 30, (601, 10816, 306, 0), "9ee6e6e554da634b"),
-    (50, 3): (46871, "0" * 46 + "1111", 30, (2357, 45014, 1049, 0), "74a193cb9c34387f"),
+    (10, 2): (114, "0000001111", 12, (4, 121, 0, 0), "b1369ad8d9298333"),
+    (10, 3): (48, "0000001111", 15, (5, 55, 0, 0), "0a0ef81714c6e2c6"),
+    (20, 1): (70, "00000000000000001111", 12, (2, 74, 0, 0), "4e00154b5d52e889"),
+    (20, 2): (880, "00000000000000001111", 26, (47, 866, 0, 0), "1c7e18d4dd9d25e7"),
+    (20, 3): (547, "00000000000000001111", 30, (37, 547, 3, 0), "b611d111dec98145"),
+    (50, 1): (38137, "0" * 46 + "1111", 30, (1997, 36729, 682, 0), "e7648cb4a27d304a"),
+    (50, 2): (12854, "0" * 46 + "1111", 30, (571, 12467, 220, 0), "ddd5830176ac2e77"),
+    (50, 3): (74702, "0" * 46 + "1111", 30, (3757, 71341, 1923, 0), "dbb29e3a3566c473"),
 }
 
 
@@ -495,28 +495,28 @@ def test_single_strain_trajectory_is_pinned(bits, seed):
 # (bits, seed, objective) -> the same fields as SINGLE_STRAIN_PINS, for
 # 5 strains: minimize stops at the optimum, maximize runs 12 iterations
 MULTI_STRAIN_PINS = {
-    (10, 1, "minimize"): (57, "0000001111", 2, (1, 38, 15, 0), "d88be9d76a1075c2"),
+    (10, 1, "minimize"): (54, "0000001111", 2, (1, 36, 13, 0), "11fc2726745620ad"),
     (10, 2, "minimize"): (13, "0000001111", 1, (0, 6, 4, 0), "9af26f484dc8a4f5"),
-    (10, 3, "minimize"): (90, "0000001111", 3, (7, 66, 12, 0), "23dc358f5a2d63eb"),
-    (20, 1, "minimize"): (1082, "00000000000000001111", 9, (41, 984, 14, 0), "20aef36c56e3ffdd"),
-    (20, 2, "minimize"): (829, "00000000000000001111", 7, (29, 675, 2, 0), "6674901691c6f1fa"),
-    (20, 3, "minimize"): (727, "00000000000000001111", 6, (32, 583, 115, 0), "865d1f6bce638d5e"),
-    (50, 1, "minimize"): (4044, "0" * 46 + "1111", 9, (177, 3220, 542, 0), "4358d6d8babfb9a9"),
-    (50, 2, "minimize"): (4284, "0" * 46 + "1111", 10, (163, 3557, 548, 0), "7dd11286ac450e6a"),
-    (50, 3, "minimize"): (3214, "0" * 46 + "1111", 8, (133, 2578, 509, 0), "c6420512baf70fd8"),
+    (10, 3, "minimize"): (83, "0000001111", 3, (7, 62, 10, 0), "cbf2ea9f7b8be748"),
+    (20, 1, "minimize"): (1119, "00000000000000001111", 9, (40, 1013, 9, 0), "e98bb203e15840d0"),
+    (20, 2, "minimize"): (754, "00000000000000001111", 7, (29, 622, 2, 0), "49b55ca317e056af"),
+    (20, 3, "minimize"): (823, "00000000000000001111", 6, (31, 654, 140, 0), "332fa14bf6be45f4"),
+    (50, 1, "minimize"): (3776, "0" * 46 + "1111", 10, (160, 3059, 227, 0), "5d0504b170ac043d"),
+    (50, 2, "minimize"): (5562, "0" * 46 + "1111", 11, (240, 4517, 304, 0), "49fa9518aae202bb"),
+    (50, 3, "minimize"): (3416, "0" * 46 + "1111", 8, (139, 2741, 540, 0), "0b5473519e1a1877"),
     (20, 1, "maximize"): (
-        3228,
-        "11111111110110001100",
+        3602,
+        "11111111110010101100",
         12,
-        (131, 2858, 346, 1098163572489),
-        "351c24210029aa24",
+        (154, 3190, 383, 1097694148681),
+        "1c1573e173f19bed",
     ),
     (20, 2, "maximize"): (
-        3761,
-        "11111111100111001111",
+        2226,
+        "11111101000100011101",
         12,
-        (182, 3335, 377, 1096158744576),
-        "613c8a4287aaf503",
+        (112, 2024, 184, 1074452487364),
+        "dbc3efc8ee7e4d4a",
     ),
 }
 
