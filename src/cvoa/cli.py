@@ -309,12 +309,15 @@ def cmd_sweep(config: RunConfig, lengths: list[int]) -> int:
     )
     target = config.codec_spec.get("target", 15)
     pandemics = _repeat_configs(config)
-    rows: list[tuple[int, float | None, float]] = []
+    # every length is checked before the first run, so a bad one writes nothing
+    codecs: list[BinaryCodec] = []
     for length in lengths:
         try:
-            codec = BinaryCodec(bits=length, target=target)
+            codecs.append(BinaryCodec(bits=length, target=target))
         except ValueError as exc:
             raise ConfigError(f"length {length}: {exc}")
+    rows: list[tuple[int, float | None, float]] = []
+    for length, codec in zip(lengths, codecs):
         optimum = codec.optimum_fitness()
         runs: list[dict] = []
         for pandemic in pandemics:

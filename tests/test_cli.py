@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import cvoa.cli
 from cvoa import BinaryCodec, EpidemicParameters, Objective, PandemicResult
 from cvoa.cli import iterations_to_optimum, load_config, main
 
@@ -282,6 +283,21 @@ class TestSweep:
         path = write_config(tmp_path, {"parameters": {"objective": "maximize"}, "out": str(out)})
         assert main(["sweep", "--config", str(path), "--lengths", "10"]) == 2
         assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_every_length_checked_before_the_first_run(self, tmp_path, capsys, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("run_pandemic called before every length was checked")
+
+        monkeypatch.setattr(cvoa.cli, "run_pandemic", no_run)
+        out = tmp_path / "out"
+        path = write_config(tmp_path, {"out": str(out)})
+        assert main(["sweep", "--config", str(path), "--lengths", "10,5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert any(
+            line.startswith("error:") and "length 5" in line for line in captured.err.splitlines()
+        )
         assert not out.exists()
 
     def test_malformed_lengths_rejected(self, tmp_path, capsys):
