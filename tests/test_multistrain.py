@@ -1,7 +1,12 @@
 """Shared-ledger pandemics: PZ spreading, concurrency, aggregation."""
 
 import hashlib
-from dataclasses import replace
+import os
+import subprocess
+import sys
+from dataclasses import dataclass, replace
+from operator import attrgetter
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -26,6 +31,8 @@ from cvoa import (
     seed_patient_zeros,
 )
 from cvoa.nn import generate_net_patient_zero
+
+SRC = str(Path(cvoa.engine.__file__).resolve().parent.parent)
 
 
 def reference_seed_patient_zeros(n, codec, strategy, rng):
@@ -379,6 +386,88 @@ class TestRunPandemic:
         assert isinstance(partial, PandemicResult)
         assert partial.termination is None
         assert len(partial.strains) <= 5
+
+
+@dataclass(frozen=True)
+class UnorderedBits:
+    """A bit genotype that hashes and compares equal but has no order."""
+
+    value: int
+
+
+class ViewCodec:
+    """A 20-bit BinaryCodec whose genotypes are another type: `to_view`
+    maps an int genotype to it and `from_view` maps it back. Its draws
+    and scores are the int codec's."""
+
+    def __init__(self, to_view, from_view):
+        self.inner = BinaryCodec(bits=20)
+        self.to_view = to_view
+        self.from_view = from_view
+
+    def generate_patient_zero(self, rng):
+        return self.to_view(self.inner.generate_patient_zero(rng))
+
+    def replicate(self, parent, mode, traveler_rate, rng):
+        return self.to_view(self.inner.replicate(self.from_view(parent), mode, traveler_rate, rng))
+
+    def fitness(self, genotype):
+        return self.inner.fitness(self.from_view(genotype))
+
+    def distance(self, a, b):
+        return self.inner.distance(self.from_view(a), self.from_view(b))
+
+    def search_space_size(self):
+        return self.inner.search_space_size()
+
+    def text(self, genotype):
+        return self.inner.text(self.from_view(genotype))
+
+
+# a 3-strain run over bit-string genotypes, whose set order follows PYTHONHASHSEED
+STR_GENOTYPE_RUN = f"""
+import sys
+sys.path[:0] = [{SRC!r}, {str(Path(__file__).resolve().parent)!r}]
+from functools import partial
+from cvoa import EpidemicParameters, MultiStrainConfig, run_pandemic
+from test_multistrain import ViewCodec
+codec = ViewCodec("{{:020b}}".format, partial(int, base=2))
+result = run_pandemic(MultiStrainConfig.uniform(EpidemicParameters(seed=1, strains=3)), codec)
+print(repr(result))
+"""
+
+
+class TestGenotypeContract:
+    """The engine asks of a genotype only that it hash and compare equal."""
+
+    def test_unorderable_genotypes_run_and_reproduce(self):
+        with pytest.raises(TypeError):
+            UnorderedBits(1) < UnorderedBits(2)
+        codec = ViewCodec(UnorderedBits, attrgetter("value"))
+        config = MultiStrainConfig.uniform(EpidemicParameters(seed=1, strains=2))
+        first = run_pandemic(config, codec)
+        assert first.evaluations_total > 2
+        assert run_pandemic(config, codec) == first
+        # the engine never looks inside a genotype: the int codec makes the same run
+        plain = run_pandemic(config, BinaryCodec(bits=20))
+        assert first.history == plain.history
+        assert [s.history for s in first.strains] == [s.history for s in plain.strains]
+        assert first.best.genotype == UnorderedBits(plain.best.genotype)
+
+    def test_str_genotypes_give_the_same_run_under_any_hash_seed(self):
+        outputs = [
+            subprocess.run(
+                [sys.executable, "-c", STR_GENOTYPE_RUN],
+                capture_output=True,
+                text=True,
+                check=True,
+                timeout=120,
+                env={**os.environ, "PYTHONHASHSEED": hash_seed},
+            ).stdout
+            for hash_seed in ("0", "1")
+        ]
+        assert "PandemicResult(" in outputs[0]
+        assert outputs[0] == outputs[1]
 
 
 class FailOnKth:
