@@ -156,7 +156,7 @@ def build_codec(spec: dict, seed: int) -> Codec:
     """Instantiate the configured codec; `seed` pins a "random" surrogate target."""
     if spec["kind"] == "binary":
         try:
-            return BinaryCodec(bits=spec.get("bits", 10), target=spec.get("target", 15))
+            return BinaryCodec(**{name: value for name, value in spec.items() if name != "kind"})
         except ValueError as exc:
             raise ConfigError(str(exc))
     # loaded here, not at import, so a binary run never loads the nn codec
@@ -307,14 +307,13 @@ def cmd_sweep(config: RunConfig, lengths: list[int]) -> int:
         params.objective is Objective.MINIMIZE,
         "sweep requires objective minimize: it stops each run at the codec's minimum",
     )
-    target = config.codec_spec.get("target", 15)
     pandemics = _repeat_configs(config)
     # every length is checked before the first run, so a bad one writes nothing
     codecs: list[BinaryCodec] = []
     for length in lengths:
         try:
-            codecs.append(BinaryCodec(bits=length, target=target))
-        except ValueError as exc:
+            codecs.append(build_codec({**config.codec_spec, "bits": length}, params.seed))
+        except ConfigError as exc:
             raise ConfigError(f"length {length}: {exc}")
     rows: list[tuple[int, float | None, float]] = []
     for length, codec in zip(lengths, codecs):

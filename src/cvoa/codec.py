@@ -6,9 +6,9 @@ computed. Genotypes must be immutable, hashable and equality-comparable;
 they need no order, because the engine keeps its populations in the order
 it discovers them, and a fixed seed reproduces that order. The engine
 hashes and compares every candidate several times per iteration (ledger
-lookups), so genotypes should do both cheaply. A plain `int` is the
-cheapest (the binary codec's genotypes are `int`s, their length kept by
-the codec); a tuple also keeps that work in C.
+lookups), so genotypes should do both cheaply. Both codecs' genotypes
+are builtin-backed and do both in C: the binary codec's are plain `int`s,
+their length kept by the codec, and the nn codec's are named tuples.
 
 A codec may also offer a batch hook, `fitness_all(genotypes)`. The engine
 calls it once with all of a pandemic's patient zeros, in strain order, and

@@ -7,6 +7,10 @@ of per-layer unit codes. Codes decode through fixed lookup tables:
     drop_code  0..8  -> 0, 0.10, 0.15, ..., 0.45
     layer code 0..11 -> 25 * (code + 1) units (25..300)
 
+A genotype is a `NetGenotype` named tuple, hashed and compared in C.
+Building one checks no range: the engine builds only in-range genotypes,
+and `parse_net_text` and `NetCodec` check those that enter from outside.
+
 Two fitness paths are provided: a surrogate distance to a hidden target
 genotype (desk-scale stand-in for model training) and a bridge that ships
 the decoded architecture to an external evaluator process as line JSON.
@@ -21,7 +25,7 @@ import shlex
 import subprocess
 from dataclasses import dataclass
 from random import Random
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .codec import EvaluationError
 from .params import DistanceMode
@@ -37,12 +41,13 @@ MISSING_LAYER_PENALTY = 12
 _E_GUIDE = 0.85
 
 
-@dataclass(frozen=True)
-class NetGenotype:
+class NetGenotype(NamedTuple):
     lr_code: int
     drop_code: int
     layer_codes: tuple[int, ...]
 
+    # named __post_init__ because perfbench/child.py wraps that attribute;
+    # the rename goes with the next change to the benchmark
     def __post_init__(self) -> None:
         if not 0 <= self.lr_code < len(LR_TABLE):
             raise ValueError(f"lr_code {self.lr_code} out of [0,{len(LR_TABLE) - 1}]")
@@ -79,7 +84,9 @@ def parse_net_text(text: str) -> NetGenotype:
         raise ValueError(f"malformed genotype text: {text!r}") from exc
     if count != len(codes):
         raise ValueError(f"layer count {count} does not match {len(codes)} codes: {text!r}")
-    return NetGenotype(lr, drop, codes)
+    genotype = NetGenotype(lr, drop, codes)
+    genotype.__post_init__()
+    return genotype
 
 
 @dataclass(frozen=True)
@@ -124,12 +131,8 @@ def resize_layers(g: NetGenotype, new_count: int, rng: Random) -> NetGenotype:
     """Truncate trailing layers or append fresh uniform codes to reach new_count."""
     if not MIN_LAYERS <= new_count <= MAX_LAYERS:
         raise ValueError(f"layer count {new_count} out of ({MIN_LAYERS - 1},{MAX_LAYERS}]")
-    codes = g.layer_codes
-    if new_count < len(codes):
-        codes = codes[:new_count]
-    elif new_count > len(codes):
-        extra = tuple(rng.randint(0, LAYER_CODE_MAX) for _ in range(new_count - len(codes)))
-        codes = codes + extra
+    codes = g.layer_codes[:new_count]
+    codes += tuple(rng.randint(0, LAYER_CODE_MAX) for _ in range(new_count - len(codes)))
     return NetGenotype(g.lr_code, g.drop_code, codes)
 
 
@@ -157,11 +160,8 @@ def replicate_net(
     negative traveler_rate draws m uniformly in [0, 2+L]. With `toward`
     set, position picks and nudges prefer closing the gap to that genotype.
     """
-    lr = parent.lr_code
-    drop = parent.drop_code
-    layers = list(parent.layer_codes)
     if rng.random() < 1 / 3:
-        old_count = len(layers)
+        old_count = parent.layer_count
         new_count = None
         if toward is not None:
             desired = toward.layer_count
@@ -169,12 +169,11 @@ def replicate_net(
                 new_count = old_count + max(-2, min(2, desired - old_count))
         if new_count is None:
             new_count = mutate_position(old_count, MIN_LAYERS, MAX_LAYERS, rng)
-        if new_count < len(layers):
-            layers = layers[:new_count]
-        else:
-            layers += [rng.randint(0, LAYER_CODE_MAX) for _ in range(new_count - len(layers))]
+        parent = resize_layers(parent, new_count, rng)
         if mutation_log is not None and new_count != old_count:
             mutation_log.append(("resize", old_count, new_count))
+    lr, drop, codes = parent
+    layers = list(codes)
 
     count = len(layers)
     positions = 2 + count  # 0 = LR, 1 = DROP, 2.. = layers
@@ -333,7 +332,7 @@ class ExternalEvaluator:
 class NetCodec:
     """Codec over NetGenotype; scored by surrogate distance or an evaluator.
 
-    Exactly one of `target` (surrogate mode) and `evaluator` must be set.
+    Exactly one of `target` (surrogate mode, range-checked) and `evaluator` must be set.
     Surrogate mode knows its optimum and steers replication toward it;
     evaluator mode has no target knowledge, so replication stays uniform.
     """
@@ -344,6 +343,8 @@ class NetCodec:
     def __post_init__(self) -> None:
         if (self.target is None) == (self.evaluator is None):
             raise ValueError("configure exactly one of target / evaluator")
+        if self.target is not None:
+            self.target.__post_init__()
 
     def generate_patient_zero(self, rng: Random) -> NetGenotype:
         return generate_net_patient_zero(rng)

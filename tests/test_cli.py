@@ -163,12 +163,17 @@ class TestRunArtifacts:
         assert (out / "summary.json").exists()
 
     def test_best_text_is_genotype_string(self, tmp_path):
-        out = tmp_path / "out"
-        path = write_config(tmp_path, {"out": str(out)})
-        main(["run", "--config", str(path)])
-        text = (out / "run_1" / "best.txt").read_text().strip()
-        assert set(text) <= {"0", "1"}
-        assert len(text) == 10
+        # a config without bits or target gets BinaryCodec's defaults, 10 and 15
+        texts = []
+        for name, codec in (("set", BINARY_CONFIG["codec"]), ("unset", {"kind": "binary"})):
+            out = tmp_path / name
+            path = write_config(tmp_path, {"out": str(out)}, codec=codec)
+            main(["run", "--config", str(path)])
+            text = (out / "run_1" / "best.txt").read_text().strip()
+            assert set(text) <= {"0", "1"}
+            assert len(text) == 10
+            texts.append(text)
+        assert texts[0] == texts[1]
 
     def test_repeat_fans_out_run_directories(self, tmp_path):
         out = tmp_path / "out"
@@ -263,13 +268,18 @@ class TestFlagOverrides:
 
 class TestSweep:
     def test_two_lengths_two_rows(self, tmp_path):
-        out = tmp_path / "out"
-        path = write_config(tmp_path, {"out": str(out), "repeat": 5})
-        assert main(["sweep", "--config", str(path), "--lengths", "10,20"]) == 0
-        lines = (out / "sweep.csv").read_text().splitlines()
-        assert lines[0] == "Length,MeanIterationsToOptimum,MeanEvaluatedFraction"
-        assert len(lines) == 3
-        assert lines[1].startswith("10,") and lines[2].startswith("20,")
+        # a config without a target sweeps toward BinaryCodec's default, 15
+        tables = []
+        for name, codec in (("set", BINARY_CONFIG["codec"]), ("unset", {"kind": "binary"})):
+            out = tmp_path / name
+            path = write_config(tmp_path, {"out": str(out), "repeat": 5}, codec=codec)
+            assert main(["sweep", "--config", str(path), "--lengths", "10,20"]) == 0
+            lines = (out / "sweep.csv").read_text().splitlines()
+            assert lines[0] == "Length,MeanIterationsToOptimum,MeanEvaluatedFraction"
+            assert len(lines) == 3
+            assert lines[1].startswith("10,") and lines[2].startswith("20,")
+            tables.append(lines)
+        assert tables[0] == tables[1]
 
     def test_sweep_rejects_nn_config(self, tmp_path, capsys):
         config = {"codec": {"kind": "nn", "surrogate_target": "random"}}

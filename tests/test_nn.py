@@ -49,6 +49,14 @@ net_genotypes = st.builds(
 )
 
 
+def assert_in_range(g):
+    """Every code and the layer count inside its table, checked independently."""
+    assert 0 <= g.lr_code < len(LR_TABLE)
+    assert 0 <= g.drop_code < len(DROP_TABLE)
+    assert 2 <= g.layer_count <= 11
+    assert all(0 <= code <= 11 for code in g.layer_codes)
+
+
 class TestDecode:
     def test_worked_architecture(self):
         g = parse_net_text("{4,0,8}{9,7,2,7,2,7,10,7}")
@@ -71,19 +79,30 @@ class TestDecode:
 
 
 class TestGenotype:
+    def test_is_a_named_tuple_equal_to_the_plain_tuple(self):
+        g = NetGenotype(1, 2, (3, 4))
+        assert g == (1, 2, (3, 4)) and hash(g) == hash((1, 2, (3, 4)))
+        assert repr(g) == "NetGenotype(lr_code=1, drop_code=2, layer_codes=(3, 4))"
+        assert g.layer_count == 2 and g.text() == "{1,2,2}{3,4}"
+
     def test_code_ranges_enforced(self):
-        with pytest.raises(ValueError):
-            NetGenotype(6, 0, (0, 0))
-        with pytest.raises(ValueError):
-            NetGenotype(0, 9, (0, 0))
-        with pytest.raises(ValueError):
-            NetGenotype(0, 0, (12, 0))
+        # construction checks nothing; the two ways in from outside do
+        for genotype in (
+            NetGenotype(6, 0, (0, 0)),
+            NetGenotype(0, 9, (0, 0)),
+            NetGenotype(0, 0, (12, 0)),
+        ):
+            with pytest.raises(ValueError, match="out of"):
+                parse_net_text(genotype.text())
+            with pytest.raises(ValueError, match="out of"):
+                NetCodec(target=genotype)
 
     def test_layer_count_bounds(self):
-        with pytest.raises(ValueError):
-            NetGenotype(0, 0, (1,))
-        with pytest.raises(ValueError):
-            NetGenotype(0, 0, tuple([0] * 12))
+        for genotype in (NetGenotype(0, 0, (1,)), NetGenotype(0, 0, tuple([0] * 12))):
+            with pytest.raises(ValueError, match="layer count"):
+                parse_net_text(genotype.text())
+            with pytest.raises(ValueError, match="layer count"):
+                NetCodec(target=genotype)
 
     @given(net_genotypes)
     def test_text_round_trip(self, g):
@@ -250,9 +269,31 @@ class TestReplicate:
         for step in range(100_000):
             mode = DistanceMode.TRAVELER if step % 3 == 0 else DistanceMode.ORDINARY
             g = replicate_net(g, mode, -1 if step % 5 == 0 else 3, rng)
-            # NetGenotype construction re-checks ranges; spot-check shape too
-            assert 2 <= g.layer_count <= 11
-            assert len(g.layer_codes) == g.layer_count
+            assert_in_range(g)
+
+    @given(
+        st.integers(0, 2**32),
+        st.sampled_from(
+            [
+                (DistanceMode.ORDINARY, 3),
+                (DistanceMode.TRAVELER, 3),
+                (DistanceMode.TRAVELER, -1),
+                (DistanceMode.TRAVELER, 0),
+            ]
+        ),
+        st.booleans(),
+    )
+    @settings(max_examples=200)
+    def test_every_child_passes_the_range_check(self, seed, move, guided):
+        # the engine builds genotypes unchecked, so both builders must stay in range
+        rng = Random(seed)
+        toward = generate_net_patient_zero(rng) if guided else None
+        g = generate_net_patient_zero(rng)
+        g.__post_init__()
+        mode, rate = move
+        for _ in range(50):
+            g = replicate_net(g, mode, rate, rng, toward=toward)
+            g.__post_init__()
 
 
 class TestSurrogate:
@@ -395,7 +436,7 @@ class TestNetCodec:
         g = generate_net_patient_zero(rng)
         for _ in range(2000):
             g = codec.replicate(g, DistanceMode.ORDINARY, 3, rng)
-            assert 2 <= g.layer_count <= 11
+            assert_in_range(g)
 
     def test_surrogate_fitness_all_scores_in_order(self):
         codec = NetCodec(target=NetGenotype(1, 2, (3, 4)))
