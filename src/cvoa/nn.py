@@ -61,12 +61,8 @@ class NetGenotype(NamedTuple):
             if not 0 <= code <= LAYER_CODE_MAX:
                 raise ValueError(f"layer code {code} out of [0,{LAYER_CODE_MAX}]")
 
-    @property
-    def layer_count(self) -> int:
-        return len(self.layer_codes)
-
     def text(self) -> str:
-        head = f"{{{self.lr_code},{self.drop_code},{self.layer_count}}}"
+        head = f"{{{self.lr_code},{self.drop_code},{len(self.layer_codes)}}}"
         body = "{" + ",".join(str(c) for c in self.layer_codes) + "}"
         return head + body
 
@@ -149,7 +145,6 @@ def replicate_net(
     rng: Random,
     *,
     toward: NetGenotype | None = None,
-    mutation_log: list | None = None,
 ) -> NetGenotype:
     """Mutated child of parent.
 
@@ -161,17 +156,15 @@ def replicate_net(
     set, position picks and nudges prefer closing the gap to that genotype.
     """
     if rng.random() < 1 / 3:
-        old_count = parent.layer_count
+        old_count = len(parent.layer_codes)
         new_count = None
         if toward is not None:
-            desired = toward.layer_count
+            desired = len(toward.layer_codes)
             if rng.random() < _E_GUIDE and old_count != desired:
                 new_count = old_count + max(-2, min(2, desired - old_count))
         if new_count is None:
             new_count = mutate_position(old_count, MIN_LAYERS, MAX_LAYERS, rng)
         parent = resize_layers(parent, new_count, rng)
-        if mutation_log is not None and new_count != old_count:
-            mutation_log.append(("resize", old_count, new_count))
     lr, drop, codes = parent
     layers = list(codes)
 
@@ -191,7 +184,7 @@ def replicate_net(
             differing.append(0)
         if drop != toward.drop_code:
             differing.append(1)
-        aligned = min(count, toward.layer_count)
+        aligned = min(count, len(toward.layer_codes))
         differing.extend(2 + i for i in range(aligned) if layers[i] != toward.layer_codes[i])
 
     chosen: set[int] = set()
@@ -212,23 +205,17 @@ def replicate_net(
                 lr = _step_toward(lr, toward.lr_code, 0, len(LR_TABLE) - 1, rng)
             else:
                 lr = mutate_position(lr, 0, len(LR_TABLE) - 1, rng)
-            if mutation_log is not None:
-                mutation_log.append(("mutate", "lr"))
         elif pos == 1:
             if toward is not None:
                 drop = _step_toward(drop, toward.drop_code, 0, len(DROP_TABLE) - 1, rng)
             else:
                 drop = mutate_position(drop, 0, len(DROP_TABLE) - 1, rng)
-            if mutation_log is not None:
-                mutation_log.append(("mutate", "drop"))
         else:
             i = pos - 2
-            if toward is not None and i < toward.layer_count:
+            if toward is not None and i < len(toward.layer_codes):
                 layers[i] = _step_toward(layers[i], toward.layer_codes[i], 0, LAYER_CODE_MAX, rng)
             else:
                 layers[i] = mutate_position(layers[i], 0, LAYER_CODE_MAX, rng)
-            if mutation_log is not None:
-                mutation_log.append(("mutate", ("layer", i)))
     return NetGenotype(lr, drop, tuple(layers))
 
 
@@ -236,10 +223,11 @@ def surrogate_fitness(g: NetGenotype, target: NetGenotype) -> int:
     """Weighted mismatch distance; 0 iff the genotypes are equal."""
     total = abs(g.lr_code - target.lr_code)
     total += abs(g.drop_code - target.drop_code)
-    total += 2 * abs(g.layer_count - target.layer_count)
+    count_gap = abs(len(g.layer_codes) - len(target.layer_codes))
+    total += 2 * count_gap
     for a, b in zip(g.layer_codes, target.layer_codes):
         total += abs(a - b)
-    total += MISSING_LAYER_PENALTY * abs(g.layer_count - target.layer_count)
+    total += MISSING_LAYER_PENALTY * count_gap
     return total
 
 
@@ -248,7 +236,7 @@ def net_distance(a: NetGenotype, b: NetGenotype) -> int:
     d = int(a.lr_code != b.lr_code) + int(a.drop_code != b.drop_code)
     for x, y in zip(a.layer_codes, b.layer_codes):
         d += int(x != y)
-    return d + abs(a.layer_count - b.layer_count)
+    return d + abs(len(a.layer_codes) - len(b.layer_codes))
 
 
 def net_search_space_size() -> int:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cvoa.nn
 from cvoa import (
     DistanceMode,
     EvaluationError,
@@ -23,6 +24,8 @@ from cvoa import (
 from cvoa.nn import (
     DROP_TABLE,
     LR_TABLE,
+    MAX_LAYERS,
+    MIN_LAYERS,
     decode,
     generate_net_patient_zero,
     net_distance,
@@ -53,7 +56,7 @@ def assert_in_range(g):
     """Every code and the layer count inside its table, checked independently."""
     assert 0 <= g.lr_code < len(LR_TABLE)
     assert 0 <= g.drop_code < len(DROP_TABLE)
-    assert 2 <= g.layer_count <= 11
+    assert 2 <= len(g.layer_codes) <= 11
     assert all(0 <= code <= 11 for code in g.layer_codes)
 
 
@@ -83,7 +86,7 @@ class TestGenotype:
         g = NetGenotype(1, 2, (3, 4))
         assert g == (1, 2, (3, 4)) and hash(g) == hash((1, 2, (3, 4)))
         assert repr(g) == "NetGenotype(lr_code=1, drop_code=2, layer_codes=(3, 4))"
-        assert g.layer_count == 2 and g.text() == "{1,2,2}{3,4}"
+        assert len(g.layer_codes) == 2 and g.text() == "{1,2,2}{3,4}"
 
     def test_code_ranges_enforced(self):
         # construction checks nothing; the two ways in from outside do
@@ -119,7 +122,7 @@ class TestPatientZero:
         rng = Random(0)
         for _ in range(1000):
             g = generate_net_patient_zero(rng)
-            assert 2 <= g.layer_count <= 11
+            assert 2 <= len(g.layer_codes) <= 11
 
     def test_layer_count_uniform(self):
         rng = Random(1)
@@ -127,7 +130,7 @@ class TestPatientZero:
         counts = {}
         for _ in range(draws):
             g = generate_net_patient_zero(rng)
-            counts[g.layer_count] = counts.get(g.layer_count, 0) + 1
+            counts[len(g.layer_codes)] = counts.get(len(g.layer_codes), 0) + 1
         for value in range(2, 12):
             assert abs(counts.get(value, 0) / draws - 0.1) < 0.02
 
@@ -176,7 +179,7 @@ class TestResize:
     def test_growth_keeps_prefix_and_draws_fresh_codes(self):
         g = parse_net_text("{2,0,4}{3,2,1,6}")
         grown = resize_layers(g, 6, Random(0))
-        assert grown.layer_count == 6
+        assert len(grown.layer_codes) == 6
         assert grown.layer_codes[:4] == (3, 2, 1, 6)
         assert all(0 <= c <= 11 for c in grown.layer_codes[4:])
 
@@ -195,49 +198,73 @@ class TestResize:
     @settings(max_examples=100)
     def test_grow_then_shrink_preserves_prefix(self, g, seed):
         rng = Random(seed)
-        bigger = min(11, g.layer_count + 3)
-        back = resize_layers(resize_layers(g, bigger, rng), g.layer_count, rng)
+        bigger = min(11, len(g.layer_codes) + 3)
+        back = resize_layers(resize_layers(g, bigger, rng), len(g.layer_codes), rng)
         assert back == g
 
 
+@pytest.fixture
+def mutation_log(monkeypatch):
+    """The nudges and resizes replicate_net makes, as ("mutate", value, low,
+    high) and ("resize", old_count, new_count) entries; each position of the
+    parents below has a distinct (value, low, high), so it names the position."""
+    log = []
+    nudge, resize = cvoa.nn.mutate_position, cvoa.nn.resize_layers
+
+    def logged_nudge(value, low, high, rng):
+        # the layer-count nudge before a resize is not a position
+        if (low, high) != (MIN_LAYERS, MAX_LAYERS):
+            log.append(("mutate", value, low, high))
+        return nudge(value, low, high, rng)
+
+    def logged_resize(g, new_count, rng):
+        if new_count != len(g.layer_codes):
+            log.append(("resize", len(g.layer_codes), new_count))
+        return resize(g, new_count, rng)
+
+    monkeypatch.setattr(cvoa.nn, "mutate_position", logged_nudge)
+    monkeypatch.setattr(cvoa.nn, "resize_layers", logged_resize)
+    return log
+
+
 class TestReplicate:
-    def test_ordinary_mutates_one_position(self):
+    def test_ordinary_mutates_one_position(self, mutation_log):
         rng = Random(4)
         parent = parse_net_text("{2,3,5}{1,4,7,9,11}")
         for _ in range(300):
-            log = []
-            child = replicate_net(parent, DistanceMode.ORDINARY, 3, rng, mutation_log=log)
-            mutes = [entry for entry in log if entry[0] == "mutate"]
+            mutation_log.clear()
+            child = replicate_net(parent, DistanceMode.ORDINARY, 3, rng)
+            mutes = [entry for entry in mutation_log if entry[0] == "mutate"]
             assert len(mutes) == 1
-            assert 2 <= child.layer_count <= 11
+            assert 2 <= len(child.layer_codes) <= 11
 
-    def test_traveler_rate_counts_positions_not_value_diffs(self):
+    def test_traveler_rate_counts_positions_not_value_diffs(self, mutation_log):
         # clamping can hide a mutation in the value diff; the log cannot lie
         rng = Random(5)
         parent = parse_net_text("{2,3,5}{1,4,7,9,11}")
         samples = 0
         for _ in range(2000):
-            log = []
-            replicate_net(parent, DistanceMode.TRAVELER, 3, rng, mutation_log=log)
-            if any(entry[0] == "resize" for entry in log):
+            mutation_log.clear()
+            replicate_net(parent, DistanceMode.TRAVELER, 3, rng)
+            if any(entry[0] == "resize" for entry in mutation_log):
                 continue
-            mutes = [entry[1] for entry in log if entry[0] == "mutate"]
+            mutes = [entry[1:] for entry in mutation_log if entry[0] == "mutate"]
             assert len(mutes) == 3
             assert len(set(mutes)) == 3
             samples += 1
         assert samples > 500
 
-    def test_negative_rate_draws_count_uniformly(self):
+    def test_negative_rate_draws_count_uniformly(self, mutation_log):
         rng = Random(6)
         parent = parse_net_text("{2,3,5}{1,4,7,9,11}")  # 5 layers -> m in [0,7]
         counts = {}
         samples = 0
         for _ in range(30_000):
-            log = []
-            replicate_net(parent, DistanceMode.TRAVELER, -1, rng, mutation_log=log)
-            if any(entry[0] == "resize" for entry in log):
+            mutation_log.clear()
+            replicate_net(parent, DistanceMode.TRAVELER, -1, rng)
+            if any(entry[0] == "resize" for entry in mutation_log):
                 continue
-            m = sum(entry[0] == "mutate" for entry in log)
+            m = sum(entry[0] == "mutate" for entry in mutation_log)
             counts[m] = counts.get(m, 0) + 1
             samples += 1
         assert set(counts) == set(range(8))
@@ -252,15 +279,15 @@ class TestReplicate:
         )
         assert clones > 0  # m = 0 duplicates are allowed; the population set collapses them
 
-    def test_layer_count_mutates_about_a_third_of_the_time(self):
+    def test_layer_count_mutates_about_a_third_of_the_time(self, mutation_log):
         rng = Random(8)
         parent = parse_net_text("{2,3,5}{1,4,7,9,11}")
         resized = 0
         draws = 10_000
         for _ in range(draws):
-            log = []
-            replicate_net(parent, DistanceMode.ORDINARY, 3, rng, mutation_log=log)
-            resized += any(entry[0] == "resize" for entry in log)
+            mutation_log.clear()
+            replicate_net(parent, DistanceMode.ORDINARY, 3, rng)
+            resized += any(entry[0] == "resize" for entry in mutation_log)
         assert abs(resized / draws - 1 / 3) < 0.02
 
     def test_long_mutation_chain_preserves_invariants(self):
