@@ -25,7 +25,7 @@ in the order they are given.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from random import Random
 from typing import Any, Iterable
@@ -182,17 +182,14 @@ def infect(
     params: EpidemicParameters,
     codec: Codec,
     rng: Random,
+    wide: bool,
 ) -> None:
-    """Spread from one individual: one travel draw and one super-spreader
-    draw against params.p_superspreader decide the move distance and the
-    candidate count for the whole brood; each candidate is routed through
-    new_infection. The strain loop passes p_superspreader as 1 or 0, by
-    the spreader's fitness rank."""
+    """Spread from one individual: one travel draw decides the move
+    distance for the whole brood, then one draw its candidate count, from
+    the super-spreader range if `wide`, else the ordinary range; each
+    candidate is routed through new_infection."""
     traveling = rng.random() < params.p_travel
-    super_spreading = rng.random() < params.p_superspreader
-    lo, hi = (
-        params.superspreader_spread_range if super_spreading else params.ordinary_spread_range
-    )
+    lo, hi = params.superspreader_spread_range if wide else params.ordinary_spread_range
     count = lo + randbelow(rng, hi - lo + 1)  # rng.randint(lo, hi), draw for draw
     mode = DistanceMode.TRAVELER if traveling else DistanceMode.ORDINARY
     replicate = codec.replicate
@@ -272,10 +269,6 @@ class Strain:
         self.history: list[IterationRecord] = []
         self.iteration = 0
         self.best = patient_zero
-        self._spread_params = (
-            replace(params, p_superspreader=1.0),
-            replace(params, p_superspreader=0.0),
-        )
 
     @property
     def active(self) -> bool:
@@ -303,7 +296,6 @@ class Strain:
         ledger.new_infected = {}
         ledger.isolated_now = {}
         superspreaders = superspreader_count(params.p_superspreader, len(ledger.infected))
-        wide, narrow = self._spread_params
         # fittest first: a stable sort of discovery order, which reverse=True
         # keeps too, so ties stay in discovery order under either objective
         spreaders = sorted(
@@ -312,7 +304,7 @@ class Strain:
             reverse=params.objective is Objective.MAXIMIZE,
         )
         for rank, spreader in enumerate(spreaders):
-            infect(spreader, ledger, wide if rank < superspreaders else narrow, self.codec, rng)
+            infect(spreader, ledger, params, self.codec, rng, rank < superspreaders)
 
         isolates = [g for g in ledger.isolated_now if g not in ledger.new_infected]
         fresh = [*ledger.new_infected, *isolates]

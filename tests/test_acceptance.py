@@ -157,12 +157,12 @@ def test_instrumented_run_upholds_ledger_invariants(monkeypatch):
     original_infect = cvoa.engine.infect
     original_new_infection = cvoa.engine.new_infection
 
-    def checked_infect(individual, ledger, params, codec, rng):
+    def checked_infect(individual, ledger, params, codec, rng, wide):
         if individual in ledger.shared.dead:
             violations.append(("spreader is dead", individual))
         if ledger.infected.keys() & ledger.shared.dead:
             violations.append(("dead overlap infected at spread time",))
-        return original_infect(individual, ledger, params, codec, rng)
+        return original_infect(individual, ledger, params, codec, rng, wide)
 
     def checked_new_infection(candidate, ledger, params, rng):
         disposition = original_new_infection(candidate, ledger, params, rng)

@@ -168,34 +168,34 @@ class TestNewInfection:
 class TestInfect:
     def test_superspreader_uses_wide_range(self):
         codec = RecordingCodec(bits=20)
-        params = EpidemicParameters(p_superspreader=1.0, p_isolation=0.0)
+        params = EpidemicParameters(p_isolation=0.0)
         for seed in range(20):
             codec.replicate_modes.clear()
             ledger = PopulationLedger(shared=SharedLedger())
-            infect(5, ledger, params, codec, Random(seed))
+            infect(5, ledger, params, codec, Random(seed), True)
             assert 6 <= len(codec.replicate_modes) <= 15
 
     def test_zero_width_ordinary_range_spreads_nothing(self):
         codec = RecordingCodec()
-        params = EpidemicParameters(p_superspreader=0.0, ordinary_spread_range=(0, 0))
+        params = EpidemicParameters(ordinary_spread_range=(0, 0))
         ledger = PopulationLedger(shared=SharedLedger())
-        infect(5, ledger, params, codec, Random(0))
+        infect(5, ledger, params, codec, Random(0), False)
         assert ledger.new_infected.keys() == set()
         assert codec.replicate_modes == []
 
     def test_forced_travel_uses_traveler_mode_for_whole_brood(self):
         codec = RecordingCodec(bits=20)
-        params = EpidemicParameters(p_travel=1.0, p_superspreader=1.0)
+        params = EpidemicParameters(p_travel=1.0)
         ledger = PopulationLedger(shared=SharedLedger())
-        infect(5, ledger, params, codec, Random(0))
+        infect(5, ledger, params, codec, Random(0), True)
         assert codec.replicate_modes
         assert all(mode is DistanceMode.TRAVELER for mode in codec.replicate_modes)
 
     def test_no_travel_stays_ordinary(self):
         codec = RecordingCodec(bits=20)
-        params = EpidemicParameters(p_travel=0.0, p_superspreader=1.0)
+        params = EpidemicParameters(p_travel=0.0)
         ledger = PopulationLedger(shared=SharedLedger())
-        infect(5, ledger, params, codec, Random(0))
+        infect(5, ledger, params, codec, Random(0), True)
         assert all(mode is DistanceMode.ORDINARY for mode in codec.replicate_modes)
 
     def test_added_genotypes_land_in_new_infected(self, monkeypatch):
@@ -208,12 +208,37 @@ class TestInfect:
             return disposition
 
         monkeypatch.setattr(cvoa.engine, "new_infection", recording)
-        params = EpidemicParameters(p_superspreader=1.0, p_isolation=0.0)
+        params = EpidemicParameters(p_isolation=0.0)
         ledger = PopulationLedger(shared=SharedLedger())
-        infect(5, ledger, params, RecordingCodec(), Random(1))
+        infect(5, ledger, params, RecordingCodec(), Random(1), True)
         admitted = (Disposition.ADDED_TO_NEW_INFECTED, Disposition.REINFECTED)
         assert ledger.new_infected
         assert ledger.new_infected.keys() == {c for c, d in routed if d in admitted}
+
+    @pytest.mark.parametrize("wide", [True, False])
+    def test_draws_travel_then_count_then_each_candidate(self, wide):
+        # replayed on a clone of the stream: a draw added, dropped or
+        # reordered leaves the two streams, or the broods, apart
+        codec = BinaryCodec(bits=20)
+        params = EpidemicParameters(p_travel=0.5)
+        for seed in range(20):
+            rng = Random(seed)
+            clone = Random()
+            clone.setstate(rng.getstate())
+            ledger = PopulationLedger(shared=SharedLedger())
+            infect(5, ledger, params, codec, rng, wide)
+
+            traveling = clone.random() < params.p_travel
+            lo, hi = params.superspreader_spread_range if wide else params.ordinary_spread_range
+            count = clone.randint(lo, hi)
+            mode = DistanceMode.TRAVELER if traveling else DistanceMode.ORDINARY
+            replay = PopulationLedger(shared=SharedLedger())
+            for _ in range(count):
+                candidate = codec.replicate(5, mode, params.traveler_rate, clone)
+                new_infection(candidate, replay, params, clone)
+            assert rng.getstate() == clone.getstate()
+            assert list(ledger.new_infected) == list(replay.new_infected)
+            assert list(ledger.isolated_now) == list(replay.isolated_now)
 
 
 class TestSuperspreaders:
@@ -240,10 +265,10 @@ class TestSuperspreaders:
 
         discovered = []
 
-        def recording(individual, ledger, params, codec, rng):
-            seen.append((ledger.shared.fitness_cache[individual], individual, params.p_superspreader))
+        def recording(individual, ledger, params, codec, rng, wide):
+            seen.append((ledger.shared.fitness_cache[individual], individual, wide))
             discovered.append(list(ledger.infected))
-            return original(individual, ledger, params, codec, rng)
+            return original(individual, ledger, params, codec, rng, wide)
 
         monkeypatch.setattr(cvoa.engine, "infect", recording)
         for objective, sign in ((Objective.MINIMIZE, 1), (Objective.MAXIMIZE, -1)):
@@ -254,8 +279,8 @@ class TestSuperspreaders:
             )
             run_strain(params, BinaryCodec(bits=20), Random(1))
             second = seen[1:]  # the spreaders of iteration 2, in the order they spread
-            wide = [sign * f for f, _, p in second if p == 1.0]
-            narrow = [sign * f for f, _, p in second if p == 0.0]
+            wide = [sign * f for f, _, w in second if w]
+            narrow = [sign * f for f, _, w in second if not w]
             assert len(wide) == superspreader_count(0.1, len(second))
             # fittest first, ties in discovery order: the infected's own order
             fitness = {g: sign * f for f, g, _ in second}

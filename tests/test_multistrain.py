@@ -358,9 +358,9 @@ class TestRunPandemic:
         original = cvoa.engine.infect
         spreads = []
 
-        def checked(individual, ledger, params, codec, rng):
+        def checked(individual, ledger, params, codec, rng, wide):
             spreads.append(individual in ledger.shared.dead)
-            return original(individual, ledger, params, codec, rng)
+            return original(individual, ledger, params, codec, rng, wide)
 
         monkeypatch.setattr(cvoa.engine, "infect", checked)
         for seed in range(1, 11):
