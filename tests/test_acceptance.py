@@ -150,7 +150,7 @@ def test_fixed_seed_single_strain_csv_is_byte_identical(tmp_path):
 
 
 def test_instrumented_run_upholds_ledger_invariants(monkeypatch):
-    """A whole run, 28 iterations to extinction, with every disposition and
+    """A whole run, 29 iterations to extinction, with every disposition and
     spread call checked: dead/recovered disjoint, dead never spread from or
     readmitted, monotone best."""
     violations = []
@@ -180,7 +180,7 @@ def test_instrumented_run_upholds_ledger_invariants(monkeypatch):
     result = run_strain(EpidemicParameters(seed=0), BinaryCodec(bits=30, target=TARGET), Random(0))
     # a fixed-seed trajectory fact, like the pins in test_multistrain.py: a
     # deliberate change to the search re-pins it, never the seed or parameters
-    assert (len(result.history), result.termination) == (28, Termination.EXTINCTION), (
+    assert (len(result.history), result.termination) == (29, Termination.EXTINCTION), (
         "the instrumented run changed length"
     )
     best_trace = [row.best_fitness for row in result.history]

@@ -287,13 +287,13 @@ class TestRunPandemic:
             assert all(n < lengths[first] for n in lengths[first + 1 :])
 
     def test_goal_stop_reports_goal_reached(self):
-        # 20 bits, seed 1: strain 0 reaches 0 in iteration 9 of 30
+        # 20 bits, seed 1: strain 2 reaches 0 in iteration 7 of 30
         result = run_pandemic(
             MultiStrainConfig.uniform(EpidemicParameters(seed=1, strains=5)),
             BinaryCodec(bits=20),
             stop_fitness=0,
         )
-        assert len(result.history) == 9
+        assert len(result.history) == 7
         assert result.termination is Termination.GOAL_REACHED
         assert [s.termination for s in result.strains] == [Termination.GOAL_REACHED] * 5
 
@@ -544,15 +544,15 @@ class TestPartialResults:
 # (bits, seed) -> (evaluations_total, best text, iterations, last history row,
 # sha256 prefix of repr() of the (deaths, recovered, infected, best) rows)
 SINGLE_STRAIN_PINS = {
-    (10, 1): (22, "0000001111", 12, (1, 32, 0, 0), "70203f0daf06cfc8"),
-    (10, 2): (114, "0000001111", 12, (4, 121, 0, 0), "b1369ad8d9298333"),
-    (10, 3): (48, "0000001111", 15, (5, 55, 0, 0), "0a0ef81714c6e2c6"),
-    (20, 1): (70, "00000000000000001111", 12, (2, 74, 0, 0), "4e00154b5d52e889"),
-    (20, 2): (880, "00000000000000001111", 26, (47, 866, 0, 0), "1c7e18d4dd9d25e7"),
-    (20, 3): (547, "00000000000000001111", 30, (37, 547, 3, 0), "b611d111dec98145"),
-    (50, 1): (38137, "0" * 46 + "1111", 30, (1997, 36729, 682, 0), "e7648cb4a27d304a"),
-    (50, 2): (12854, "0" * 46 + "1111", 30, (571, 12467, 220, 0), "ddd5830176ac2e77"),
-    (50, 3): (74702, "0" * 46 + "1111", 30, (3757, 71341, 1923, 0), "dbb29e3a3566c473"),
+    (10, 1): (6, "0000001101", 3, (3, 3, 0, 4), "10f27422fb6dee1d"),
+    (10, 2): (59, "0000001111", 12, (9, 53, 0, 0), "741ba8a9c52b7986"),
+    (10, 3): (10, "0001110011", 2, (1, 9, 0, 10000), "3e078f2c30a173fe"),
+    (20, 1): (54, "00000000000000001111", 10, (3, 56, 0, 0), "8103939c73ab4c34"),
+    (20, 2): (1078, "00000000000000001111", 27, (73, 1058, 0, 0), "5eb0bf5bb8a634bf"),
+    (20, 3): (291, "00000000000000001111", 17, (17, 293, 0, 0), "99e422c36e55c8bb"),
+    (50, 1): (18356, "0" * 46 + "1111", 30, (928, 17651, 346, 0), "acf36c30bc3a4b5e"),
+    (50, 2): (50020, "0" * 46 + "1111", 30, (2502, 47856, 1193, 0), "32d2301134b5d9df"),
+    (50, 3): (55655, "0" * 46 + "1111", 30, (2819, 52863, 1663, 0), "0a783e594cd97e6c"),
 }
 
 
@@ -584,28 +584,28 @@ def test_single_strain_trajectory_is_pinned(bits, seed):
 # (bits, seed, objective) -> the same fields as SINGLE_STRAIN_PINS, for
 # 5 strains: minimize stops at the optimum, maximize runs 12 iterations
 MULTI_STRAIN_PINS = {
-    (10, 1, "minimize"): (54, "0000001111", 2, (1, 36, 13, 0), "11fc2726745620ad"),
-    (10, 2, "minimize"): (13, "0000001111", 1, (0, 6, 4, 0), "9af26f484dc8a4f5"),
-    (10, 3, "minimize"): (83, "0000001111", 3, (7, 62, 10, 0), "cbf2ea9f7b8be748"),
-    (20, 1, "minimize"): (1119, "00000000000000001111", 9, (40, 1013, 9, 0), "e98bb203e15840d0"),
-    (20, 2, "minimize"): (754, "00000000000000001111", 7, (29, 622, 2, 0), "49b55ca317e056af"),
-    (20, 3, "minimize"): (823, "00000000000000001111", 6, (31, 654, 140, 0), "332fa14bf6be45f4"),
-    (50, 1, "minimize"): (3776, "0" * 46 + "1111", 10, (160, 3059, 227, 0), "5d0504b170ac043d"),
-    (50, 2, "minimize"): (5562, "0" * 46 + "1111", 11, (240, 4517, 304, 0), "49fa9518aae202bb"),
-    (50, 3, "minimize"): (3416, "0" * 46 + "1111", 8, (139, 2741, 540, 0), "0b5473519e1a1877"),
+    (10, 1, "minimize"): (74, "0000001111", 3, (1, 57, 8, 0), "28d61fb315adf386"),
+    (10, 2, "minimize"): (13, "0000001111", 1, (0, 4, 6, 0), "42ed9709d7c197b8"),
+    (10, 3, "minimize"): (118, "0000001111", 4, (0, 91, 4, 0), "46fea2120d52705b"),
+    (20, 1, "minimize"): (721, "00000000000000001111", 7, (35, 614, 34, 0), "1a6e01dc26f01e2e"),
+    (20, 2, "minimize"): (736, "00000000000000001111", 7, (35, 586, 1, 0), "f8fea1d6d5a7947f"),
+    (20, 3, "minimize"): (552, "00000000000000001111", 5, (26, 422, 112, 0), "9af1373d97a91e8e"),
+    (50, 1, "minimize"): (1829, "0" * 46 + "1111", 7, (67, 1421, 284, 0), "f193b408be515446"),
+    (50, 2, "minimize"): (2695, "0" * 46 + "1111", 8, (127, 2122, 376, 0), "528311a78f8c14d5"),
+    (50, 3, "minimize"): (3688, "0" * 46 + "1111", 9, (182, 2985, 467, 0), "3c3d19aec2b1ee3d"),
     (20, 1, "maximize"): (
-        3602,
-        "11111111110010101100",
+        5753,
+        "11111111101011111111",
         12,
-        (154, 3190, 383, 1097694148681),
-        "1c1573e173f19bed",
+        (238, 4885, 716, 1096795398400),
+        "3268f923d7e73cd3",
     ),
     (20, 2, "maximize"): (
-        2226,
-        "11111101000100011101",
+        3251,
+        "11111111110101000011",
         12,
-        (112, 2024, 184, 1074452487364),
-        "dbc3efc8ee7e4d4a",
+        (157, 2812, 347, 1098010579600),
+        "eeea49954c3aeea6",
     ),
 }
 
