@@ -47,6 +47,10 @@ class MultiStrainConfig:
         seeds = [p.seed for p in self.parameters]
         if len(set(seeds)) != len(seeds):
             raise ValueError(f"strain seeds must be pairwise distinct, got {seeds}")
+        objectives = [p.objective.value for p in self.parameters]
+        if len(set(objectives)) != 1:
+            # one pandemic picks one best, so its strains must rank alike
+            raise ValueError(f"strains must share one objective, got {objectives}")
 
     @classmethod
     def uniform(

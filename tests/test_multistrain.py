@@ -131,6 +131,16 @@ class TestMultiStrainConfig:
         with pytest.raises(ValueError):
             MultiStrainConfig(parameters=(EpidemicParameters(seed=1), EpidemicParameters(seed=1)))
 
+    def test_mixed_objectives_rejected(self):
+        # the pandemic's best is picked under one objective and each strain
+        # ranks its spreaders under its own, so a mix has no single answer
+        strains = (
+            EpidemicParameters(seed=1),
+            EpidemicParameters(seed=2, objective=Objective.MAXIMIZE),
+        )
+        with pytest.raises(ValueError, match="objective"):
+            MultiStrainConfig(parameters=strains)
+
     def test_empty_config_rejected(self):
         with pytest.raises(ValueError):
             MultiStrainConfig(parameters=())
