@@ -23,7 +23,6 @@ from .codec import Codec, EvaluatedIndividual, EvaluationError
 from .engine import (
     Disposition,
     IterationRecord,
-    PopulationLedger,
     SharedLedger,
     StrainResult,
     Termination,

@@ -179,6 +179,12 @@ def build_codec(spec: dict, seed: int) -> Codec:
     return NetCodec(target=target)
 
 
+def _require_room(codec: Codec, strains: int) -> None:
+    # each strain starts from its own patient zero
+    size = codec.search_space_size()
+    _require(strains <= size, f"strains={strains} exceed the codec's {size} genotypes")
+
+
 def write_iterations_csv(path: Path, result: PandemicResult) -> None:
     with path.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -260,6 +266,7 @@ def cmd_run(config: RunConfig) -> int:
     with status 1, after the summary of the runs that finished."""
     params = config.parameters
     codec = build_codec(config.codec_spec, params.seed)
+    _require_room(codec, params.strains)
     pandemics = _repeat_configs(config)
     config.out.mkdir(parents=True, exist_ok=True)
     runs: list[dict] = []
@@ -312,9 +319,11 @@ def cmd_sweep(config: RunConfig, lengths: list[int]) -> int:
     codecs: list[BinaryCodec] = []
     for length in lengths:
         try:
-            codecs.append(build_codec({**config.codec_spec, "bits": length}, params.seed))
+            codec = build_codec({**config.codec_spec, "bits": length}, params.seed)
+            _require_room(codec, params.strains)
         except ConfigError as exc:
             raise ConfigError(f"length {length}: {exc}")
+        codecs.append(codec)
     rows: list[tuple[int, float | None, float]] = []
     for length, codec in zip(lengths, codecs):
         optimum = codec.optimum_fitness()

@@ -16,8 +16,9 @@ then once per iteration of a strain, with the genotypes it has not scored
 yet, each once and in discovery order; it
 caches the scores the hook returns and never asks for them again. The
 hook may score them together (concurrently, say); it returns an iterable
-of the scores in the same order, and iterating it raises at the first
-failure in that order, after the scores before it.
+of the scores in the same order, one per genotype (any other count is an
+EvaluationError), and iterating it raises at the first failure in that
+order, after the scores before it.
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ in the order they are given.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from random import Random
 from typing import Any, Iterable
@@ -100,29 +100,28 @@ class SharedLedger:
 
         A codec with a `fitness_all` hook scores every uncached genotype
         in one call, each once and in list order; the scores before the
-        first failure are cached, and that failure is raised.
+        first failure are cached, and that failure is raised. A hook that
+        returns more or fewer scores than it was given genotypes fails
+        too, once the scores that pair up are cached.
         """
         fitness_all = getattr(codec, "fitness_all", None)
         if fitness_all is not None:
             uncached = list(dict.fromkeys(g for g in genotypes if g not in self.fitness_cache))
             if uncached:
-                for genotype, value in zip(uncached, fitness_all(uncached)):
+                cached = len(self.fitness_cache)
+                scores = iter(fitness_all(uncached))
+                # zip reads uncached first, so a surplus score stays in `scores`
+                for genotype, value in zip(uncached, scores):
                     if not math.isfinite(value):
                         raise EvaluationError(f"non-finite fitness {value!r} for {genotype!r}")
                     self.fitness_cache[genotype] = value
+                # each paired score cached one new genotype
+                returned = len(self.fitness_cache) - cached + sum(1 for _ in scores)
+                if returned != len(uncached):
+                    raise EvaluationError(
+                        f"fitness_all returned {returned} scores for {len(uncached)} genotypes"
+                    )
         return [self.evaluate(codec, g) for g in genotypes]
-
-
-@dataclass
-class PopulationLedger:
-    """One strain's populations plus the shared half. Each population is
-    a dict used as an insertion-ordered set (keys only, values None), so
-    iterating it visits genotypes in discovery order."""
-
-    shared: SharedLedger
-    infected: dict = field(default_factory=dict)
-    new_infected: dict = field(default_factory=dict)
-    isolated_now: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -149,72 +148,56 @@ def die(infected: Iterable[Any], params: EpidemicParameters, rng: Random) -> set
     return {g for g in infected if rng.random() < params.p_die}
 
 
-def new_infection(
-    candidate: Any,
-    ledger: PopulationLedger,
-    params: EpidemicParameters,
-    rng: Random,
-) -> Disposition:
+def new_infection(strain: Strain, candidate: Any) -> Disposition:
     """Route one candidate: ignore the dead and this iteration's repeats,
     isolate or admit the fresh, and give recovered candidates their
     reinfection chance. An isolate enters the recovered population at once
     and takes its death draw at the end of the iteration (resolve_isolates)."""
-    shared = ledger.shared
-    if candidate in shared.dead or candidate in ledger.new_infected:
+    shared = strain.shared
+    if candidate in shared.dead or candidate in strain.new_infected:
         return Disposition.IGNORED
     if candidate not in shared.recovered:
-        if rng.random() > params.p_isolation:
-            ledger.new_infected[candidate] = None
+        if strain.rng.random() > strain.params.p_isolation:
+            strain.new_infected[candidate] = None
             return Disposition.ADDED_TO_NEW_INFECTED
         shared.recovered.add(candidate)
-        ledger.isolated_now[candidate] = None
+        strain.isolated_now[candidate] = None
         return Disposition.ISOLATED
-    if rng.random() < params.p_reinfection:
+    if strain.rng.random() < strain.params.p_reinfection:
         shared.recovered.remove(candidate)
-        ledger.new_infected[candidate] = None
+        strain.new_infected[candidate] = None
         return Disposition.REINFECTED
     return Disposition.IGNORED
 
 
-def infect(
-    individual: Any,
-    ledger: PopulationLedger,
-    params: EpidemicParameters,
-    codec: Codec,
-    rng: Random,
-    wide: bool,
-) -> None:
+def infect(strain: Strain, individual: Any, wide: bool) -> None:
     """Spread from one individual: one travel draw decides the move
     distance for the whole brood, then one draw its candidate count, from
     the super-spreader range if `wide`, else the ordinary range; each
     candidate is routed through new_infection."""
+    params, rng = strain.params, strain.rng
     traveling = rng.random() < params.p_travel
     lo, hi = params.superspreader_spread_range if wide else params.ordinary_spread_range
     count = lo + randbelow(rng, hi - lo + 1)  # rng.randint(lo, hi), draw for draw
     mode = DistanceMode.TRAVELER if traveling else DistanceMode.ORDINARY
-    replicate = codec.replicate
+    replicate = strain.codec.replicate
     traveler_rate = params.traveler_rate
     for _ in range(count):
         candidate = replicate(individual, mode, traveler_rate, rng)
         # a module-global lookup on every candidate, so a wrapper of it sees each one
-        new_infection(candidate, ledger, params, rng)
+        new_infection(strain, candidate)
 
 
-def resolve_isolates(
-    ledger: PopulationLedger,
-    params: EpidemicParameters,
-    rng: Random,
-    isolates: Iterable[Any],
-) -> set:
+def resolve_isolates(strain: Strain, isolates: Iterable[Any]) -> set:
     """End-of-iteration fate of this iteration's isolates: each one not
     itself a spreader (spreaders took their draw already) dies with p_die
     or recovers. Returns the buried ones.
 
     `isolates` is this iteration's isolates not reinfected meanwhile, in
     the order Strain.step sets (discovery order); die() draws in it."""
-    shared = ledger.shared
-    isolates = [g for g in isolates if g not in ledger.infected]
-    dying = die(isolates, params, rng)
+    shared = strain.shared
+    isolates = [g for g in isolates if g not in strain.infected]
+    dying = die(isolates, strain.params, strain.rng)
     for genotype in dying:
         shared.bury(genotype)
     shared.recover_all(isolates)
@@ -250,7 +233,9 @@ class Strain:
     """One strain's state between iterations; step() runs one iteration.
 
     The strain starts from a patient zero that its driver has already
-    scored. A step that raises leaves the strain active.
+    scored. Its populations are dicts used as insertion-ordered sets (keys
+    only); recovered and dead live in the shared ledger. A step that
+    raises leaves the strain active.
     """
 
     def __init__(
@@ -265,49 +250,51 @@ class Strain:
         self.codec = codec
         self.rng = rng
         self.shared = shared
-        self.ledger = PopulationLedger(shared=shared, infected={patient_zero.genotype: None})
+        self.infected: dict = {patient_zero.genotype: None}
+        self.new_infected: dict = {}
+        self.isolated_now: dict = {}
         self.history: list[IterationRecord] = []
         self.iteration = 0
         self.best = patient_zero
 
     @property
     def active(self) -> bool:
-        return self.iteration < self.params.pandemic_duration and bool(self.ledger.infected)
+        return self.iteration < self.params.pandemic_duration and bool(self.infected)
 
     def result(self) -> StrainResult:
         if self.active:
             termination = None
-        elif not self.ledger.infected:
+        elif not self.infected:
             termination = Termination.EXTINCTION
         else:
             termination = Termination.DURATION_REACHED
         return StrainResult(best=self.best, history=self.history, termination=termination)
 
     def step(self) -> None:
-        params, ledger, shared, rng = self.params, self.ledger, self.shared, self.rng
+        params, shared = self.params, self.shared
 
         # another strain may have buried some of this strain's infected
-        alive = [g for g in ledger.infected if g not in shared.dead]
-        dying = die(alive, params, rng)
+        alive = [g for g in self.infected if g not in shared.dead]
+        dying = die(alive, params, self.rng)
         for genotype in dying:
             shared.bury(genotype)
-        ledger.infected = dict.fromkeys(g for g in alive if g not in dying)
+        self.infected = dict.fromkeys(g for g in alive if g not in dying)
 
-        ledger.new_infected = {}
-        ledger.isolated_now = {}
-        superspreaders = superspreader_count(params.p_superspreader, len(ledger.infected))
+        self.new_infected = {}
+        self.isolated_now = {}
+        superspreaders = superspreader_count(params.p_superspreader, len(self.infected))
         # fittest first: a stable sort of discovery order, which reverse=True
         # keeps too, so ties stay in discovery order under either objective
         spreaders = sorted(
-            ledger.infected,
+            self.infected,
             key=shared.fitness_cache.__getitem__,
             reverse=params.objective is Objective.MAXIMIZE,
         )
         for rank, spreader in enumerate(spreaders):
-            infect(spreader, ledger, params, self.codec, rng, rank < superspreaders)
+            infect(self, spreader, rank < superspreaders)
 
-        isolates = [g for g in ledger.isolated_now if g not in ledger.new_infected]
-        fresh = [*ledger.new_infected, *isolates]
+        isolates = [g for g in self.isolated_now if g not in self.new_infected]
+        fresh = [*self.new_infected, *isolates]
         if fresh:
             values = shared.evaluate_all(self.codec, fresh)
             genotype, value = best_of(fresh, values, params.objective)
@@ -315,10 +302,10 @@ class Strain:
                 # only the winner is wrapped: evaluate() rejected non-finite values
                 self.best = EvaluatedIndividual(genotype, value)
 
-        resolve_isolates(ledger, params, rng, isolates)
-        shared.recover_all(ledger.infected)
-        ledger.infected = ledger.new_infected
-        ledger.new_infected = {}
+        resolve_isolates(self, isolates)
+        shared.recover_all(self.infected)
+        self.infected = self.new_infected
+        self.new_infected = {}
         self.iteration += 1
 
         deaths_total, recovered_total = shared.counts()
@@ -327,7 +314,7 @@ class Strain:
                 iteration=self.iteration,
                 deaths_total=deaths_total,
                 recovered_total=recovered_total,
-                infected_count=len(ledger.infected),
+                infected_count=len(self.infected),
                 best_fitness=self.best.fitness,
                 evaluations_total=shared.evaluations_total(),
             )

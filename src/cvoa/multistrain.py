@@ -44,6 +44,8 @@ class MultiStrainConfig:
     def __post_init__(self) -> None:
         if not self.parameters:
             raise ValueError("at least one strain required")
+        for params in self.parameters:
+            validate_parameters(params)
         seeds = [p.seed for p in self.parameters]
         if len(set(seeds)) != len(seeds):
             raise ValueError(f"strain seeds must be pairwise distinct, got {seeds}")
@@ -60,9 +62,10 @@ class MultiStrainConfig:
     ) -> "MultiStrainConfig":
         """Same parameters for every strain, seeds fanned out from params.seed;
         a ParameterError names any strain's seed outside [0, 2**64)."""
+        # the fan-out reads strains, so the base is checked first; __post_init__ checks each strain
         validate_parameters(params)
         per_strain = tuple(
-            validate_parameters(replace(params, seed=params.seed + j * STRAIN_SEED_STRIDE))
+            replace(params, seed=params.seed + j * STRAIN_SEED_STRIDE)
             for j in range(params.strains)
         )
         return cls(parameters=per_strain, pz_strategy=pz_strategy)
@@ -151,8 +154,6 @@ def run_pandemic(
     active reports termination None; when the patient-zero batch failed,
     it holds no strains and initial_best is None.
     """
-    for params in config.parameters:
-        validate_parameters(params)
     base = config.parameters[0]
     objective = base.objective
     shared = SharedLedger()

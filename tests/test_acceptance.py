@@ -157,20 +157,20 @@ def test_instrumented_run_upholds_ledger_invariants(monkeypatch):
     original_infect = cvoa.engine.infect
     original_new_infection = cvoa.engine.new_infection
 
-    def checked_infect(individual, ledger, params, codec, rng, wide):
-        if individual in ledger.shared.dead:
+    def checked_infect(strain, individual, wide):
+        if individual in strain.shared.dead:
             violations.append(("spreader is dead", individual))
-        if ledger.infected.keys() & ledger.shared.dead:
+        if strain.infected.keys() & strain.shared.dead:
             violations.append(("dead overlap infected at spread time",))
-        return original_infect(individual, ledger, params, codec, rng, wide)
+        return original_infect(strain, individual, wide)
 
-    def checked_new_infection(candidate, ledger, params, rng):
-        disposition = original_new_infection(candidate, ledger, params, rng)
-        if ledger.shared.dead & ledger.shared.recovered:
+    def checked_new_infection(strain, candidate):
+        disposition = original_new_infection(strain, candidate)
+        if strain.shared.dead & strain.shared.recovered:
             violations.append(("dead overlap recovered",))
-        if candidate in ledger.shared.dead and disposition is not Disposition.IGNORED:
+        if candidate in strain.shared.dead and disposition is not Disposition.IGNORED:
             violations.append(("dead candidate admitted", candidate))
-        if ledger.new_infected.keys() & ledger.shared.dead:
+        if strain.new_infected.keys() & strain.shared.dead:
             violations.append(("dead member in new_infected",))
         return disposition
 

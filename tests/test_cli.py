@@ -99,6 +99,26 @@ class TestConfigErrors:
         assert any(line.startswith("error:") and "seed" in line for line in err_lines)
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["run"], ["sweep", "--lengths", "8"], ["sweep", "--lengths", "10,8"]],
+        ids=["run", "sweep", "sweep-second-length"],
+    )
+    def test_more_strains_than_genotypes_rejected_before_any_output(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        path = write_config(
+            tmp_path,
+            {"codec": {"bits": 8}, "parameters": {"strains": 300}, "out": str(out)},
+        )
+        assert main([*argv, "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert any(
+            line.startswith("error:") and "strains=300" in line and "256" in line
+            for line in captured.err.splitlines()
+        )
+        assert not out.exists()
+
     def test_unknown_parameter_field(self, tmp_path, capsys):
         path = write_config(tmp_path, {"parameters": {"p_zombie": 0.1}})
         assert main(["run", "--config", str(path)]) == 2

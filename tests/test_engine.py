@@ -16,7 +16,6 @@ from cvoa import (
     EvaluationError,
     MultiStrainConfig,
     Objective,
-    PopulationLedger,
     SharedLedger,
     StrainResult,
     Termination,
@@ -27,7 +26,7 @@ from cvoa import (
     run_strain,
     select_best,
 )
-from cvoa.engine import resolve_isolates, superspreader_count
+from cvoa.engine import Strain, resolve_isolates, superspreader_count
 
 
 class RecordingCodec:
@@ -86,6 +85,14 @@ class BatchingCodec(RecordingCodec):
             yield outcome
 
 
+def routing_strain(params=EpidemicParameters(), codec=None, rng=None):
+    """A Strain on a fresh SharedLedger with nobody infected, for calling
+    the routing helpers directly."""
+    strain = Strain(params, codec, rng or Random(0), SharedLedger(), EvaluatedIndividual(0, 0.0))
+    strain.infected = {}
+    return strain
+
+
 class TestDie:
     def test_nobody_dies_at_zero(self):
         assert die({1, 2, 3}, EpidemicParameters(p_die=0.0), Random(0)) == set()
@@ -115,54 +122,45 @@ class TestDie:
 
 
 class TestNewInfection:
-    def fresh_ledger(self):
-        return PopulationLedger(shared=SharedLedger())
-
     def test_dead_candidate_ignored(self):
-        ledger = self.fresh_ledger()
-        ledger.shared.dead.add(7)
-        params = EpidemicParameters(p_isolation=0.0, p_reinfection=1.0)
-        assert new_infection(7, ledger, params, Random(0)) is Disposition.IGNORED
-        assert 7 not in ledger.new_infected
+        strain = routing_strain(EpidemicParameters(p_isolation=0.0, p_reinfection=1.0))
+        strain.shared.dead.add(7)
+        assert new_infection(strain, 7) is Disposition.IGNORED
+        assert 7 not in strain.new_infected
 
     def test_fresh_candidate_admitted_without_isolation(self):
-        ledger = self.fresh_ledger()
-        params = EpidemicParameters(p_isolation=0.0)
-        assert new_infection(7, ledger, params, Random(0)) is Disposition.ADDED_TO_NEW_INFECTED
-        assert 7 in ledger.new_infected
+        strain = routing_strain(EpidemicParameters(p_isolation=0.0))
+        assert new_infection(strain, 7) is Disposition.ADDED_TO_NEW_INFECTED
+        assert 7 in strain.new_infected
 
     def test_fresh_candidate_always_isolated_at_one(self):
-        ledger = self.fresh_ledger()
-        params = EpidemicParameters(p_isolation=1.0)
-        assert new_infection(7, ledger, params, Random(0)) is Disposition.ISOLATED
-        assert 7 in ledger.shared.recovered
-        assert 7 in ledger.isolated_now
-        assert 7 not in ledger.new_infected
+        strain = routing_strain(EpidemicParameters(p_isolation=1.0))
+        assert new_infection(strain, 7) is Disposition.ISOLATED
+        assert 7 in strain.shared.recovered
+        assert 7 in strain.isolated_now
+        assert 7 not in strain.new_infected
 
     def test_recovered_candidate_reinfected_at_one(self):
-        ledger = self.fresh_ledger()
-        ledger.shared.recovered.add(7)
-        params = EpidemicParameters(p_reinfection=1.0)
-        assert new_infection(7, ledger, params, Random(0)) is Disposition.REINFECTED
-        assert 7 not in ledger.shared.recovered
-        assert 7 in ledger.new_infected
+        strain = routing_strain(EpidemicParameters(p_reinfection=1.0))
+        strain.shared.recovered.add(7)
+        assert new_infection(strain, 7) is Disposition.REINFECTED
+        assert 7 not in strain.shared.recovered
+        assert 7 in strain.new_infected
 
     def test_duplicate_candidate_gets_no_second_isolation_draw(self):
-        ledger = self.fresh_ledger()
-        admit = EpidemicParameters(p_isolation=0.0)
-        assert new_infection(7, ledger, admit, Random(0)) is Disposition.ADDED_TO_NEW_INFECTED
-        isolate = EpidemicParameters(p_isolation=1.0)
-        assert new_infection(7, ledger, isolate, Random(0)) is Disposition.IGNORED
-        assert 7 in ledger.new_infected
-        assert 7 not in ledger.shared.recovered
-        assert 7 not in ledger.isolated_now
+        strain = routing_strain(EpidemicParameters(p_isolation=0.0))
+        assert new_infection(strain, 7) is Disposition.ADDED_TO_NEW_INFECTED
+        strain.params = EpidemicParameters(p_isolation=1.0)
+        assert new_infection(strain, 7) is Disposition.IGNORED
+        assert 7 in strain.new_infected
+        assert 7 not in strain.shared.recovered
+        assert 7 not in strain.isolated_now
 
     def test_recovered_candidate_ignored_without_reinfection(self):
-        ledger = self.fresh_ledger()
-        ledger.shared.recovered.add(7)
-        params = EpidemicParameters(p_reinfection=0.0)
-        assert new_infection(7, ledger, params, Random(0)) is Disposition.IGNORED
-        assert 7 in ledger.shared.recovered
+        strain = routing_strain(EpidemicParameters(p_reinfection=0.0))
+        strain.shared.recovered.add(7)
+        assert new_infection(strain, 7) is Disposition.IGNORED
+        assert 7 in strain.shared.recovered
 
 
 class TestInfect:
@@ -171,49 +169,42 @@ class TestInfect:
         params = EpidemicParameters(p_isolation=0.0)
         for seed in range(20):
             codec.replicate_modes.clear()
-            ledger = PopulationLedger(shared=SharedLedger())
-            infect(5, ledger, params, codec, Random(seed), True)
+            infect(routing_strain(params, codec, Random(seed)), 5, True)
             assert 6 <= len(codec.replicate_modes) <= 15
 
     def test_zero_width_ordinary_range_spreads_nothing(self):
         codec = RecordingCodec()
-        params = EpidemicParameters(ordinary_spread_range=(0, 0))
-        ledger = PopulationLedger(shared=SharedLedger())
-        infect(5, ledger, params, codec, Random(0), False)
-        assert ledger.new_infected.keys() == set()
+        strain = routing_strain(EpidemicParameters(ordinary_spread_range=(0, 0)), codec)
+        infect(strain, 5, False)
+        assert strain.new_infected.keys() == set()
         assert codec.replicate_modes == []
 
     def test_forced_travel_uses_traveler_mode_for_whole_brood(self):
         codec = RecordingCodec(bits=20)
-        params = EpidemicParameters(p_travel=1.0)
-        ledger = PopulationLedger(shared=SharedLedger())
-        infect(5, ledger, params, codec, Random(0), True)
+        infect(routing_strain(EpidemicParameters(p_travel=1.0), codec), 5, True)
         assert codec.replicate_modes
         assert all(mode is DistanceMode.TRAVELER for mode in codec.replicate_modes)
 
     def test_no_travel_stays_ordinary(self):
         codec = RecordingCodec(bits=20)
-        params = EpidemicParameters(p_travel=0.0)
-        ledger = PopulationLedger(shared=SharedLedger())
-        infect(5, ledger, params, codec, Random(0), True)
+        infect(routing_strain(EpidemicParameters(p_travel=0.0), codec), 5, True)
         assert all(mode is DistanceMode.ORDINARY for mode in codec.replicate_modes)
 
     def test_added_genotypes_land_in_new_infected(self, monkeypatch):
         routed = []
         original = cvoa.engine.new_infection
 
-        def recording(candidate, ledger, params, rng):
-            disposition = original(candidate, ledger, params, rng)
+        def recording(strain, candidate):
+            disposition = original(strain, candidate)
             routed.append((candidate, disposition))
             return disposition
 
         monkeypatch.setattr(cvoa.engine, "new_infection", recording)
-        params = EpidemicParameters(p_isolation=0.0)
-        ledger = PopulationLedger(shared=SharedLedger())
-        infect(5, ledger, params, RecordingCodec(), Random(1), True)
+        strain = routing_strain(EpidemicParameters(p_isolation=0.0), RecordingCodec(), Random(1))
+        infect(strain, 5, True)
         admitted = (Disposition.ADDED_TO_NEW_INFECTED, Disposition.REINFECTED)
-        assert ledger.new_infected
-        assert ledger.new_infected.keys() == {c for c, d in routed if d in admitted}
+        assert strain.new_infected
+        assert strain.new_infected.keys() == {c for c, d in routed if d in admitted}
 
     @pytest.mark.parametrize("wide", [True, False])
     def test_draws_travel_then_count_then_each_candidate(self, wide):
@@ -225,20 +216,20 @@ class TestInfect:
             rng = Random(seed)
             clone = Random()
             clone.setstate(rng.getstate())
-            ledger = PopulationLedger(shared=SharedLedger())
-            infect(5, ledger, params, codec, rng, wide)
+            strain = routing_strain(params, codec, rng)
+            infect(strain, 5, wide)
 
             traveling = clone.random() < params.p_travel
             lo, hi = params.superspreader_spread_range if wide else params.ordinary_spread_range
             count = clone.randint(lo, hi)
             mode = DistanceMode.TRAVELER if traveling else DistanceMode.ORDINARY
-            replay = PopulationLedger(shared=SharedLedger())
+            replay = routing_strain(params, codec, clone)
             for _ in range(count):
                 candidate = codec.replicate(5, mode, params.traveler_rate, clone)
-                new_infection(candidate, replay, params, clone)
+                new_infection(replay, candidate)
             assert rng.getstate() == clone.getstate()
-            assert list(ledger.new_infected) == list(replay.new_infected)
-            assert list(ledger.isolated_now) == list(replay.isolated_now)
+            assert list(strain.new_infected) == list(replay.new_infected)
+            assert list(strain.isolated_now) == list(replay.isolated_now)
 
 
 class TestSuperspreaders:
@@ -265,10 +256,10 @@ class TestSuperspreaders:
 
         discovered = []
 
-        def recording(individual, ledger, params, codec, rng, wide):
-            seen.append((ledger.shared.fitness_cache[individual], individual, wide))
-            discovered.append(list(ledger.infected))
-            return original(individual, ledger, params, codec, rng, wide)
+        def recording(strain, individual, wide):
+            seen.append((strain.shared.fitness_cache[individual], individual, wide))
+            discovered.append(list(strain.infected))
+            return original(strain, individual, wide)
 
         monkeypatch.setattr(cvoa.engine, "infect", recording)
         for objective, sign in ((Objective.MINIMIZE, 1), (Objective.MAXIMIZE, -1)):
@@ -291,36 +282,49 @@ class TestSuperspreaders:
 
 class TestResolveIsolates:
     def test_every_isolate_dies_at_total_mortality(self):
-        ledger = PopulationLedger(shared=SharedLedger())
-        params = EpidemicParameters(p_isolation=1.0, p_die=1.0)
+        strain = routing_strain(EpidemicParameters(p_isolation=1.0, p_die=1.0))
         for candidate in range(5):
-            assert new_infection(candidate, ledger, params, Random(0)) is Disposition.ISOLATED
-        isolates = sorted(ledger.isolated_now.keys() - ledger.new_infected.keys())
-        assert resolve_isolates(ledger, params, Random(0), isolates) == set(range(5))
-        assert ledger.shared.dead == set(range(5))
-        assert ledger.shared.recovered == set()
-        assert ledger.shared.recoveries == 0
+            assert new_infection(strain, candidate) is Disposition.ISOLATED
+        isolates = sorted(strain.isolated_now.keys() - strain.new_infected.keys())
+        assert resolve_isolates(strain, isolates) == set(range(5))
+        assert strain.shared.dead == set(range(5))
+        assert strain.shared.recovered == set()
+        assert strain.shared.recoveries == 0
 
     def test_surviving_isolates_count_as_recovered(self):
-        ledger = PopulationLedger(shared=SharedLedger())
-        params = EpidemicParameters(p_isolation=1.0, p_die=0.0)
+        strain = routing_strain(EpidemicParameters(p_isolation=1.0, p_die=0.0))
         for candidate in range(5):
-            new_infection(candidate, ledger, params, Random(0))
-        isolates = sorted(ledger.isolated_now.keys() - ledger.new_infected.keys())
-        assert resolve_isolates(ledger, params, Random(0), isolates) == set()
-        assert ledger.shared.recovered == set(range(5))
-        assert ledger.shared.counts() == (0, 5)
+            new_infection(strain, candidate)
+        isolates = sorted(strain.isolated_now.keys() - strain.new_infected.keys())
+        assert resolve_isolates(strain, isolates) == set()
+        assert strain.shared.recovered == set(range(5))
+        assert strain.shared.counts() == (0, 5)
 
     def test_reinfected_isolate_is_not_buried(self):
-        ledger = PopulationLedger(shared=SharedLedger())
         isolate = EpidemicParameters(p_isolation=1.0, p_die=1.0)
-        new_infection(7, ledger, isolate, Random(0))
-        reinfect = EpidemicParameters(p_reinfection=1.0, p_die=1.0)
-        assert new_infection(7, ledger, reinfect, Random(0)) is Disposition.REINFECTED
-        isolates = sorted(ledger.isolated_now.keys() - ledger.new_infected.keys())
-        assert resolve_isolates(ledger, isolate, Random(0), isolates) == set()
-        assert 7 not in ledger.shared.dead
-        assert 7 in ledger.new_infected
+        strain = routing_strain(isolate)
+        new_infection(strain, 7)
+        strain.params = EpidemicParameters(p_reinfection=1.0, p_die=1.0)
+        assert new_infection(strain, 7) is Disposition.REINFECTED
+        isolates = sorted(strain.isolated_now.keys() - strain.new_infected.keys())
+        strain.params = isolate
+        assert resolve_isolates(strain, isolates) == set()
+        assert 7 not in strain.shared.dead
+        assert 7 in strain.new_infected
+
+    def test_spreader_isolated_by_its_own_strain_takes_no_second_death_draw(self):
+        # a self-hit: a candidate equal to one of the strain's own spreaders
+        # is routed as fresh, so it may be isolated; it took its death draw
+        # as a spreader, so resolve_isolates neither draws for it nor buries it
+        strain = routing_strain(EpidemicParameters(p_isolation=1.0, p_die=1.0))
+        strain.infected = {7: None}
+        assert new_infection(strain, 7) is Disposition.ISOLATED
+        state = strain.rng.getstate()
+        assert resolve_isolates(strain, [7]) == set()
+        assert strain.rng.getstate() == state
+        assert 7 not in strain.shared.dead
+        assert 7 in strain.shared.recovered
+        assert strain.shared.counts() == (0, 0)
 
 
 class TestSelectBest:
@@ -477,11 +481,11 @@ class TestRunStrain:
         shared = SharedLedger()
         original = cvoa.engine.new_infection
 
-        def checked(candidate, ledger, params, rng):
-            disposition = original(candidate, ledger, params, rng)
-            if candidate in ledger.shared.dead:
+        def checked(strain, candidate):
+            disposition = original(strain, candidate)
+            if candidate in strain.shared.dead:
                 assert disposition is Disposition.IGNORED
-                assert candidate not in ledger.new_infected
+                assert candidate not in strain.new_infected
             return disposition
 
         monkeypatch.setattr(cvoa.engine, "new_infection", checked)
@@ -585,6 +589,23 @@ class TestSharedLedger:
             shared.evaluate_all(codec, [a, b])
         assert b not in shared.fitness_cache
         assert shared.evaluations_total() == 1
+
+    @pytest.mark.parametrize("returned", [1, 3], ids=["too-few", "too-many"])
+    def test_evaluate_all_rejects_a_batch_of_the_wrong_size(self, returned):
+        class MiscountingCodec(BatchingCodec):
+            def fitness_all(self, genotypes):
+                scores = list(super().fitness_all(genotypes))
+                return (scores * 2)[:returned]
+
+        a, b = 1, 2
+        shared = SharedLedger()
+        codec = MiscountingCodec()
+        with pytest.raises(EvaluationError, match=f"returned {returned} scores for 2 genotypes"):
+            shared.evaluate_all(codec, [a, b])
+        paired = [a, b][:returned]
+        assert shared.fitness_cache == {g: codec.inner.fitness(g) for g in paired}
+        # no genotype the batch missed is scored one by one instead
+        assert codec.fitness_calls == Counter()
 
     def test_non_finite_fitness_raises_and_is_not_cached(self):
         class BadCodec(RecordingCodec):

@@ -151,6 +151,12 @@ class TestMultiStrainConfig:
         with pytest.raises(ParameterError):
             MultiStrainConfig.uniform(EpidemicParameters(p_die=2.0, strains=2))
 
+    def test_each_strain_validated_at_construction(self):
+        from cvoa import ParameterError
+
+        with pytest.raises(ParameterError, match="p_die"):
+            MultiStrainConfig(parameters=(EpidemicParameters(seed=1, p_die=2.0),))
+
     def test_uniform_validates_each_fanned_out_seed(self):
         from cvoa import ParameterError
 
@@ -346,11 +352,11 @@ class TestRunPandemic:
         original = cvoa.engine.new_infection
         violations = []
 
-        def checked(candidate, ledger, params, rng):
-            disposition = original(candidate, ledger, params, rng)
-            if candidate in ledger.shared.dead and disposition is not Disposition.IGNORED:
+        def checked(strain, candidate):
+            disposition = original(strain, candidate)
+            if candidate in strain.shared.dead and disposition is not Disposition.IGNORED:
                 violations.append(candidate)
-            if ledger.shared.dead & ledger.shared.recovered:
+            if strain.shared.dead & strain.shared.recovered:
                 violations.append("overlap")
             return disposition
 
@@ -368,9 +374,9 @@ class TestRunPandemic:
         original = cvoa.engine.infect
         spreads = []
 
-        def checked(individual, ledger, params, codec, rng, wide):
-            spreads.append(individual in ledger.shared.dead)
-            return original(individual, ledger, params, codec, rng, wide)
+        def checked(strain, individual, wide):
+            spreads.append(individual in strain.shared.dead)
+            return original(strain, individual, wide)
 
         monkeypatch.setattr(cvoa.engine, "infect", checked)
         for seed in range(1, 11):
