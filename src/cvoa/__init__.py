@@ -29,7 +29,6 @@ from .engine import (
     die,
     infect,
     new_infection,
-    run_strain,
     select_best,
 )
 from .multistrain import (
@@ -37,6 +36,7 @@ from .multistrain import (
     PandemicResult,
     PzStrategy,
     run_pandemic,
+    run_strain,
     seed_patient_zeros,
 )
 from .params import (

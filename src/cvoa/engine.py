@@ -1,15 +1,16 @@
-"""Single-strain epidemic search loop.
+"""One strain's epidemic iteration.
 
-One strain starts from a patient zero and iterates: infected that another
-strain has buried since are dropped, the dying are removed from the
-infected set and buried, every surviving spreader produces
-candidate infections through the codec's replicate operator (the fittest
-share of spreaders with the super-spreader range), candidates are routed
-through isolation / reinfection bookkeeping, the newly evaluated
-individuals update the best-so-far, isolates either die or recover, the
-spreaders recover, and the new infections become the next generation. The
-run ends when the infected set empties (extinction) or the configured
-duration elapses.
+A Strain holds one strain's populations between iterations. Its driver,
+multistrain.run_pandemic (the only one), scores the patient zero, builds
+the Strain and steps it. Each step: infected that another strain has
+buried since are dropped, the dying are removed from the infected set and
+buried, every surviving spreader produces candidate infections through the
+codec's replicate operator (the fittest share of spreaders with the
+super-spreader range), candidates are routed through isolation /
+reinfection bookkeeping, the newly evaluated individuals update the
+best-so-far, isolates either die or recover, the spreaders recover, and
+the new infections become the next generation. The strain ends when the
+infected set empties (extinction) or the configured duration elapses.
 
 Every population a loop draws random numbers over is kept in discovery
 order: an insertion-ordered dict admits each genotype in the order the
@@ -136,7 +137,7 @@ class IterationRecord:
 
 @dataclass
 class StrainResult:
-    best: EvaluatedIndividual | None
+    best: EvaluatedIndividual
     history: list[IterationRecord]
     # None: an evaluation failed while the strain was still active
     termination: Termination | None
@@ -320,32 +321,3 @@ class Strain:
             )
         )
 
-
-def run_strain(
-    params: EpidemicParameters,
-    codec: Codec,
-    rng: Random,
-    shared_ledger: SharedLedger | None = None,
-    *,
-    patient_zero: Any = None,
-) -> StrainResult:
-    """Run one strain to extinction or for pandemic_duration iterations.
-
-    A shared ledger makes the strain participate in a multi-strain pandemic;
-    without one the strain owns a private ledger. run_pandemic steps Strain
-    objects in turn instead, and is the one place where a run stops early
-    at a goal fitness. An evaluation error carries the strain's result so
-    far, or StrainResult(None, [], None) when the patient zero failed.
-    """
-    shared = shared_ledger if shared_ledger is not None else SharedLedger()
-    pz = patient_zero if patient_zero is not None else codec.generate_patient_zero(rng)
-    strain: Strain | None = None
-    try:
-        [fitness] = shared.evaluate_all(codec, [pz])
-        strain = Strain(params, codec, rng, shared, EvaluatedIndividual(pz, fitness))
-        while strain.active:
-            strain.step()
-    except EvaluationError as exc:
-        exc.partial = strain.result() if strain is not None else StrainResult(None, [], None)
-        raise
-    return strain.result()

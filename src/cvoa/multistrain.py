@@ -1,16 +1,18 @@
-"""Multi-strain pandemics over a shared recovered/dead ledger.
+"""Pandemics of one or more strains over a shared recovered/dead ledger.
 
-Each strain has its own random stream and patient zero; all strains share
-one SharedLedger so a genotype killed or recovered by any strain throttles
-every other strain too. The strains advance in lockstep on one thread: one
-iteration of each strain in strain order, then the next round, so a fixed
-seed reproduces the whole pandemic. Patient zeros can be drawn
-independently or spread apart by a greedy farthest-point pass so the
-strains start in distant regions of the search space.
+run_pandemic is the only driver; run_strain is its one-strain case. Each
+strain has its own random stream and patient zero; all strains share one
+SharedLedger so a genotype killed or recovered by any strain throttles
+every other strain too. The strains advance in lockstep on one thread:
+one iteration of each strain in strain order, then the next round, so a
+fixed seed reproduces the whole pandemic. Patient zeros are drawn at
+random, a repeat redrawn, or spread apart by a greedy farthest-point pass
+so the strains start in distant regions of the search space.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from random import Random
@@ -25,7 +27,6 @@ from .engine import (
     Termination,
     select_best,
 )
-from .engine import run_strain  # noqa: F401  (perfbench/child.py wraps this attribute)
 from .params import EpidemicParameters, validate_parameters
 
 STRAIN_SEED_STRIDE = 1_000_003
@@ -92,7 +93,11 @@ def seed_patient_zeros(n: int, codec: Codec, strategy: PzStrategy, rng: Random) 
     if n > codec.search_space_size():
         raise ValueError(f"{n} patient zeros exceed search space size")
     if strategy is PzStrategy.RANDOM or n == 1:
-        return [codec.generate_patient_zero(rng) for _ in range(n)]
+        # a repeated draw is redrawn, so each strain starts from its own
+        drawn: dict = {}
+        while len(drawn) < n:
+            drawn[codec.generate_patient_zero(rng)] = None
+        return list(drawn)
     pool = [codec.generate_patient_zero(rng) for _ in range(50 * n)]
     chosen = [pool[rng.randrange(len(pool))]]
     # each pool member's distance to its nearest pick so far
@@ -144,16 +149,18 @@ def run_pandemic(
     order. The pandemic stops when no strain is live, or as soon as a
     strain's best is at least as good as `stop_fitness`; it then reports
     GOAL_REACHED, as do the strain that reached the goal and every strain
-    still live (a patient zero at the goal stops it before any step). The
-    first strain continues the stream that drew the patient zeros, so
-    `strains=1` reproduces run_strain with the same seed. The patient
-    zeros are scored as one batch.
+    still live (a patient zero at the goal stops it before any step). A
+    NaN `stop_fitness` is rejected before any draw. The first strain
+    continues the stream that drew the patient zeros. The patient zeros
+    are scored as one batch.
 
     An evaluation error stops the pandemic. The raised error carries a
     PandemicResult with the histories so far, in which every strain still
     active reports termination None; when the patient-zero batch failed,
     it holds no strains and initial_best is None.
     """
+    if stop_fitness is not None and math.isnan(stop_fitness):
+        raise ValueError("stop_fitness must not be NaN")
     base = config.parameters[0]
     objective = base.objective
     shared = SharedLedger()
@@ -218,3 +225,12 @@ def run_pandemic(
         error.partial = result
         raise error
     return result
+
+
+def run_strain(params: EpidemicParameters, codec: Codec) -> StrainResult:
+    """One strain run as a one-strain pandemic, seeded by params.seed.
+
+    The parameters are validated before any draw (ParameterError), and a
+    failed evaluation raises with run_pandemic's PandemicResult partial.
+    """
+    return run_pandemic(MultiStrainConfig((params,)), codec).strains[0]

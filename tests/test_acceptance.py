@@ -177,7 +177,7 @@ def test_instrumented_run_upholds_ledger_invariants(monkeypatch):
     monkeypatch.setattr(cvoa.engine, "infect", checked_infect)
     monkeypatch.setattr(cvoa.engine, "new_infection", checked_new_infection)
 
-    result = run_strain(EpidemicParameters(seed=0), BinaryCodec(bits=30, target=TARGET), Random(0))
+    result = run_strain(EpidemicParameters(seed=0), BinaryCodec(bits=30, target=TARGET))
     # a fixed-seed trajectory fact, like the pins in test_multistrain.py: a
     # deliberate change to the search re-pins it, never the seed or parameters
     assert (len(result.history), result.termination) == (29, Termination.EXTINCTION), (
@@ -240,7 +240,7 @@ def test_multi_strain_degenerate_equality_and_median_speedup():
         pandemic = run_pandemic(
             MultiStrainConfig.uniform(EpidemicParameters(seed=seed, strains=1)), codec
         )
-        standalone = run_strain(EpidemicParameters(seed=seed), codec, Random(seed))
+        standalone = run_strain(EpidemicParameters(seed=seed), codec)
         assert pandemic.best == standalone.best
         assert pandemic.history == standalone.history
 

@@ -7,6 +7,7 @@ from random import Random
 import pytest
 
 import cvoa.engine
+import cvoa.multistrain
 from cvoa import (
     BinaryCodec,
     Disposition,
@@ -16,8 +17,9 @@ from cvoa import (
     EvaluationError,
     MultiStrainConfig,
     Objective,
+    PandemicResult,
+    ParameterError,
     SharedLedger,
-    StrainResult,
     Termination,
     die,
     infect,
@@ -83,6 +85,20 @@ class BatchingCodec(RecordingCodec):
             if isinstance(outcome, EvaluationError):
                 raise outcome
             yield outcome
+
+
+@pytest.fixture
+def ledgers(monkeypatch):
+    """Every SharedLedger that the runs in a test build, in order."""
+    built = []
+
+    class RecordedLedger(cvoa.multistrain.SharedLedger):
+        def __init__(self):
+            super().__init__()
+            built.append(self)
+
+    monkeypatch.setattr(cvoa.multistrain, "SharedLedger", RecordedLedger)
+    return built
 
 
 def routing_strain(params=EpidemicParameters(), codec=None, rng=None):
@@ -247,7 +263,7 @@ class TestSuperspreaders:
         params = EpidemicParameters(p_die=0.0, pandemic_duration=1)
         for seed in range(20):
             codec.replicate_modes.clear()
-            run_strain(params, codec, Random(seed))
+            run_strain(params.with_seed(seed), codec)
             assert 6 <= len(codec.replicate_modes) <= 15
 
     def test_fittest_spreaders_take_the_wide_range(self, monkeypatch):
@@ -266,9 +282,9 @@ class TestSuperspreaders:
             seen.clear()
             discovered.clear()
             params = EpidemicParameters(
-                p_die=0.0, p_isolation=0.0, pandemic_duration=2, objective=objective
+                p_die=0.0, p_isolation=0.0, pandemic_duration=2, objective=objective, seed=1
             )
-            run_strain(params, BinaryCodec(bits=20), Random(1))
+            run_strain(params, BinaryCodec(bits=20))
             second = seen[1:]  # the spreaders of iteration 2, in the order they spread
             wide = [sign * f for f, _, w in second if w]
             narrow = [sign * f for f, _, w in second if not w]
@@ -380,6 +396,9 @@ class TieCodec:
     def fitness(self, genotype):
         return self.sign * (0.0 if genotype in self.brood else 1.0)
 
+    def search_space_size(self):
+        return 1 + len(self.brood)
+
 
 class TestIterationBest:
     @pytest.mark.parametrize("objective", list(Objective))
@@ -395,7 +414,7 @@ class TestIterationBest:
             objective=objective,
         )
         codec = TieCodec(brood, objective)
-        result = run_strain(params, codec, Random(0))
+        result = run_strain(params, codec)
         assert codec.spread == 2
         first = brood[0]
         assert result.best == EvaluatedIndividual(first, codec.fitness(first))
@@ -404,44 +423,42 @@ class TestIterationBest:
 class TestRunStrain:
     def test_total_mortality_ends_after_one_iteration(self):
         codec = BinaryCodec()
-        result = run_strain(EpidemicParameters(p_die=1.0), codec, Random(0))
+        result = run_strain(EpidemicParameters(p_die=1.0), codec)
         assert result.termination is Termination.EXTINCTION
         assert len(result.history) == 1
         assert result.history[0].deaths_total == 1
         assert result.history[0].infected_count == 0
 
-    def test_total_mortality_buries_patient_zero(self):
-        codec = BinaryCodec()
-        shared = SharedLedger()
-        pz = 37
-        run_strain(EpidemicParameters(p_die=1.0), codec, Random(0), shared, patient_zero=pz)
-        assert shared.dead == {pz}
+    def test_total_mortality_buries_patient_zero(self, ledgers):
+        result = run_strain(EpidemicParameters(p_die=1.0), BinaryCodec())
+        [shared] = ledgers
+        assert shared.dead == {result.best.genotype}
 
-    def test_zero_duration_returns_patient_zero(self):
-        codec = BinaryCodec()
-        pz = 37
-        result = run_strain(
-            EpidemicParameters(pandemic_duration=0), codec, Random(0), patient_zero=pz
-        )
-        assert result.termination is Termination.DURATION_REACHED
-        assert result.history == []
-        assert result.best == EvaluatedIndividual(pz, codec.fitness(pz))
+    @pytest.mark.parametrize(
+        "invalid",
+        [{"ordinary_spread_range": (5, 2)}, {"p_die": 2.0}, {"pandemic_duration": -1}],
+    )
+    def test_invalid_parameters_rejected_before_any_evaluation(self, invalid):
+        codec = RecordingCodec()
+        with pytest.raises(ParameterError):
+            run_strain(EpidemicParameters(**invalid), codec)
+        assert not codec.fitness_calls
 
     def test_universal_isolation_goes_extinct_immediately(self):
         codec = BinaryCodec()
         params = EpidemicParameters(p_isolation=1.0, p_reinfection=0.0, p_die=0.0)
         for seed in range(10):
-            result = run_strain(params, codec, Random(seed))
+            result = run_strain(params.with_seed(seed), codec)
             assert result.termination is Termination.EXTINCTION
             assert len(result.history) <= 2
 
     def test_fixed_seed_reproduces_everything(self):
         params = EpidemicParameters(seed=5)
         codec = BinaryCodec(bits=20)
-        assert run_strain(params, codec, Random(5)) == run_strain(params, codec, Random(5))
+        assert run_strain(params, codec) == run_strain(params, codec)
 
     def test_history_counters_monotone(self):
-        result = run_strain(EpidemicParameters(), BinaryCodec(bits=20), Random(3))
+        result = run_strain(EpidemicParameters(seed=3), BinaryCodec(bits=20))
         for earlier, later in zip(result.history, result.history[1:]):
             assert later.deaths_total >= earlier.deaths_total
             assert later.recovered_total >= earlier.recovered_total
@@ -450,17 +467,17 @@ class TestRunStrain:
 
     def test_recovered_total_never_falls_on_reinfection(self):
         for seed in (0, 7, 40):
-            result = run_strain(EpidemicParameters(seed=seed), BinaryCodec(bits=20), Random(seed))
+            result = run_strain(EpidemicParameters(seed=seed), BinaryCodec(bits=20))
             recovered = [row.recovered_total for row in result.history]
             assert recovered == sorted(recovered), f"seed {seed}: {recovered}"
 
     def test_best_matches_minimum_of_trace(self):
-        result = run_strain(EpidemicParameters(), BinaryCodec(bits=20), Random(3))
+        result = run_strain(EpidemicParameters(seed=3), BinaryCodec(bits=20))
         assert result.best.fitness == result.history[-1].best_fitness
 
     def test_extinction_iff_no_infected_remain(self):
         for seed in range(8):
-            result = run_strain(EpidemicParameters(), BinaryCodec(bits=20), Random(seed))
+            result = run_strain(EpidemicParameters(seed=seed), BinaryCodec(bits=20))
             if result.termination is Termination.EXTINCTION:
                 assert result.history[-1].infected_count == 0
             else:
@@ -468,17 +485,16 @@ class TestRunStrain:
 
     def test_each_genotype_evaluated_at_most_once(self):
         codec = RecordingCodec(bits=20)
-        run_strain(EpidemicParameters(), codec, Random(4))
+        run_strain(EpidemicParameters(seed=4), codec)
         assert codec.fitness_calls
         assert max(codec.fitness_calls.values()) == 1
 
-    def test_dead_and_recovered_never_overlap(self):
-        shared = SharedLedger()
-        run_strain(EpidemicParameters(), BinaryCodec(bits=20), Random(6), shared)
+    def test_dead_and_recovered_never_overlap(self, ledgers):
+        run_strain(EpidemicParameters(seed=6), BinaryCodec(bits=20))
+        [shared] = ledgers
         assert not (shared.dead & shared.recovered)
 
-    def test_dead_members_never_reenter_circulation(self, monkeypatch):
-        shared = SharedLedger()
+    def test_dead_members_never_reenter_circulation(self, monkeypatch, ledgers):
         original = cvoa.engine.new_infection
 
         def checked(strain, candidate):
@@ -490,8 +506,8 @@ class TestRunStrain:
 
         monkeypatch.setattr(cvoa.engine, "new_infection", checked)
         for seed in range(5):
-            run_strain(EpidemicParameters(), BinaryCodec(bits=20), Random(seed), shared)
-        assert shared.dead  # the hook actually saw runs with deaths
+            run_strain(EpidemicParameters(seed=seed), BinaryCodec(bits=20))
+        assert any(shared.dead for shared in ledgers)  # the hook saw runs with deaths
 
     def test_stop_fitness_halts_at_goal(self):
         result = run_pandemic(
@@ -504,9 +520,9 @@ class TestRunStrain:
 
     def test_evaluation_error_carries_partial_history(self):
         codec = RecordingCodec(bits=20, fail_after=10)
-        params = EpidemicParameters(p_isolation=0.0, p_die=0.0)
+        params = EpidemicParameters(p_isolation=0.0, p_die=0.0, seed=9)
         with pytest.raises(EvaluationError) as err:
-            run_strain(params, codec, Random(9))
+            run_strain(params, codec)
         partial = err.value.partial
         assert partial.termination is None
         assert partial.best is not None
@@ -514,14 +530,15 @@ class TestRunStrain:
 
     def test_patient_zero_failure_carries_an_empty_partial(self):
         with pytest.raises(EvaluationError) as err:
-            run_strain(EpidemicParameters(), RecordingCodec(fail_after=0), Random(9))
-        assert err.value.partial == StrainResult(None, [], None)
+            run_strain(EpidemicParameters(seed=9), RecordingCodec(fail_after=0))
+        partial = err.value.partial
+        assert isinstance(partial, PandemicResult)
+        assert (partial.best, partial.strains, partial.history) == (None, [], [])
 
     def test_duration_bounds_iteration_count(self):
         result = run_strain(
-            EpidemicParameters(pandemic_duration=7, p_isolation=0.0),
+            EpidemicParameters(pandemic_duration=7, p_isolation=0.0, seed=10),
             BinaryCodec(bits=20),
-            Random(10),
         )
         assert len(result.history) <= 7
 

@@ -37,9 +37,15 @@ SRC = str(Path(cvoa.engine.__file__).resolve().parent.parent)
 
 def reference_seed_patient_zeros(n, codec, strategy, rng):
     """seed_patient_zeros as first written: every round recomputes each pool
-    member's distance to every pick. The incremental version must agree."""
+    member's distance to every pick. The incremental version must agree.
+    RANDOM keeps each draw not already picked, until it has n."""
     if strategy is PzStrategy.RANDOM or n == 1:
-        return [codec.generate_patient_zero(rng) for _ in range(n)]
+        chosen = []
+        while len(chosen) < n:
+            candidate = codec.generate_patient_zero(rng)
+            if candidate not in chosen:
+                chosen.append(candidate)
+        return chosen
     pool = [codec.generate_patient_zero(rng) for _ in range(50 * n)]
     chosen = [pool[rng.randrange(len(pool))]]
     while len(chosen) < n:
@@ -107,6 +113,15 @@ class TestSeedPatientZeros:
             )
         assert spread_total >= random_total
 
+    def test_random_strains_start_from_distinct_patient_zeros(self):
+        # 8 bits, 5 strains: 7 of seeds 1-200 draw a repeat, which is redrawn
+        codec = BinaryCodec(bits=8)
+        for seed in range(1, 201):
+            draws = Random(seed)
+            stream = [codec.generate_patient_zero(draws) for _ in range(30)]
+            expected = list(dict.fromkeys(stream))[:5]
+            assert seed_patient_zeros(5, codec, PzStrategy.RANDOM, Random(seed)) == expected
+
     def test_more_zeros_than_genotypes_rejected(self):
         codec = BinaryCodec(bits=8)
         with pytest.raises(ValueError):
@@ -171,7 +186,7 @@ class TestRunPandemic:
             pandemic = run_pandemic(
                 MultiStrainConfig.uniform(EpidemicParameters(seed=seed, strains=1)), codec
             )
-            standalone = run_strain(EpidemicParameters(seed=seed), codec, Random(seed))
+            standalone = run_strain(EpidemicParameters(seed=seed), codec)
             assert pandemic.strains[0] == standalone
             assert pandemic.history == standalone.history
             assert pandemic.best == standalone.best
@@ -182,7 +197,7 @@ class TestRunPandemic:
             pandemic = run_pandemic(
                 MultiStrainConfig.uniform(EpidemicParameters(seed=seed, strains=1)), codec
             )
-            standalone = run_strain(EpidemicParameters(seed=seed), codec, Random(seed))
+            standalone = run_strain(EpidemicParameters(seed=seed), codec)
             assert pandemic.history == standalone.history, f"seed {seed}"
 
     def test_five_strain_binary_run_is_reproducible(self):
@@ -336,6 +351,24 @@ class TestRunPandemic:
         assert result.history == []
         assert result.termination is Termination.GOAL_REACHED
         assert [s.termination for s in result.strains] == [Termination.GOAL_REACHED] * 3
+
+    def test_nan_stop_fitness_rejected_before_any_draw(self, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("patient zeros drawn")
+
+        monkeypatch.setattr(cvoa.multistrain, "seed_patient_zeros", no_draw)
+        config = MultiStrainConfig.uniform(EpidemicParameters(seed=1, strains=3))
+        with pytest.raises(ValueError, match="NaN"):
+            run_pandemic(config, BinaryCodec(bits=20), stop_fitness=float("nan"))
+
+    def test_infinite_stop_fitness_keeps_its_meaning(self):
+        config = MultiStrainConfig.uniform(EpidemicParameters(seed=1, strains=3))
+        codec = BinaryCodec(bits=20)
+        # every fitness is at least as good as +inf under minimize, none as -inf
+        at_once = run_pandemic(config, codec, stop_fitness=float("inf"))
+        assert at_once.history == []
+        assert at_once.termination is Termination.GOAL_REACHED
+        assert run_pandemic(config, codec, stop_fitness=float("-inf")) == run_pandemic(config, codec)
 
     def test_goal_never_reached_keeps_the_old_terminations(self):
         result = run_pandemic(
