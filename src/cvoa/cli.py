@@ -7,7 +7,8 @@ across several bit lengths and tabulates mean iterations-to-optimum and
 the evaluated fraction of each search space.
 
 Exit status: 0 on success, 1 when a fitness evaluation fails (the partial
-iteration trace is still flushed), 2 for config or usage errors.
+iteration trace is still flushed), 2 for config or usage errors (an
+unusable output directory among them), all found before the first run.
 """
 
 from __future__ import annotations
@@ -261,6 +262,14 @@ def _repeat_configs(config: RunConfig) -> list[MultiStrainConfig]:
         )
 
 
+def _make_out_dir(out: Path) -> None:
+    """Called after the config checks, before the first run."""
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out}: {exc}")
+
+
 def cmd_run(config: RunConfig) -> int:
     """Run every repeat; the first failed evaluation ends the campaign
     with status 1, after the summary of the runs that finished."""
@@ -268,7 +277,7 @@ def cmd_run(config: RunConfig) -> int:
     codec = build_codec(config.codec_spec, params.seed)
     _require_room(codec, params.strains)
     pandemics = _repeat_configs(config)
-    config.out.mkdir(parents=True, exist_ok=True)
+    _make_out_dir(config.out)
     runs: list[dict] = []
     status = 0
     for pandemic in pandemics:
@@ -324,6 +333,7 @@ def cmd_sweep(config: RunConfig, lengths: list[int]) -> int:
         except ConfigError as exc:
             raise ConfigError(f"length {length}: {exc}")
         codecs.append(codec)
+    _make_out_dir(config.out)
     rows: list[tuple[int, float | None, float]] = []
     for length, codec in zip(lengths, codecs):
         optimum = codec.optimum_fitness()
@@ -339,7 +349,6 @@ def cmd_sweep(config: RunConfig, lengths: list[int]) -> int:
             f"length {length}: mean_iterations_to_optimum={rows[-1][1]} "
             f"mean_evaluated_fraction={rows[-1][2]}"
         )
-    config.out.mkdir(parents=True, exist_ok=True)
     sweep_path = config.out / "sweep.csv"
     with sweep_path.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)

@@ -10,20 +10,19 @@ lookups), so genotypes should do both cheaply. Both codecs' genotypes
 are builtin-backed and do both in C: the binary codec's are plain `int`s,
 their length kept by the codec, and the nn codec's are named tuples.
 
-A codec may also offer a batch hook, `fitness_all(genotypes)`. The engine
-calls it once with all of a pandemic's patient zeros, in strain order, and
-then once per iteration of a strain, with the genotypes it has not scored
-yet, each once and in discovery order; it
-caches the scores the hook returns and never asks for them again. The
-hook may score them together (concurrently, say); it returns an iterable
-of the scores in the same order, one per genotype (any other count is an
-EvaluationError), and iterating it raises at the first failure in that
-order, after the scores before it.
+Every score enters the engine through SharedLedger.evaluate_all: first a
+pandemic's patient zeros, in strain order, then once per iteration of a
+strain the genotypes not scored yet, each once and in discovery order. A
+codec's batch hook `fitness_all(genotypes)`, if it has one, scores each
+such batch in one call (concurrently, say) and returns an iterable of one
+score per genotype, in order, that raises at the first failure after the
+scores before it; without the hook, `fitness` scores one at a time. Each
+score must be finite; a failure, a non-finite score or a miscounted batch
+is an EvaluationError, raised once the scores before it are cached.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from random import Random
 from typing import Any, Protocol, runtime_checkable
@@ -34,24 +33,18 @@ from .params import DistanceMode
 class EvaluationError(RuntimeError):
     """A fitness evaluation failed (crash, malformed reply, non-finite value).
 
-    Carries whatever partial results the caller attached before aborting.
+    run_pandemic sets `partial` to its PandemicResult so far.
     """
 
-    def __init__(self, message: str, *, partial: Any = None) -> None:
-        super().__init__(message)
-        self.partial = partial
+    partial: Any = None
 
 
 @dataclass(frozen=True)
 class EvaluatedIndividual:
-    """A genotype paired with its (finite) fitness."""
+    """A genotype paired with its fitness, finite as the ledger checked it."""
 
     genotype: Any
     fitness: float
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.fitness):
-            raise EvaluationError(f"non-finite fitness {self.fitness!r} for {self.genotype!r}")
 
 
 @runtime_checkable

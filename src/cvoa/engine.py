@@ -87,41 +87,36 @@ class SharedLedger:
         return len(self.fitness_cache)
 
     def evaluate(self, codec: Codec, genotype: Any) -> float:
-        """Memoized fitness; a non-finite result is an error, never cached."""
+        """Memoized fitness; a miss is scored by evaluate_all."""
         if genotype in self.fitness_cache:
             return self.fitness_cache[genotype]
-        value = codec.fitness(genotype)
-        if not math.isfinite(value):
-            raise EvaluationError(f"non-finite fitness {value!r} for {genotype!r}")
-        self.fitness_cache[genotype] = value
-        return value
+        return self.evaluate_all(codec, [genotype])[0]
 
     def evaluate_all(self, codec: Codec, genotypes: list) -> list[float]:
-        """Memoized fitness of each genotype, evaluated in list order.
+        """Memoized fitness of each genotype; the one place a score enters.
 
-        A codec with a `fitness_all` hook scores every uncached genotype
-        in one call, each once and in list order; the scores before the
-        first failure are cached, and that failure is raised. A hook that
-        returns more or fewer scores than it was given genotypes fails
-        too, once the scores that pair up are cached.
+        The uncached genotypes are scored once each, in list order, by one
+        call of the codec's `fitness_all` hook, or else by `fitness` one at
+        a time. Each score is checked and cached as it pairs with its
+        genotype; a failure, a non-finite score or a batch of the wrong
+        size is raised once the scores before it are cached.
         """
-        fitness_all = getattr(codec, "fitness_all", None)
-        if fitness_all is not None:
-            uncached = list(dict.fromkeys(g for g in genotypes if g not in self.fitness_cache))
-            if uncached:
-                cached = len(self.fitness_cache)
-                scores = iter(fitness_all(uncached))
-                # zip reads uncached first, so a surplus score stays in `scores`
-                for genotype, value in zip(uncached, scores):
-                    if not math.isfinite(value):
-                        raise EvaluationError(f"non-finite fitness {value!r} for {genotype!r}")
-                    self.fitness_cache[genotype] = value
-                # each paired score cached one new genotype
-                returned = len(self.fitness_cache) - cached + sum(1 for _ in scores)
-                if returned != len(uncached):
-                    raise EvaluationError(
-                        f"fitness_all returned {returned} scores for {len(uncached)} genotypes"
-                    )
+        uncached = [g for g in dict.fromkeys(genotypes) if g not in self.fitness_cache]
+        if uncached:
+            fitness_all = getattr(codec, "fitness_all", None)
+            scores = iter(fitness_all(uncached) if fitness_all else map(codec.fitness, uncached))
+            cached = len(self.fitness_cache)
+            # zip reads uncached first, so a surplus score stays in `scores`
+            for genotype, value in zip(uncached, scores):
+                if not math.isfinite(value):
+                    raise EvaluationError(f"non-finite fitness {value!r} for {genotype!r}")
+                self.fitness_cache[genotype] = value
+            # each paired score cached one new genotype
+            returned = len(self.fitness_cache) - cached + sum(1 for _ in scores)
+            if returned != len(uncached):
+                raise EvaluationError(
+                    f"fitness_all returned {returned} scores for {len(uncached)} genotypes"
+                )
         return [self.evaluate(codec, g) for g in genotypes]
 
 
@@ -300,7 +295,6 @@ class Strain:
             values = shared.evaluate_all(self.codec, fresh)
             genotype, value = best_of(fresh, values, params.objective)
             if params.objective.better(value, self.best.fitness):
-                # only the winner is wrapped: evaluate() rejected non-finite values
                 self.best = EvaluatedIndividual(genotype, value)
 
         resolve_isolates(self, isolates)

@@ -251,10 +251,11 @@ class ExternalEvaluator:
 
     The decoded architecture goes to the evaluator's stdin as
     {"learning_rate": ..., "dropout": ..., "units": [...]} and the reply
-    must be {"fitness": <finite number>}. `command` is a non-empty list of
-    strings, or a string that shlex splits into one; any other command is a
-    ValueError at construction. Each fitness() call is one
-    evaluator process; the evaluator keeps no per-genotype state, because
+    must be {"fitness": <finite JSON number in float range>}, not a string
+    or bool. `command` is a non-empty list of strings, or a string that
+    shlex splits into one; any other command is a ValueError at
+    construction. Each fitness() call is one evaluator process; the
+    evaluator keeps no per-genotype state, because
     the engine's ledger already scores each genotype once per pandemic.
     `invocations` counts the round trips that fitness_all() started, the
     one way the engine reaches an evaluator. One caller at a time.
@@ -307,9 +308,11 @@ class ExternalEvaluator:
             )
         line = proc.stdout.strip().splitlines()[-1] if proc.stdout.strip() else ""
         try:
-            reply = json.loads(line)
-            value = float(reply["fitness"])
-        except (ValueError, KeyError, TypeError) as exc:
+            value = json.loads(line)["fitness"]
+            if type(value) not in (int, float):  # float() would take a string or a bool
+                raise TypeError(f"fitness {value!r} is not a number")
+            value = float(value)  # an int past the float range overflows
+        except (ValueError, KeyError, TypeError, OverflowError) as exc:
             raise EvaluationError(f"malformed evaluator reply {line!r}") from exc
         if not math.isfinite(value):
             raise EvaluationError(f"evaluator returned non-finite fitness {value!r}")

@@ -119,6 +119,19 @@ class TestConfigErrors:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [["run"], ["sweep", "--lengths", "10,12"]], ids=["run", "sweep"])
+    @pytest.mark.parametrize("under", [False, True], ids=["at-a-file", "under-a-file"])
+    def test_unusable_out_dir_rejected_before_any_run(self, tmp_path, capsys, argv, under):
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+        out = blocker / "x" if under else blocker
+        path = write_config(tmp_path)
+        assert main([*argv, "--config", str(path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith(f"error: cannot create output directory {out}: ")
+
     def test_unknown_parameter_field(self, tmp_path, capsys):
         path = write_config(tmp_path, {"parameters": {"p_zombie": 0.1}})
         assert main(["run", "--config", str(path)]) == 2
@@ -386,6 +399,24 @@ class TestEvaluationFailure:
         assert csv_path.exists()
         assert csv_path.read_text().splitlines()[0] == "Iteration,Deaths,Recovered,Infected,Fitness"
 
+    def test_fitness_past_float_range_exits_one_with_partial_csv(self, tmp_path, capsys):
+        script = tmp_path / "huge.py"
+        script.write_text(
+            "import sys; sys.stdin.readline(); print('{\"fitness\": ' + '9' * 401 + '}')",
+            encoding="utf-8",
+        )
+        out = tmp_path / "out"
+        config = {
+            "codec": {"kind": "nn", "evaluator": [sys.executable, str(script)]},
+            "parameters": {"seed": 1, "strains": 2},
+            "out": str(out),
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["run", "--config", str(path)]) == 1
+        assert "malformed evaluator reply" in capsys.readouterr().err
+        rows = (out / "run_1" / "iterations.csv").read_text().splitlines()
+        assert rows == ["Iteration,Deaths,Recovered,Infected,Fitness"]
 
     def test_failure_after_the_patient_zeros_flushes_the_completed_rows(self, tmp_path, capsys):
         # a run that fails on its last evaluation keeps every row before that step

@@ -582,10 +582,11 @@ class TestSharedLedger:
         shared.evaluate(codec, b)
         values = shared.evaluate_all(codec, [c, b, a, c])
         assert values == [codec.inner.fitness(g) for g in (c, b, a, c)]
-        assert codec.batches == [[c, a]]
+        assert codec.batches == [[b], [c, a]]
         assert shared.evaluate_all(codec, [a, c]) == [values[2], values[0]]
-        assert codec.batches == [[c, a]]
-        assert codec.fitness_calls == Counter({b: 1})
+        assert codec.batches == [[b], [c, a]]
+        # a direct evaluate miss is a batch of one through the hook
+        assert codec.fitness_calls == Counter()
 
     def test_evaluate_all_caches_the_scores_before_a_failure(self):
         a, b, c, d = 1, 2, 3, 4

@@ -1,7 +1,9 @@
 """Variable-length network codec: decoding, mutation, surrogate, evaluator bridge."""
 
 import json
+import os
 import sys
+import time
 from random import Random
 
 import pytest
@@ -397,6 +399,38 @@ class TestExternalEvaluator:
         )
         with pytest.raises(EvaluationError, match="malformed"):
             ExternalEvaluator(command).fitness(NetGenotype(0, 0, (0, 0)))
+
+    @pytest.mark.parametrize(
+        "fitness", ['"3.5"', "true", "1" * 401], ids=["string", "bool", "past-float-range"]
+    )
+    def test_reply_that_is_no_float_number_is_malformed(self, tmp_path, fitness):
+        command = write_script(
+            tmp_path,
+            "odd.py",
+            f"import sys; sys.stdin.readline(); print('{{\"fitness\": {fitness}}}')",
+        )
+        evaluator = ExternalEvaluator(command)
+        with pytest.raises(EvaluationError, match="malformed"):
+            evaluator.fitness(NetGenotype(0, 0, (0, 0)))
+
+    @pytest.mark.parametrize("batch", [False, True], ids=["fitness", "fitness_all"])
+    def test_timeout_is_error_and_reaps_the_evaluator(self, tmp_path, batch):
+        pid_path = tmp_path / "pid"
+        command = write_script(
+            tmp_path,
+            "sleepy.py",
+            "import os, pathlib, time\n"
+            f"pathlib.Path({str(pid_path)!r}).write_text(str(os.getpid()))\n"
+            "time.sleep(60)\n",
+        )
+        evaluator = ExternalEvaluator(command, timeout=0.5)
+        g = NetGenotype(0, 0, (0, 0))
+        start = time.monotonic()
+        with pytest.raises(EvaluationError, match="failed to run"):
+            list(evaluator.fitness_all([g])) if batch else evaluator.fitness(g)
+        assert time.monotonic() - start < 5
+        with pytest.raises(ProcessLookupError):
+            os.kill(int(pid_path.read_text()), 0)
 
     @pytest.mark.parametrize("command", ["", [], "   ", {"cmd": "python3"}, ["python3", 5]])
     def test_empty_command_is_rejected(self, command):
