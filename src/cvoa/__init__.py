@@ -29,7 +29,6 @@ from .engine import (
     die,
     infect,
     new_infection,
-    select_best,
 )
 from .multistrain import (
     MultiStrainConfig,

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -277,12 +278,17 @@ def cmd_run(config: RunConfig) -> int:
     codec = build_codec(config.codec_spec, params.seed)
     _require_room(codec, params.strains)
     pandemics = _repeat_configs(config)
+    run_dirs = [config.out / f"run_{pandemic.parameters[0].seed}" for pandemic in pandemics]
     _make_out_dir(config.out)
+    for run_dir in run_dirs:
+        _require(
+            run_dir.is_dir() or not os.path.lexists(run_dir),
+            f"cannot create run directory {run_dir}: a file is in its place",
+        )
     runs: list[dict] = []
     status = 0
-    for pandemic in pandemics:
+    for pandemic, run_dir in zip(pandemics, run_dirs):
         seed = pandemic.parameters[0].seed
-        run_dir = config.out / f"run_{seed}"
         run_dir.mkdir(parents=True, exist_ok=True)
         try:
             result = run_pandemic(pandemic, codec)

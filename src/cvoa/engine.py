@@ -9,18 +9,19 @@ codec's replicate operator (the fittest share of spreaders with the
 super-spreader range), candidates are routed through isolation /
 reinfection bookkeeping, the newly evaluated individuals update the
 best-so-far, isolates either die or recover, the spreaders recover, and
-the new infections become the next generation. The strain ends when the
-infected set empties (extinction) or the configured duration elapses.
+the new infections become the next generation. The step that empties
+the infected set (extinction) or completes the configured duration ends
+the strain and records why in `termination`; the driver records a goal.
 
 Every population a loop draws random numbers over is kept in discovery
 order: an insertion-ordered dict admits each genotype in the order the
 strain first met it, so a fixed seed reproduces a run exactly, whatever
 the genotypes' hashes. The one other order is the spreaders' fitness
 rank, a stable sort of discovery order, and every fitness tie (among the
-spreaders, in best_of and in select_best) goes to the first in list
-order. Genotypes are never compared by anything but equality. Strain.step
-is the one place that sets these orders; die and resolve_isolates draw
-in the order they are given.
+spreaders, and in Objective.best, which picks every best) goes to the
+first in list order. Genotypes are never compared by anything but
+equality. Strain.step is the one place that sets these orders; die and
+resolve_isolates draw in the order they are given.
 """
 
 from __future__ import annotations
@@ -206,32 +207,13 @@ def superspreader_count(p_superspreader: float, spreaders: int) -> int:
     return math.ceil(round(p_superspreader * spreaders, 9))
 
 
-def best_of(genotypes: list, values: list[float], objective: Objective) -> tuple[Any, float]:
-    """The (genotype, fitness) pair optimal under the objective, from
-    parallel non-empty lists; ties go to the first in list order."""
-    pick = min if objective is Objective.MINIMIZE else max
-    index = pick(range(len(values)), key=values.__getitem__)
-    return genotypes[index], values[index]
-
-
-def select_best(
-    population: Iterable[EvaluatedIndividual], objective: Objective
-) -> EvaluatedIndividual:
-    """Optimal individual under the objective, by best_of's rule."""
-    population = list(population)
-    genotype, fitness = best_of(
-        [e.genotype for e in population], [e.fitness for e in population], objective
-    )
-    return EvaluatedIndividual(genotype, fitness)
-
-
 class Strain:
     """One strain's state between iterations; step() runs one iteration.
 
     The strain starts from a patient zero that its driver has already
     scored. Its populations are dicts used as insertion-ordered sets (keys
-    only); recovered and dead live in the shared ledger. A step that
-    raises leaves the strain active.
+    only); recovered and dead live in the shared ledger. `termination` is
+    None while the strain is live; a step that raises leaves it None.
     """
 
     def __init__(
@@ -250,21 +232,8 @@ class Strain:
         self.new_infected: dict = {}
         self.isolated_now: dict = {}
         self.history: list[IterationRecord] = []
-        self.iteration = 0
         self.best = patient_zero
-
-    @property
-    def active(self) -> bool:
-        return self.iteration < self.params.pandemic_duration and bool(self.infected)
-
-    def result(self) -> StrainResult:
-        if self.active:
-            termination = None
-        elif not self.infected:
-            termination = Termination.EXTINCTION
-        else:
-            termination = Termination.DURATION_REACHED
-        return StrainResult(best=self.best, history=self.history, termination=termination)
+        self.termination: Termination | None = None
 
     def step(self) -> None:
         params, shared = self.params, self.shared
@@ -293,20 +262,19 @@ class Strain:
         fresh = [*self.new_infected, *isolates]
         if fresh:
             values = shared.evaluate_all(self.codec, fresh)
-            genotype, value = best_of(fresh, values, params.objective)
-            if params.objective.better(value, self.best.fitness):
-                self.best = EvaluatedIndividual(genotype, value)
+            index = params.objective.best(range(len(values)), key=values.__getitem__)
+            if params.objective.better(values[index], self.best.fitness):
+                self.best = EvaluatedIndividual(fresh[index], values[index])
 
         resolve_isolates(self, isolates)
         shared.recover_all(self.infected)
         self.infected = self.new_infected
         self.new_infected = {}
-        self.iteration += 1
 
         deaths_total, recovered_total = shared.counts()
         self.history.append(
             IterationRecord(
-                iteration=self.iteration,
+                iteration=len(self.history) + 1,
                 deaths_total=deaths_total,
                 recovered_total=recovered_total,
                 infected_count=len(self.infected),
@@ -314,4 +282,8 @@ class Strain:
                 evaluations_total=shared.evaluations_total(),
             )
         )
+        if not self.infected:
+            self.termination = Termination.EXTINCTION
+        elif len(self.history) == params.pandemic_duration:
+            self.termination = Termination.DURATION_REACHED
 

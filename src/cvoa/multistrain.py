@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from operator import attrgetter
 from random import Random
 
 from .codec import Codec, EvaluatedIndividual, EvaluationError
@@ -25,7 +26,6 @@ from .engine import (
     Strain,
     StrainResult,
     Termination,
-    select_best,
 )
 from .params import EpidemicParameters, validate_parameters
 
@@ -171,35 +171,36 @@ def run_pandemic(
     def reached_goal(fitness: float) -> bool:
         return stop_fitness is not None and not objective.better(stop_fitness, fitness)
 
+    by_fitness = attrgetter("fitness")
     cohort: list[Strain] = []
     initial_best: float | None = None
     error: EvaluationError | None = None
-    goal, reacher = False, -1
+    goal = False
     try:
         fitnesses = shared.evaluate_all(codec, pzs)
         cohort = [
             Strain(params, codec, rng, shared, EvaluatedIndividual(pz, fitness))
             for params, rng, pz, fitness in zip(config.parameters, rngs, pzs, fitnesses)
         ]
-        initial_best = select_best([s.best for s in cohort], objective).fitness
+        initial_best = objective.best([s.best for s in cohort], key=by_fitness).fitness
         goal = reached_goal(initial_best)
-        while not goal and any(s.active for s in cohort):
-            for index, strain in enumerate(cohort):
-                if not strain.active:
-                    continue
-                strain.step()
-                if reached_goal(strain.best.fitness):
-                    goal, reacher = True, index
-                    break
+        while not goal and any(s.termination is None for s in cohort):
+            for strain in cohort:
+                if strain.termination is None:
+                    strain.step()
+                    goal = reached_goal(strain.best.fitness)
+                    if goal:
+                        # the goal outranks the extinction or duration that ended this step
+                        strain.termination = Termination.GOAL_REACHED
+                        break
+        if goal:
+            for strain in cohort:
+                if strain.termination is None:
+                    strain.termination = Termination.GOAL_REACHED
     except EvaluationError as exc:
         error = exc
 
-    results = [s.result() for s in cohort]
-    if goal:
-        for index, (strain, result) in enumerate(zip(cohort, results)):
-            if strain.active or index == reacher:
-                result.termination = Termination.GOAL_REACHED
-
+    results = [StrainResult(s.best, s.history, s.termination) for s in cohort]
     dead_total, recovered_total = shared.counts()
     if error is not None:
         termination: Termination | None = None
@@ -212,7 +213,7 @@ def run_pandemic(
 
     result = PandemicResult(
         # the first of tied strains wins; no strain was built if the patient zeros failed
-        best=select_best([r.best for r in results], objective) if results else None,
+        best=objective.best([r.best for r in results], key=by_fitness) if results else None,
         strains=results,
         history=_merge_histories([r.history for r in results], objective),
         initial_best=initial_best,

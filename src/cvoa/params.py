@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 from random import Random
+from typing import Any, Callable, Iterable
 
 
 def randbelow(rng: Random, n: int) -> int:
@@ -40,6 +41,11 @@ class Objective(Enum):
         if self is Objective.MINIMIZE:
             return a < b
         return a > b
+
+    def best(self, items: Iterable[Any], key: Callable[[Any], float]) -> Any:
+        """The item whose key is optimal; ties go to the first. Empty
+        `items` raise ValueError."""
+        return (min if self is Objective.MINIMIZE else max)(items, key=key)
 
 
 class DistanceMode(Enum):

@@ -132,6 +132,18 @@ class TestConfigErrors:
         [line] = captured.err.splitlines()
         assert line.startswith(f"error: cannot create output directory {out}: ")
 
+    def test_run_directory_blocked_by_a_file_rejected_before_any_run(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "run_2").write_text("", encoding="utf-8")
+        path = write_config(tmp_path, {"out": str(out), "repeat": 2})
+        assert main(["run", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith(f"error: cannot create run directory {out / 'run_2'}: ")
+        assert sorted(p.name for p in out.iterdir()) == ["run_2"]
+
     def test_unknown_parameter_field(self, tmp_path, capsys):
         path = write_config(tmp_path, {"parameters": {"p_zombie": 0.1}})
         assert main(["run", "--config", str(path)]) == 2

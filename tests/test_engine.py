@@ -2,6 +2,7 @@
 
 import math
 from collections import Counter
+from operator import attrgetter
 from random import Random
 
 import pytest
@@ -26,9 +27,10 @@ from cvoa import (
     new_infection,
     run_pandemic,
     run_strain,
-    select_best,
 )
 from cvoa.engine import Strain, resolve_isolates, superspreader_count
+
+FITNESS = attrgetter("fitness")
 
 
 class RecordingCodec:
@@ -344,36 +346,38 @@ class TestResolveIsolates:
 
 
 class TestSelectBest:
+    """Objective.best, which picks every best in the engine."""
+
     def test_minimize_picks_lowest(self):
         population = [
             EvaluatedIndividual(1, 4.0),
             EvaluatedIndividual(2, 1.0),
             EvaluatedIndividual(3, 0.0),
         ]
-        assert select_best(population, Objective.MINIMIZE).fitness == 0.0
+        assert Objective.MINIMIZE.best(population, key=FITNESS).fitness == 0.0
 
     def test_maximize_picks_highest(self):
         population = [
             EvaluatedIndividual(1, 4.0),
             EvaluatedIndividual(2, 9.0),
         ]
-        assert select_best(population, Objective.MAXIMIZE).fitness == 9.0
+        assert Objective.MAXIMIZE.best(population, key=FITNESS).fitness == 9.0
 
     def test_singleton(self):
         only = EvaluatedIndividual(1, 4.0)
-        assert select_best([only], Objective.MINIMIZE) == only
+        assert Objective.MINIMIZE.best([only], key=FITNESS) == only
 
     def test_empty_population_rejected(self):
         with pytest.raises(ValueError):
-            select_best([], Objective.MINIMIZE)
+            Objective.MINIMIZE.best([], key=FITNESS)
 
     def test_ties_break_deterministically(self):
         # the first in list order wins a tie, under either objective
         a = EvaluatedIndividual(100, 5.0)
         b = EvaluatedIndividual(7, 5.0)
         for objective in Objective:
-            assert select_best([a, b], objective).genotype == 100
-            assert select_best([b, a], objective).genotype == 7
+            assert objective.best([a, b], key=FITNESS).genotype == 100
+            assert objective.best([b, a], key=FITNESS).genotype == 7
 
 
 class TieCodec:

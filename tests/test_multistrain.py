@@ -341,6 +341,20 @@ class TestRunPandemic:
             Termination.EXTINCTION
         ]
 
+    def test_goal_in_the_last_iteration_outranks_the_duration(self):
+        # 20 bits, seed 1: strains 0 and 1 end by duration in round 7 before
+        # strain 2 reaches 0 in its own seventh and last step
+        result = run_pandemic(
+            MultiStrainConfig.uniform(EpidemicParameters(seed=1, strains=5, pandemic_duration=7)),
+            BinaryCodec(bits=20),
+            stop_fitness=0,
+        )
+        assert len(result.history) == 7
+        assert result.termination is Termination.GOAL_REACHED
+        assert [s.termination for s in result.strains] == [Termination.DURATION_REACHED] * 2 + [
+            Termination.GOAL_REACHED
+        ] * 3
+
     def test_patient_zero_at_the_goal_reports_goal_reached(self):
         # every 10-bit genotype scores below 2**20, so each patient zero is at the goal
         result = run_pandemic(
