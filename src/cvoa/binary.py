@@ -26,10 +26,10 @@ fewer Python frames, so a fixed seed still flips the same bits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from random import Random
+from typing import NamedTuple
 
-from .params import DistanceMode, randbelow
+from .params import DistanceMode, Validated, randbelow
 
 MIN_BITS = 8
 MAX_BITS = 64
@@ -170,13 +170,16 @@ def _nth_set_bit(mask: int, index: int) -> int:
     raise ValueError("index is not below the number of set bits")
 
 
-@dataclass(frozen=True)
-class BinaryCodec:
+class _BinaryCodecFields(NamedTuple):
+    bits: int = 10
+    target: int = 15
+
+
+class BinaryCodec(Validated, _BinaryCodecFields):
     """Codec over n-bit genotypes, plain `int`s in [0, 2**bits), scored by
     (g - target)^2."""
 
-    bits: int = 10
-    target: int = 15
+    __slots__ = ()
 
     def __post_init__(self) -> None:
         if not MIN_BITS <= self.bits <= MAX_BITS:

@@ -18,9 +18,9 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from random import Random
+from typing import NamedTuple
 
 from .binary import BinaryCodec
 from .codec import Codec, EvaluationError
@@ -37,8 +37,7 @@ class ConfigError(ValueError):
     """The run configuration is unreadable or violates its contract."""
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     codec_spec: dict
     parameters: EpidemicParameters
     pz_strategy: PzStrategy
@@ -58,8 +57,7 @@ def _is_int(value: object) -> bool:
 def _parse_parameters(raw: dict) -> EpidemicParameters:
     """Each field must have the type of its default; a bool is no number."""
     _require(isinstance(raw, dict), "parameters must be an object")
-    known = {f.name for f in fields(EpidemicParameters)}
-    unknown = sorted(set(raw) - known)
+    unknown = sorted(set(raw) - set(EpidemicParameters._fields))
     _require(not unknown, f"unknown parameter field(s): {', '.join(unknown)}")
     defaults = EpidemicParameters()
     values = dict(raw)
@@ -83,7 +81,7 @@ def _parse_parameters(raw: dict) -> EpidemicParameters:
             )
         else:
             _require(_is_int(value), f"{name} must be an integer, got {value!r}")
-    params = replace(defaults, **values)
+    params = defaults._replace(**values)
     try:
         validate_parameters(params)
     except ParameterError as exc:
@@ -398,9 +396,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = load_config(args.config)
         if args.seed is not None:
-            config.parameters = config.parameters.with_seed(args.seed)
+            config = config._replace(parameters=config.parameters.with_seed(args.seed))
         if args.out is not None:
-            config.out = args.out
+            config = config._replace(out=args.out)
         if args.command == "run":
             return cmd_run(config)
         lengths = _parse_lengths(args.lengths)

@@ -23,9 +23,8 @@ is an EvaluationError, raised once the scores before it are cached.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from random import Random
-from typing import Any, Protocol, runtime_checkable
+from typing import Any, NamedTuple, Protocol, runtime_checkable
 
 from .params import DistanceMode
 
@@ -39,8 +38,7 @@ class EvaluationError(RuntimeError):
     partial: Any = None
 
 
-@dataclass(frozen=True)
-class EvaluatedIndividual:
+class EvaluatedIndividual(NamedTuple):
     """A genotype paired with its fitness, finite as the ledger checked it."""
 
     genotype: Any

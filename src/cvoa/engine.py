@@ -27,10 +27,9 @@ resolve_isolates draw in the order they are given.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from random import Random
-from typing import Any, Iterable
+from typing import Any, Iterable, NamedTuple
 
 from .codec import Codec, EvaluatedIndividual, EvaluationError
 from .params import DistanceMode, EpidemicParameters, Objective, randbelow
@@ -121,8 +120,7 @@ class SharedLedger:
         return [self.evaluate(codec, g) for g in genotypes]
 
 
-@dataclass(frozen=True)
-class IterationRecord:
+class IterationRecord(NamedTuple):
     iteration: int
     deaths_total: int
     recovered_total: int
@@ -131,8 +129,7 @@ class IterationRecord:
     evaluations_total: int
 
 
-@dataclass
-class StrainResult:
+class StrainResult(NamedTuple):
     best: EvaluatedIndividual
     history: list[IterationRecord]
     # None: an evaluation failed while the strain was still active

@@ -13,10 +13,10 @@ so the strains start in distant regions of the search space.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from enum import Enum
 from operator import attrgetter
 from random import Random
+from typing import NamedTuple
 
 from .codec import Codec, EvaluatedIndividual, EvaluationError
 from .engine import (
@@ -27,7 +27,7 @@ from .engine import (
     StrainResult,
     Termination,
 )
-from .params import EpidemicParameters, validate_parameters
+from .params import EpidemicParameters, Validated, validate_parameters
 
 STRAIN_SEED_STRIDE = 1_000_003
 
@@ -37,10 +37,13 @@ class PzStrategy(Enum):
     MAX_HAMMING_SPREAD = "max_hamming_spread"
 
 
-@dataclass(frozen=True)
-class MultiStrainConfig:
+class _MultiStrainConfigFields(NamedTuple):
     parameters: tuple[EpidemicParameters, ...]
     pz_strategy: PzStrategy = PzStrategy.RANDOM
+
+
+class MultiStrainConfig(Validated, _MultiStrainConfigFields):
+    __slots__ = ()
 
     def __post_init__(self) -> None:
         if not self.parameters:
@@ -66,14 +69,12 @@ class MultiStrainConfig:
         # the fan-out reads strains, so the base is checked first; __post_init__ checks each strain
         validate_parameters(params)
         per_strain = tuple(
-            replace(params, seed=params.seed + j * STRAIN_SEED_STRIDE)
-            for j in range(params.strains)
+            params.with_seed(params.seed + j * STRAIN_SEED_STRIDE) for j in range(params.strains)
         )
         return cls(parameters=per_strain, pz_strategy=pz_strategy)
 
 
-@dataclass
-class PandemicResult:
+class PandemicResult(NamedTuple):
     best: EvaluatedIndividual | None
     strains: list[StrainResult]
     history: list[IterationRecord]

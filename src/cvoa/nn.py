@@ -23,12 +23,11 @@ import math
 import os
 import shlex
 import subprocess
-from dataclasses import dataclass
 from random import Random
 from typing import Iterator, NamedTuple
 
 from .codec import EvaluationError
-from .params import DistanceMode
+from .params import DistanceMode, Validated
 
 LR_TABLE = (0.0, 0.1, 0.01, 0.001, 0.0001, 0.00001)
 DROP_TABLE = (0.0, 0.10, 0.15, 0.20, 0.25, 0.30, 0.35, 0.40, 0.45)
@@ -85,8 +84,7 @@ def parse_net_text(text: str) -> NetGenotype:
     return genotype
 
 
-@dataclass(frozen=True)
-class ArchitectureSpec:
+class ArchitectureSpec(NamedTuple):
     learning_rate: float
     dropout: float
     units_per_layer: tuple[int, ...]
@@ -319,8 +317,12 @@ class ExternalEvaluator:
         return value
 
 
-@dataclass(frozen=True)
-class NetCodec:
+class _NetCodecFields(NamedTuple):
+    target: NetGenotype | None = None
+    evaluator: ExternalEvaluator | None = None
+
+
+class NetCodec(Validated, _NetCodecFields):
     """Codec over NetGenotype; scored by surrogate distance or an evaluator.
 
     Exactly one of `target` (surrogate mode, range-checked) and `evaluator` must be set.
@@ -328,8 +330,7 @@ class NetCodec:
     evaluator mode has no target knowledge, so replication stays uniform.
     """
 
-    target: NetGenotype | None = None
-    evaluator: ExternalEvaluator | None = None
+    __slots__ = ()
 
     def __post_init__(self) -> None:
         if (self.target is None) == (self.evaluator is None):

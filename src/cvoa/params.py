@@ -3,15 +3,15 @@
 All probabilities and spread ranges carry the suggested disease-statistics
 defaults, so a default-constructed parameter set is immediately runnable.
 The module also holds `randbelow`, the integer draw that the engine and the
-bit codec share.
+bit codec share, and `Validated`, the base of the named tuples that check
+their fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from enum import Enum
 from random import Random
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, NamedTuple
 
 
 def randbelow(rng: Random, n: int) -> int:
@@ -59,8 +59,30 @@ class ParameterError(ValueError):
     """Raised when a parameter set violates its invariants."""
 
 
-@dataclass(frozen=True)
-class EpidemicParameters:
+class Validated:
+    """Base of a named tuple that checks its fields in __post_init__.
+
+    List it before the named-tuple base. The constructor, `_make` (and so
+    `_replace`), copying and unpickling at every protocol all build through
+    __new__, which runs the check.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args: Any, **kwargs: Any) -> Any:
+        self = super().__new__(cls, *args, **kwargs)
+        self.__post_init__()
+        return self
+
+    @classmethod
+    def _make(cls, iterable: Iterable[Any]) -> Any:
+        return cls(*iterable)
+
+    def __reduce__(self) -> tuple:
+        return type(self), tuple(self)
+
+
+class EpidemicParameters(NamedTuple):
     p_die: float = 0.05
     p_superspreader: float = 0.1
     ordinary_spread_range: tuple[int, int] = (0, 5)
@@ -75,7 +97,7 @@ class EpidemicParameters:
     seed: int = 0
 
     def with_seed(self, seed: int) -> "EpidemicParameters":
-        return replace(self, seed=seed)
+        return self._replace(seed=seed)
 
 
 _PROBABILITY_FIELDS = (

@@ -2,14 +2,14 @@
 
 import json
 import re
+import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import cvoa.cli
-from cvoa import BinaryCodec, EpidemicParameters, Objective, PandemicResult
+from cvoa import BinaryCodec, EpidemicParameters, Objective, PandemicResult, Termination
 from cvoa.cli import iterations_to_optimum, load_config, main
 
 BINARY_CONFIG = {
@@ -586,4 +586,21 @@ class TestReadmeConfigExample:
         path = tmp_path / "config.json"
         path.write_text(example, encoding="utf-8")
         config = load_config(path)
-        assert config.parameters == replace(EpidemicParameters(), strains=5, seed=1)
+        assert config.parameters == EpidemicParameters()._replace(strains=5, seed=1)
+
+
+class TestReadmeLibraryExample:
+    def test_example_runs_and_prints_fitness_and_termination(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        example = re.search(r"## Library.*?```python\n(.*?)```", readme, re.S).group(1)
+        src = str(Path(cvoa.cli.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r})\n{example}"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        fitness, termination = proc.stdout.split()
+        assert float(fitness) >= 0
+        assert termination in {str(t) for t in Termination}

@@ -4,7 +4,7 @@ import hashlib
 import os
 import subprocess
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
 from random import Random
@@ -600,7 +600,7 @@ class TestPartialResults:
         assert [s.termination for s in partial.strains] == [Termination.DURATION_REACHED, None]
         assert partial.strains[1].history == []
         assert partial.history == full.strains[0].history
-        alone = failed_pandemic(replace(params, strains=1), 2)
+        alone = failed_pandemic(params._replace(strains=1), 2)
         assert [s.termination for s in alone.strains] == [None]
 
 

@@ -1,6 +1,5 @@
 """Parameter defaults and validation."""
 
-import dataclasses
 from random import Random
 
 import pytest
@@ -81,7 +80,7 @@ def test_with_seed_replaces_only_seed():
 
 
 def test_parameters_frozen():
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         EpidemicParameters().p_die = 0.5
 
 

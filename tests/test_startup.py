@@ -1,4 +1,5 @@
-"""Start-up cost: a binary run loads neither the nn codec nor its thread pool."""
+"""Start-up cost: a binary run loads neither the nn codec nor its thread pool,
+and importing cvoa loads no dataclasses."""
 
 import json
 import subprocess
@@ -35,6 +36,13 @@ def test_import_loads_no_deferred_module():
     loaded = modules_loaded_by("import cvoa, cvoa.cli")
     assert "cvoa.cli" in loaded
     assert not loaded & set(DEFERRED)
+
+
+def test_import_loads_no_dataclasses():
+    # the records are named tuples; dataclasses would pull in inspect, ast, dis and tokenize
+    loaded = modules_loaded_by("import cvoa, cvoa.cli")
+    assert "dataclasses" not in loaded
+    assert "inspect" not in loaded
 
 
 def test_binary_run_loads_no_nn_code(tmp_path):
