@@ -701,3 +701,31 @@ def test_multi_strain_trajectory_is_pinned(bits, seed, objective):
         f"the fixed-seed 5-strain run at {bits} bits, seed {seed}, {objective} changed; "
         "if the search was changed on purpose, re-pin and declare it in CHANGES.md"
     )
+
+
+def test_outcome_grid_is_pinned():
+    """80 whole pandemics, hashed: a change meant to keep every fixed-seed
+    result must keep this grid byte-identical. Binary 10/20/30 bits under
+    minimize (stop at 0) and maximize, 5 strains, 12 iterations; nn
+    surrogate under both patient-zero strategies, 3 strains, 10 iterations;
+    seeds 1-10 each. The sha256 runs over repr() of each PandemicResult."""
+    digest = hashlib.sha256()
+    for bits in (10, 20, 30):
+        codec = BinaryCodec(bits=bits)
+        for objective, stop in ((Objective.MINIMIZE, 0), (Objective.MAXIMIZE, None)):
+            for seed in range(1, 11):
+                params = EpidemicParameters(
+                    seed=seed, strains=5, pandemic_duration=12, objective=objective
+                )
+                result = run_pandemic(MultiStrainConfig.uniform(params), codec, stop_fitness=stop)
+                digest.update(repr(result).encode())
+    for seed in range(1, 11):
+        codec = NetCodec(target=generate_net_patient_zero(Random((seed * 2654435761) % 2**64)))
+        for pz_strategy in PzStrategy:
+            params = EpidemicParameters(seed=seed, strains=3, pandemic_duration=10)
+            result = run_pandemic(MultiStrainConfig.uniform(params, pz_strategy), codec)
+            digest.update(repr(result).encode())
+    assert digest.hexdigest()[:16] == "eab0ea3b78ead130", (
+        "a fixed-seed pandemic in the grid changed; if the search was changed "
+        "on purpose, re-pin and declare it in CHANGES.md"
+    )
