@@ -14,20 +14,27 @@ benchmark runs converge inside the short pandemic window.
 
 Genotypes are plain `int`s in [0, 2**n), not (length, value) pairs: every
 genotype of one codec has the same length, so the codec owns it, and the
-engine hashes and compares every candidate in C. Replication
-picks flip positions from bit masks rather than position lists, walking a
-mask a byte at a time to find its k-th set bit. Ordinary moves, most of
-all calls, take a one-flip path with no mask of used positions and no
-loop; traveler moves loop over their flips. Position draws go through
-`params.randbelow`, which makes the same draws as `Random.randrange` with
-fewer Python frames, so a fixed seed still flips the same bits.
+engine hashes and compares every candidate in C.
+
+The codec breeds a spreader's whole brood in one call: `bit_brood` yields
+the children one at a time, drawing each only when the caller asks for
+it, and computes once per brood what its children share (the parent's
+gap to `toward` and its bias strength, the bit lengths of the position
+draws, the stream's bound methods, the traveler flip count).
+`replicate_bits` is its one-child case. Flip positions come from bit masks
+rather than position lists, walking a mask a byte at a time to find its
+k-th set bit. Ordinary moves, most children, take a one-flip path with no
+mask of used positions; traveler moves loop over their flips. Position
+draws make the same getrandbits calls as `Random.randrange`
+(`params.randbelow`, inline on the ordinary path), so a fixed seed still
+flips the same bits.
 """
 
 from __future__ import annotations
 
 import math
 from random import Random
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .params import DistanceMode, Validated, randbelow
 
@@ -97,6 +104,73 @@ def _bias_strength(hamming: int, traveling: bool) -> float:
     return _E_FAR
 
 
+def bit_brood(
+    parent: int,
+    n: int,
+    mode: DistanceMode,
+    count: int,
+    rng: Random,
+    *,
+    toward: int | None = None,
+) -> Iterator[int]:
+    """The `count` children of parent, each flipping exactly 1 (ordinary)
+    or k distinct (traveler) of its n bits, drawn lazily: each child's
+    draws are made only when the iterator is asked for it.
+
+    With `toward` set, each flip prefers a position where the child still
+    differs from that value; without it every position choice is uniform.
+    Either way each child differs from the parent in exactly the
+    contracted number of positions, all below bit n. An ordinary child's
+    bias depends on the parent alone, so it is computed once per brood; a
+    traveler flip's bias is the constant _E_TRAVELER.
+    """
+    if n < 1:
+        raise ValueError(f"bit length must be positive, got {n}")
+    random, getrandbits = rng.random, rng.getrandbits
+    n_bits = n.bit_length()
+    full = (1 << n) - 1
+    if mode is _TRAVELER:
+        flips = traveler_flip_count(n)
+        for _ in range(count):
+            child = parent
+            used = 0
+            for _ in range(flips):
+                pos = None
+                if toward is not None and random() < _E_TRAVELER:
+                    diff = (child ^ toward) & full & ~used
+                    if diff:
+                        pos = _nth_set_bit(diff, randbelow(rng, diff.bit_count()))
+                if pos is None:
+                    if used:
+                        free = full & ~used
+                        pos = _nth_set_bit(free, randbelow(rng, free.bit_count()))
+                    else:
+                        pos = randbelow(rng, n)
+                used |= 1 << pos
+                child ^= 1 << pos
+            yield child
+        return
+    # ordinary: one flip, with nothing used yet; the bias depends on the parent alone
+    e, diff = 0.0, 0
+    if toward is not None:
+        delta = parent ^ toward
+        e = _bias_strength(delta.bit_count(), False)
+        diff = delta & full
+    k = diff.bit_count()
+    k_bits = k.bit_length()
+    for _ in range(count):
+        if toward is not None and random() < e and diff:
+            r = getrandbits(k_bits)
+            while r >= k:
+                r = getrandbits(k_bits)
+            yield parent ^ (1 << _nth_set_bit(diff, r))
+        else:
+            r = getrandbits(n_bits)
+            while r >= n:
+                r = getrandbits(n_bits)
+            yield parent ^ (1 << r)
+
+
 def replicate_bits(
     parent: int,
     n: int,
@@ -105,45 +179,8 @@ def replicate_bits(
     *,
     toward: int | None = None,
 ) -> int:
-    """Flip exactly 1 (ordinary) or k distinct (traveler) of the n bits of parent.
-
-    With `toward` set, each flip prefers a position where the child still
-    differs from that value; without it every position choice is uniform.
-    Either way the child differs from the parent in exactly the contracted
-    number of positions, all below bit n.
-    """
-    child = parent
-    if mode is not _TRAVELER:
-        # the one-flip path: the traveler loop below run once, with nothing used yet
-        if toward is not None:
-            delta = child ^ toward
-            h = delta.bit_count()
-            if rng.random() < (_E_NEAR if h <= _H_NEAR else _E_MID if h <= _H_MID else _E_FAR):
-                diff = delta & ((1 << n) - 1)
-                if diff:
-                    pos = _nth_set_bit(diff, randbelow(rng, diff.bit_count()))
-                    return child ^ (1 << pos)
-        return child ^ (1 << randbelow(rng, n))
-    full = (1 << n) - 1
-    used = 0
-    for _ in range(traveler_flip_count(n)):
-        pos = None
-        if toward is not None:
-            delta = child ^ toward
-            e = _bias_strength(delta.bit_count(), True)
-            if rng.random() < e:
-                diff = delta & full & ~used
-                if diff:
-                    pos = _nth_set_bit(diff, randbelow(rng, diff.bit_count()))
-        if pos is None:
-            if used:
-                free = full & ~used
-                pos = _nth_set_bit(free, randbelow(rng, free.bit_count()))
-            else:
-                pos = randbelow(rng, n)
-        used |= 1 << pos
-        child ^= 1 << pos
-    return child
+    """One child of parent: the one-child brood of bit_brood."""
+    return next(bit_brood(parent, n, mode, 1, rng, toward=toward))
 
 
 # _BYTE_SET_BITS[b]: positions of the set bits of byte value b, lowest first;
@@ -190,10 +227,12 @@ class BinaryCodec(Validated, _BinaryCodecFields):
     def generate_patient_zero(self, rng: Random) -> int:
         return random_patient_zero(self.bits, rng)
 
-    def replicate(self, parent: int, mode: DistanceMode, traveler_rate: int, rng: Random) -> int:
+    def replicate(
+        self, parent: int, mode: DistanceMode, count: int, traveler_rate: int, rng: Random
+    ) -> Iterator[int]:
         # traveler distance is length-derived for bit strings; the rate
         # field only parameterizes variable-length codecs
-        return replicate_bits(parent, self.bits, mode, rng, toward=self.target)
+        return bit_brood(parent, self.bits, mode, count, rng, toward=self.target)
 
     def fitness(self, genotype: int) -> int:
         # quadratic_fitness inlined: this runs once per fresh genotype

@@ -1,14 +1,25 @@
 """Codec contract shared by all solution codifications.
 
 A codec owns the genotype representation: how patient zeros are drawn, how
-an infected individual replicates into a mutated child, and how fitness is
-computed. Genotypes must be immutable, hashable and equality-comparable;
+an infected individual replicates into mutated children, and how fitness
+is computed. Genotypes must be immutable, hashable and equality-comparable;
 they need no order, because the engine keeps its populations in the order
 it discovers them, and a fixed seed reproduces that order. The engine
 hashes and compares every candidate several times per iteration (ledger
 lookups), so genotypes should do both cheaply. Both codecs' genotypes
 are builtin-backed and do both in C: the binary codec's are plain `int`s,
 their length kept by the codec, and the nn codec's are named tuples.
+
+`replicate(parent, mode, count, traveler_rate, rng)` breeds one
+spreader's whole brood: it returns an iterator over `count` children, all
+of the same distance `mode`, and must draw each child from `rng` only
+when the caller asks for it. The engine routes each child, which draws
+from the same `rng`, before it asks for the next, so a brood drawn eagerly
+would reorder the stream. A brood must make the same draws and yield the
+same children as `count` one-child calls in a row; a count of 0 draws
+nothing. A codec written against the earlier one-child method ports as a
+generator: `for _ in range(count): yield old_replicate(parent, mode,
+traveler_rate, rng)`.
 
 Every score enters the engine through SharedLedger.evaluate_all: first a
 pandemic's patient zeros, in strain order, then once per iteration of a
@@ -24,7 +35,7 @@ is an EvaluationError, raised once the scores before it are cached.
 from __future__ import annotations
 
 from random import Random
-from typing import Any, NamedTuple, Protocol, runtime_checkable
+from typing import Any, Iterator, NamedTuple, Protocol, runtime_checkable
 
 from .params import DistanceMode
 
@@ -50,7 +61,11 @@ class Codec(Protocol):
     def generate_patient_zero(self, rng: Random) -> Any:
         ...
 
-    def replicate(self, parent: Any, mode: DistanceMode, traveler_rate: int, rng: Random) -> Any:
+    def replicate(
+        self, parent: Any, mode: DistanceMode, count: int, traveler_rate: int, rng: Random
+    ) -> Iterator[Any]:
+        """An iterator over the `count` mutated children of parent, each
+        drawn from rng only when asked for."""
         ...
 
     def fitness(self, genotype: Any) -> float:

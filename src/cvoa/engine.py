@@ -4,14 +4,16 @@ A Strain holds one strain's populations between iterations. Its driver,
 multistrain.run_pandemic (the only one), scores the patient zero, builds
 the Strain and steps it. Each step: infected that another strain has
 buried since are dropped, the dying are removed from the infected set and
-buried, every surviving spreader produces candidate infections through the
-codec's replicate operator (the fittest share of spreaders with the
-super-spreader range), candidates are routed through isolation /
-reinfection bookkeeping, the newly evaluated individuals update the
-best-so-far, isolates either die or recover, the spreaders recover, and
-the new infections become the next generation. The step that empties
-the infected set (extinction) or completes the configured duration ends
-the strain and records why in `termination`; the driver records a goal.
+buried, every surviving spreader breeds a brood of candidate infections
+in one call of the codec's replicate operator (the fittest share of
+spreaders with the super-spreader range), infect routes each candidate
+through isolation / reinfection bookkeeping as the brood yields it (the
+rule that new_infection states for one candidate, with the same draws),
+the newly evaluated individuals update the best-so-far, isolates either
+die or recover, the spreaders recover, and the new infections become the
+next generation. The step that empties the infected set (extinction) or
+completes the configured duration ends the strain and records why in
+`termination`; the driver records a goal.
 
 Every population a loop draws random numbers over is kept in discovery
 order: an insertion-ordered dict admits each genotype in the order the
@@ -33,6 +35,9 @@ from typing import Any, Iterable, NamedTuple
 
 from .codec import Codec, EvaluatedIndividual, EvaluationError
 from .params import DistanceMode, EpidemicParameters, Objective, randbelow
+
+_ORDINARY = DistanceMode.ORDINARY
+_TRAVELER = DistanceMode.TRAVELER
 
 
 class Disposition(Enum):
@@ -101,23 +106,24 @@ class SharedLedger:
         genotype; a failure, a non-finite score or a batch of the wrong
         size is raised once the scores before it are cached.
         """
-        uncached = [g for g in dict.fromkeys(genotypes) if g not in self.fitness_cache]
+        cache = self.fitness_cache
+        uncached = [g for g in dict.fromkeys(genotypes) if g not in cache]
         if uncached:
             fitness_all = getattr(codec, "fitness_all", None)
             scores = iter(fitness_all(uncached) if fitness_all else map(codec.fitness, uncached))
-            cached = len(self.fitness_cache)
+            cached = len(cache)
             # zip reads uncached first, so a surplus score stays in `scores`
             for genotype, value in zip(uncached, scores):
                 if not math.isfinite(value):
                     raise EvaluationError(f"non-finite fitness {value!r} for {genotype!r}")
-                self.fitness_cache[genotype] = value
+                cache[genotype] = value
             # each paired score cached one new genotype
-            returned = len(self.fitness_cache) - cached + sum(1 for _ in scores)
+            returned = len(cache) - cached + sum(1 for _ in scores)
             if returned != len(uncached):
                 raise EvaluationError(
                     f"fitness_all returned {returned} scores for {len(uncached)} genotypes"
                 )
-        return [self.evaluate(codec, g) for g in genotypes]
+        return [cache[g] for g in genotypes]
 
 
 class IterationRecord(NamedTuple):
@@ -146,7 +152,10 @@ def new_infection(strain: Strain, candidate: Any) -> Disposition:
     """Route one candidate: ignore the dead and this iteration's repeats,
     isolate or admit the fresh, and give recovered candidates their
     reinfection chance. An isolate enters the recovered population at once
-    and takes its death draw at the end of the iteration (resolve_isolates)."""
+    and takes its death draw at the end of the iteration (resolve_isolates).
+
+    This is the routing rule for one candidate; infect applies the same
+    rule inline to each candidate of a brood, with the same draws."""
     shared = strain.shared
     if candidate in shared.dead or candidate in strain.new_infected:
         return Disposition.IGNORED
@@ -167,19 +176,31 @@ def new_infection(strain: Strain, candidate: Any) -> Disposition:
 def infect(strain: Strain, individual: Any, wide: bool) -> None:
     """Spread from one individual: one travel draw decides the move
     distance for the whole brood, then one draw its candidate count, from
-    the super-spreader range if `wide`, else the ordinary range; each
-    candidate is routed through new_infection."""
+    the super-spreader range if `wide`, else the ordinary range. The codec
+    breeds the brood lazily, and each candidate is routed by
+    new_infection's rule, inline, before the next is drawn."""
     params, rng = strain.params, strain.rng
-    traveling = rng.random() < params.p_travel
+    random = rng.random
+    traveling = random() < params.p_travel
     lo, hi = params.superspreader_spread_range if wide else params.ordinary_spread_range
     count = lo + randbelow(rng, hi - lo + 1)  # rng.randint(lo, hi), draw for draw
-    mode = DistanceMode.TRAVELER if traveling else DistanceMode.ORDINARY
-    replicate = strain.codec.replicate
-    traveler_rate = params.traveler_rate
-    for _ in range(count):
-        candidate = replicate(individual, mode, traveler_rate, rng)
-        # a module-global lookup on every candidate, so a wrapper of it sees each one
-        new_infection(strain, candidate)
+    mode = _TRAVELER if traveling else _ORDINARY
+    shared = strain.shared
+    dead, recovered = shared.dead, shared.recovered
+    new_infected, isolated_now = strain.new_infected, strain.isolated_now
+    p_isolation, p_reinfection = params.p_isolation, params.p_reinfection
+    for candidate in strain.codec.replicate(individual, mode, count, params.traveler_rate, rng):
+        if candidate in dead or candidate in new_infected:
+            continue
+        if candidate not in recovered:
+            if random() > p_isolation:
+                new_infected[candidate] = None
+            else:
+                recovered.add(candidate)
+                isolated_now[candidate] = None
+        elif random() < p_reinfection:
+            recovered.remove(candidate)
+            new_infected[candidate] = None
 
 
 def resolve_isolates(strain: Strain, isolates: Iterable[Any]) -> set:

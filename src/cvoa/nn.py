@@ -342,9 +342,11 @@ class NetCodec(Validated, _NetCodecFields):
         return generate_net_patient_zero(rng)
 
     def replicate(
-        self, parent: NetGenotype, mode: DistanceMode, traveler_rate: int, rng: Random
-    ) -> NetGenotype:
-        return replicate_net(parent, mode, traveler_rate, rng, toward=self.target)
+        self, parent: NetGenotype, mode: DistanceMode, count: int, traveler_rate: int, rng: Random
+    ) -> Iterator[NetGenotype]:
+        target = self.target
+        for _ in range(count):
+            yield replicate_net(parent, mode, traveler_rate, rng, toward=target)
 
     def fitness(self, genotype: NetGenotype) -> float:
         if self.target is not None:

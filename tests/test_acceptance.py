@@ -15,7 +15,6 @@ import pytest
 import cvoa.engine
 from cvoa import (
     BinaryCodec,
-    Disposition,
     EpidemicParameters,
     MultiStrainConfig,
     NetCodec,
@@ -154,28 +153,27 @@ def test_instrumented_run_upholds_ledger_invariants(monkeypatch):
     spread call checked: dead/recovered disjoint, dead never spread from or
     readmitted, monotone best."""
     violations = []
+    broods = []
     original_infect = cvoa.engine.infect
-    original_new_infection = cvoa.engine.new_infection
 
     def checked_infect(strain, individual, wide):
         if individual in strain.shared.dead:
             violations.append(("spreader is dead", individual))
         if strain.infected.keys() & strain.shared.dead:
             violations.append(("dead overlap infected at spread time",))
-        return original_infect(strain, individual, wide)
-
-    def checked_new_infection(strain, candidate):
-        disposition = original_new_infection(strain, candidate)
-        if strain.shared.dead & strain.shared.recovered:
+        admitted = strain.new_infected.keys() | strain.isolated_now.keys()
+        original_infect(strain, individual, wide)
+        # checked after each brood; no brood buries, so the dead are those it met
+        dead = strain.shared.dead
+        if dead & strain.shared.recovered:
             violations.append(("dead overlap recovered",))
-        if candidate in strain.shared.dead and disposition is not Disposition.IGNORED:
-            violations.append(("dead candidate admitted", candidate))
-        if strain.new_infected.keys() & strain.shared.dead:
+        if ((strain.new_infected.keys() | strain.isolated_now.keys()) - admitted) & dead:
+            violations.append(("dead candidate admitted",))
+        if strain.new_infected.keys() & dead:
             violations.append(("dead member in new_infected",))
-        return disposition
+        broods.append(individual)
 
     monkeypatch.setattr(cvoa.engine, "infect", checked_infect)
-    monkeypatch.setattr(cvoa.engine, "new_infection", checked_new_infection)
 
     result = run_strain(EpidemicParameters(seed=0), BinaryCodec(bits=30, target=TARGET))
     # a fixed-seed trajectory fact, like the pins in test_multistrain.py: a
@@ -185,6 +183,7 @@ def test_instrumented_run_upholds_ledger_invariants(monkeypatch):
     )
     best_trace = [row.best_fitness for row in result.history]
     assert best_trace == sorted(best_trace, reverse=True), "best fitness not monotone"
+    assert broods, "the hook never ran"
     assert violations == [], f"{len(violations)} ledger violations: {violations[:5]}"
 
 

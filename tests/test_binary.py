@@ -1,4 +1,5 @@
-"""Bit-string codec: parsing, the quadratic objective, and replication."""
+"""Bit-string codec: parsing, the quadratic objective, and replication;
+the brood contract of both codecs."""
 
 import math
 from random import Random
@@ -12,14 +13,19 @@ from cvoa import (
     BinaryCodec,
     DistanceMode,
     EpidemicParameters,
+    ExternalEvaluator,
     MultiStrainConfig,
+    NetCodec,
+    NetGenotype,
     quadratic_fitness,
     random_patient_zero,
     replicate_bits,
+    replicate_net,
     run_pandemic,
     traveler_flip_count,
 )
 from cvoa.binary import BitGenotype, _bias_strength, _nth_set_bit
+from cvoa.nn import generate_net_patient_zero
 
 
 def hamming(a: int, b: int) -> int:
@@ -290,6 +296,75 @@ class TestReplicateBits:
         for _ in range(200):
             child = replicate_bits(parent, 10, DistanceMode.ORDINARY, rng, toward=15)
             assert hamming(parent, child) == 1
+
+
+def one_child(codec, parent, mode, traveler_rate, rng):
+    """One child of parent as the codec's one-child operator draws it: the
+    reference bit replicator, or replicate_net, steered as the codec steers."""
+    if isinstance(codec, BinaryCodec):
+        return reference_replicate_bits(parent, codec.bits, mode, rng, toward=codec.target)
+    return replicate_net(parent, mode, traveler_rate, rng, toward=codec.target)
+
+
+codecs = st.one_of(
+    bit_lengths.flatmap(
+        lambda n: st.builds(BinaryCodec, st.just(n), st.integers(min_value=0, max_value=2**n - 1))
+    ),
+    st.integers(min_value=0, max_value=2**32).map(
+        lambda seed: NetCodec(target=generate_net_patient_zero(Random(seed)))
+    ),
+    # no target, so replication is unguided; the evaluator never runs here
+    st.just(NetCodec(evaluator=ExternalEvaluator(["python3"]))),
+)
+
+
+class TestBroodContract:
+    """Codec.replicate, for both codecs: a brood of `count` children, drawn
+    lazily, each as the one-child operator would draw it."""
+
+    @given(
+        codecs,
+        st.sampled_from(DistanceMode),
+        st.integers(min_value=0, max_value=15),
+        st.integers(min_value=-1, max_value=4),
+        st.integers(min_value=0, max_value=2**32),
+    )
+    @settings(max_examples=300)
+    def test_brood_is_count_one_child_draws(self, codec, mode, count, traveler_rate, seed):
+        rng = Random(seed)
+        parent = codec.generate_patient_zero(rng)
+        clone = Random()
+        clone.setstate(rng.getstate())
+        brood = list(codec.replicate(parent, mode, count, traveler_rate, rng))
+        expected = [one_child(codec, parent, mode, traveler_rate, clone) for _ in range(count)]
+        assert brood == expected
+        assert rng.getstate() == clone.getstate()
+
+    @pytest.mark.parametrize(
+        "codec",
+        [
+            BinaryCodec(bits=20),
+            BinaryCodec(bits=50, target=2**49 + 15),
+            NetCodec(target=NetGenotype(1, 2, (3, 4))),
+        ],
+        ids=["binary-20", "binary-50", "nn"],
+    )
+    @pytest.mark.parametrize("mode", list(DistanceMode))
+    def test_children_are_drawn_lazily(self, codec, mode):
+        # a draw between children lands between their draws, as in infect's routing
+        for seed in range(20):
+            rng = Random(seed)
+            parent = codec.generate_patient_zero(rng)
+            clone = Random()
+            clone.setstate(rng.getstate())
+            interleaved = []
+            for child in codec.replicate(parent, mode, 8, 3, rng):
+                interleaved += [child, rng.random()]
+            expected = []
+            for _ in range(8):
+                expected += [one_child(codec, parent, mode, 3, clone), clone.random()]
+            assert interleaved == expected
+            assert rng.getstate() == clone.getstate()
 
 
 class TestBinaryCodec:

@@ -25,6 +25,7 @@ from cvoa import (
     die,
     infect,
     new_infection,
+    replicate_bits,
     run_pandemic,
     run_strain,
 )
@@ -34,20 +35,25 @@ FITNESS = attrgetter("fitness")
 
 
 class RecordingCodec:
-    """BinaryCodec wrapper that counts fitness calls and replicate modes."""
+    """BinaryCodec wrapper that counts fitness calls and records each
+    child's replicate mode and the child itself."""
 
     def __init__(self, bits=10, target=15, fail_after=None):
         self.inner = BinaryCodec(bits=bits, target=target)
         self.fitness_calls = Counter()
         self.replicate_modes = []
+        self.children = []
         self.fail_after = fail_after
 
     def generate_patient_zero(self, rng):
         return self.inner.generate_patient_zero(rng)
 
-    def replicate(self, parent, mode, traveler_rate, rng):
-        self.replicate_modes.append(mode)
-        return self.inner.replicate(parent, mode, traveler_rate, rng)
+    def replicate(self, parent, mode, count, traveler_rate, rng):
+        # one entry per child, recorded as the child is drawn
+        for child in self.inner.replicate(parent, mode, count, traveler_rate, rng):
+            self.replicate_modes.append(mode)
+            self.children.append(child)
+            yield child
 
     def fitness(self, genotype):
         self.fitness_calls[genotype] += 1
@@ -209,20 +215,23 @@ class TestInfect:
         assert all(mode is DistanceMode.ORDINARY for mode in codec.replicate_modes)
 
     def test_added_genotypes_land_in_new_infected(self, monkeypatch):
-        routed = []
-        original = cvoa.engine.new_infection
+        broods = []
+        original = cvoa.engine.infect
 
-        def recording(strain, candidate):
-            disposition = original(strain, candidate)
-            routed.append((candidate, disposition))
-            return disposition
+        def checked(strain, individual, wide):
+            before = list(strain.new_infected)
+            bred = len(strain.codec.children)
+            original(strain, individual, wide)
+            brood = strain.codec.children[bred:]
+            # p_isolation 0 on an empty ledger: every new child is admitted, once, as bred
+            assert list(strain.new_infected) == list(dict.fromkeys([*before, *brood]))
+            broods.append(brood)
 
-        monkeypatch.setattr(cvoa.engine, "new_infection", recording)
+        monkeypatch.setattr(cvoa.engine, "infect", checked)
         strain = routing_strain(EpidemicParameters(p_isolation=0.0), RecordingCodec(), Random(1))
-        infect(strain, 5, True)
-        admitted = (Disposition.ADDED_TO_NEW_INFECTED, Disposition.REINFECTED)
+        cvoa.engine.infect(strain, 5, True)
+        assert len(broods) == 1 and broods[0]  # the hook ran, over a brood
         assert strain.new_infected
-        assert strain.new_infected.keys() == {c for c, d in routed if d in admitted}
 
     @pytest.mark.parametrize("wide", [True, False])
     def test_draws_travel_then_count_then_each_candidate(self, wide):
@@ -243,7 +252,8 @@ class TestInfect:
             mode = DistanceMode.TRAVELER if traveling else DistanceMode.ORDINARY
             replay = routing_strain(params, codec, clone)
             for _ in range(count):
-                candidate = codec.replicate(5, mode, params.traveler_rate, clone)
+                # one child at a time, each routed before the next is drawn
+                candidate = replicate_bits(5, codec.bits, mode, clone, toward=codec.target)
                 new_infection(replay, candidate)
             assert rng.getstate() == clone.getstate()
             assert list(strain.new_infected) == list(replay.new_infected)
@@ -392,10 +402,11 @@ class TieCodec:
     def generate_patient_zero(self, rng):
         return 10
 
-    def replicate(self, parent, mode, traveler_rate, rng):
-        child = self.brood[self.spread % len(self.brood)]
-        self.spread += 1
-        return child
+    def replicate(self, parent, mode, count, traveler_rate, rng):
+        for _ in range(count):
+            child = self.brood[self.spread % len(self.brood)]
+            self.spread += 1
+            yield child
 
     def fitness(self, genotype):
         return self.sign * (0.0 if genotype in self.brood else 1.0)
@@ -499,19 +510,23 @@ class TestRunStrain:
         assert not (shared.dead & shared.recovered)
 
     def test_dead_members_never_reenter_circulation(self, monkeypatch, ledgers):
-        original = cvoa.engine.new_infection
+        original = cvoa.engine.infect
+        checked_with_dead = []
 
-        def checked(strain, candidate):
-            disposition = original(strain, candidate)
-            if candidate in strain.shared.dead:
-                assert disposition is Disposition.IGNORED
-                assert candidate not in strain.new_infected
-            return disposition
+        def checked(strain, individual, wide):
+            original(strain, individual, wide)
+            # no brood buries, so a dead member admitted or isolated is still dead here
+            dead = strain.shared.dead
+            assert not strain.new_infected.keys() & dead
+            assert not strain.isolated_now.keys() & dead
+            assert not strain.shared.recovered & dead
+            checked_with_dead.append(bool(dead))
 
-        monkeypatch.setattr(cvoa.engine, "new_infection", checked)
+        monkeypatch.setattr(cvoa.engine, "infect", checked)
         for seed in range(5):
             run_strain(EpidemicParameters(seed=seed), BinaryCodec(bits=20))
-        assert any(shared.dead for shared in ledgers)  # the hook saw runs with deaths
+        assert any(shared.dead for shared in ledgers)
+        assert any(checked_with_dead)  # the hook ran after broods with deaths in the ledger
 
     def test_stop_fitness_halts_at_goal(self):
         result = run_pandemic(

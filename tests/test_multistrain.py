@@ -17,7 +17,6 @@ import cvoa.engine
 import cvoa.multistrain
 from cvoa import (
     BinaryCodec,
-    Disposition,
     EpidemicParameters,
     EvaluationError,
     MultiStrainConfig,
@@ -396,18 +395,21 @@ class TestRunPandemic:
 
     def test_dead_genotypes_stay_out_of_circulation_under_contention(self, monkeypatch):
         # tiny space + many strains forces heavy ledger contention
-        original = cvoa.engine.new_infection
+        original = cvoa.engine.infect
         violations = []
+        broods = []
 
-        def checked(strain, candidate):
-            disposition = original(strain, candidate)
-            if candidate in strain.shared.dead and disposition is not Disposition.IGNORED:
-                violations.append(candidate)
-            if strain.shared.dead & strain.shared.recovered:
+        def checked(strain, individual, wide):
+            original(strain, individual, wide)
+            # no brood buries, so a dead candidate admitted or isolated is still dead here
+            dead = strain.shared.dead
+            if (strain.new_infected.keys() | strain.isolated_now.keys()) & dead:
+                violations.append("dead candidate in circulation")
+            if dead & strain.shared.recovered:
                 violations.append("overlap")
-            return disposition
+            broods.append(bool(dead))
 
-        monkeypatch.setattr(cvoa.engine, "new_infection", checked)
+        monkeypatch.setattr(cvoa.engine, "infect", checked)
         codec = BinaryCodec(bits=8, target=15)
         for seed in range(3):
             config = MultiStrainConfig.uniform(
@@ -415,6 +417,7 @@ class TestRunPandemic:
             )
             result = run_pandemic(config, codec)
             assert len(result.strains) == 8
+        assert any(broods)  # the hook ran after broods with deaths in the ledger
         assert violations == []
 
     def test_no_strain_spreads_a_genotype_another_strain_buried(self, monkeypatch):
@@ -471,8 +474,9 @@ class ViewCodec:
     def generate_patient_zero(self, rng):
         return self.to_view(self.inner.generate_patient_zero(rng))
 
-    def replicate(self, parent, mode, traveler_rate, rng):
-        return self.to_view(self.inner.replicate(self.from_view(parent), mode, traveler_rate, rng))
+    def replicate(self, parent, mode, count, traveler_rate, rng):
+        brood = self.inner.replicate(self.from_view(parent), mode, count, traveler_rate, rng)
+        return map(self.to_view, brood)
 
     def fitness(self, genotype):
         return self.inner.fitness(self.from_view(genotype))

@@ -496,7 +496,7 @@ class TestNetCodec:
         rng = Random(10)
         g = generate_net_patient_zero(rng)
         for _ in range(2000):
-            g = codec.replicate(g, DistanceMode.ORDINARY, 3, rng)
+            [g] = codec.replicate(g, DistanceMode.ORDINARY, 1, 3, rng)
             assert_in_range(g)
 
     def test_surrogate_fitness_all_scores_in_order(self):
