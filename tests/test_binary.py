@@ -265,6 +265,13 @@ class TestReplicateBits:
         assert type(child) is int and 0 <= child < 2**n
         assert hamming(parent, child) == traveler_flip_count(n)
 
+    @pytest.mark.parametrize("n", [0, -3])
+    @pytest.mark.parametrize("mode", list(DistanceMode))
+    def test_length_below_one_rejected(self, n, mode):
+        # the inline position draw would loop forever on an empty range
+        with pytest.raises(ValueError, match="bit length"):
+            replicate_bits(0, n, mode, Random(0))
+
     def test_traveler_twenty_bit_distance_two(self):
         child = replicate_bits(0, 20, DistanceMode.TRAVELER, Random(3))
         assert hamming(0, child) == 2
