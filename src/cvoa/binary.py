@@ -127,7 +127,6 @@ def bit_brood(
     if n < 1:
         raise ValueError(f"bit length must be positive, got {n}")
     random, getrandbits = rng.random, rng.getrandbits
-    n_bits = n.bit_length()
     full = (1 << n) - 1
     if mode is _TRAVELER:
         flips = traveler_flip_count(n)
@@ -157,7 +156,7 @@ def bit_brood(
         e = _bias_strength(delta.bit_count(), False)
         diff = delta & full
     k = diff.bit_count()
-    k_bits = k.bit_length()
+    k_bits, n_bits = k.bit_length(), n.bit_length()
     for _ in range(count):
         if toward is not None and random() < e and diff:
             r = getrandbits(k_bits)
