@@ -12,13 +12,7 @@ The nn codec's names load on first use, so a binary run never imports
 
 import importlib
 
-from .binary import (
-    BinaryCodec,
-    quadratic_fitness,
-    random_patient_zero,
-    replicate_bits,
-    traveler_flip_count,
-)
+from .binary import BinaryCodec, traveler_flip_count
 from .codec import Codec, EvaluatedIndividual, EvaluationError
 from .engine import (
     Disposition,
@@ -38,13 +32,7 @@ from .multistrain import (
     run_strain,
     seed_patient_zeros,
 )
-from .params import (
-    DistanceMode,
-    EpidemicParameters,
-    Objective,
-    ParameterError,
-    validate_parameters,
-)
+from .params import DistanceMode, EpidemicParameters, Objective, ParameterError
 
 __version__ = "1.0.0"
 

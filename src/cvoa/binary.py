@@ -20,14 +20,13 @@ The codec breeds a spreader's whole brood in one call: `bit_brood` yields
 the children one at a time, drawing each only when the caller asks for
 it, and computes once per brood what its children share (the parent's
 gap to `toward` and its bias strength, the bit lengths of the position
-draws, the stream's bound methods, the traveler flip count).
-`replicate_bits` is its one-child case. Flip positions come from bit masks
-rather than position lists, walking a mask a byte at a time to find its
-k-th set bit. Ordinary moves, most children, take a one-flip path with no
-mask of used positions; traveler moves loop over their flips. Position
-draws make the same getrandbits calls as `Random.randrange`
-(`params.randbelow`, inline on the ordinary path), so a fixed seed still
-flips the same bits.
+draws, the stream's bound methods, the traveler flip count). Flip
+positions come from bit masks rather than position lists, walking a mask
+a byte at a time to find its k-th set bit. Ordinary moves, most children,
+take a one-flip path with no mask of used positions; traveler moves loop
+over their flips. Position draws make the same getrandbits calls as
+`Random.randrange` (`params.randbelow`, inline on the ordinary path), so a
+fixed seed still flips the same bits.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ import math
 from random import Random
 from typing import Iterator, NamedTuple
 
-from .params import DistanceMode, Validated, randbelow
+from .params import DistanceMode, Validated, is_integer, randbelow
 
 MIN_BITS = 8
 MAX_BITS = 64
@@ -77,26 +76,11 @@ class BitGenotype(int):
         return cls(len(bits), int(bits, 2))
 
 
-def quadratic_fitness(g: int, target: int) -> int:
-    # exact integer arithmetic; at n=50 the square exceeds 2^100
-    d = g - target
-    return d * d
-
-
-def random_patient_zero(n: int, rng: Random) -> int:
-    """Fresh n-bit genotype with each bit an independent fair coin."""
-    if not MIN_BITS <= n <= MAX_BITS:
-        raise ValueError(f"unsupported bit length {n}, expected [{MIN_BITS},{MAX_BITS}]")
-    return rng.getrandbits(n)
-
-
 def traveler_flip_count(n: int) -> int:
     return max(2, math.ceil(n / 10))
 
 
-def _bias_strength(hamming: int, traveling: bool) -> float:
-    if traveling:
-        return _E_TRAVELER
+def _bias_strength(hamming: int) -> float:
     if hamming <= _H_NEAR:
         return _E_NEAR
     if hamming <= _H_MID:
@@ -153,7 +137,7 @@ def bit_brood(
     e, diff = 0.0, 0
     if toward is not None:
         delta = parent ^ toward
-        e = _bias_strength(delta.bit_count(), False)
+        e = _bias_strength(delta.bit_count())
         diff = delta & full
     k = diff.bit_count()
     k_bits, n_bits = k.bit_length(), n.bit_length()
@@ -168,18 +152,6 @@ def bit_brood(
             while r >= n:
                 r = getrandbits(n_bits)
             yield parent ^ (1 << r)
-
-
-def replicate_bits(
-    parent: int,
-    n: int,
-    mode: DistanceMode,
-    rng: Random,
-    *,
-    toward: int | None = None,
-) -> int:
-    """One child of parent: the one-child brood of bit_brood."""
-    return next(bit_brood(parent, n, mode, 1, rng, toward=toward))
 
 
 # _BYTE_SET_BITS[b]: positions of the set bits of byte value b, lowest first;
@@ -218,13 +190,17 @@ class BinaryCodec(Validated, _BinaryCodecFields):
     __slots__ = ()
 
     def __post_init__(self) -> None:
+        for name, value in zip(self._fields, self):
+            if not is_integer(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not MIN_BITS <= self.bits <= MAX_BITS:
             raise ValueError(f"unsupported bit length {self.bits}")
         if not 0 <= self.target < (1 << self.bits):
             raise ValueError(f"target {self.target} does not fit in {self.bits} bits")
 
     def generate_patient_zero(self, rng: Random) -> int:
-        return random_patient_zero(self.bits, rng)
+        # each bit an independent fair coin
+        return rng.getrandbits(self.bits)
 
     def replicate(
         self, parent: int, mode: DistanceMode, count: int, traveler_rate: int, rng: Random
@@ -234,7 +210,7 @@ class BinaryCodec(Validated, _BinaryCodecFields):
         return bit_brood(parent, self.bits, mode, count, rng, toward=self.target)
 
     def fitness(self, genotype: int) -> int:
-        # quadratic_fitness inlined: this runs once per fresh genotype
+        # exact integer arithmetic: at 50 bits the square exceeds 2^96
         d = genotype - self.target
         return d * d
 

@@ -25,7 +25,7 @@ from typing import NamedTuple
 from .binary import BinaryCodec
 from .codec import Codec, EvaluationError
 from .multistrain import MultiStrainConfig, PandemicResult, PzStrategy, run_pandemic
-from .params import EpidemicParameters, Objective, ParameterError, validate_parameters
+from .params import EpidemicParameters, Objective, ParameterError, is_integer
 
 CSV_HEADER = ("Iteration", "Deaths", "Recovered", "Infected", "Fitness")
 
@@ -50,43 +50,19 @@ def _require(condition: bool, message: str) -> None:
         raise ConfigError(message)
 
 
-def _is_int(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _parse_parameters(raw: dict) -> EpidemicParameters:
-    """Each field must have the type of its default; a bool is no number."""
+    """Converts JSON to the record's types (a list to a tuple, a name to an
+    Objective); EpidemicParameters checks the fields."""
     _require(isinstance(raw, dict), "parameters must be an object")
     unknown = sorted(set(raw) - set(EpidemicParameters._fields))
     _require(not unknown, f"unknown parameter field(s): {', '.join(unknown)}")
-    defaults = EpidemicParameters()
-    values = dict(raw)
-    for name, value in raw.items():
-        default = getattr(defaults, name)
-        if isinstance(default, Objective):
-            try:
-                values[name] = Objective(value)
-            except ValueError:
-                raise ConfigError(f"objective must be minimize or maximize, got {value!r}")
-        elif isinstance(default, tuple):
-            _require(
-                isinstance(value, list) and len(value) == 2 and all(map(_is_int, value)),
-                f"{name} must be a [low, high] pair of integers, got {value!r}",
-            )
-            values[name] = tuple(value)
-        elif isinstance(default, float):
-            _require(
-                _is_int(value) or isinstance(value, float),
-                f"{name} must be a number, got {value!r}",
-            )
-        else:
-            _require(_is_int(value), f"{name} must be an integer, got {value!r}")
-    params = defaults._replace(**values)
-    try:
-        validate_parameters(params)
-    except ParameterError as exc:
-        raise ConfigError(str(exc))
-    return params
+    values = {name: tuple(value) if isinstance(value, list) else value for name, value in raw.items()}
+    if "objective" in values:
+        try:
+            values["objective"] = Objective(values["objective"])
+        except ValueError:
+            raise ConfigError(f"objective must be minimize or maximize, got {raw['objective']!r}")
+    return EpidemicParameters(**values)
 
 
 def _parse_codec_spec(raw: dict) -> dict:
@@ -94,10 +70,8 @@ def _parse_codec_spec(raw: dict) -> dict:
     kind = raw.get("kind")
     _require(kind in ("binary", "nn"), f"codec.kind must be binary or nn, got {kind!r}")
     if kind == "binary":
+        # build_codec checks the fields, by BinaryCodec's rule
         allowed = {"kind", "bits", "target"}
-        for name in ("bits", "target"):
-            if name in raw:
-                _require(_is_int(raw[name]), f"codec.{name} must be an integer, got {raw[name]!r}")
     else:
         allowed = {"kind", "surrogate_target", "evaluator"}
         has_target = "surrogate_target" in raw
@@ -140,7 +114,7 @@ def load_config(path: Path) -> RunConfig:
     except ValueError:
         raise ConfigError(f"pz_strategy must be random or max_hamming_spread, got {strategy_name!r}")
     repeat = raw.get("repeat", 1)
-    _require(_is_int(repeat) and repeat >= 1, f"repeat must be an integer >= 1, got {repeat!r}")
+    _require(is_integer(repeat) and repeat >= 1, f"repeat must be an integer >= 1, got {repeat!r}")
     out = raw.get("out", "out")
     _require(isinstance(out, str), f"out must be a path string, got {out!r}")
     return RunConfig(
@@ -208,7 +182,7 @@ def iterations_to_optimum(result: PandemicResult, codec: Codec, objective: Objec
     unknown or was never reached. A codec's known optimum is its minimum,
     so a maximize run (like an external evaluator) has none.
     """
-    optimum = getattr(codec, "optimum_fitness", lambda: None)()
+    optimum = codec.optimum_fitness()
     if optimum is None or objective is not Objective.MINIMIZE:
         return None
     if result.initial_best is not None and result.initial_best <= optimum:
@@ -403,7 +377,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_run(config)
         lengths = _parse_lengths(args.lengths)
         return cmd_sweep(config, lengths)
-    except ConfigError as exc:
+    except (ConfigError, ParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

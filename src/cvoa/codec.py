@@ -82,3 +82,7 @@ class Codec(Protocol):
     def text(self, genotype: Any) -> str:
         """Human-readable genotype form used in logs and result files."""
         ...
+
+    def optimum_fitness(self) -> float | None:
+        """The least fitness any genotype scores, or None when it is unknown."""
+        ...

@@ -27,7 +27,7 @@ from .engine import (
     StrainResult,
     Termination,
 )
-from .params import EpidemicParameters, Validated, validate_parameters
+from .params import EpidemicParameters, Validated
 
 STRAIN_SEED_STRIDE = 1_000_003
 
@@ -49,7 +49,9 @@ class MultiStrainConfig(Validated, _MultiStrainConfigFields):
         if not self.parameters:
             raise ValueError("at least one strain required")
         for params in self.parameters:
-            validate_parameters(params)
+            # an EpidemicParameters checked its own fields when it was built
+            if not isinstance(params, EpidemicParameters):
+                raise ValueError(f"each strain needs EpidemicParameters, got {params!r}")
         seeds = [p.seed for p in self.parameters]
         if len(set(seeds)) != len(seeds):
             raise ValueError(f"strain seeds must be pairwise distinct, got {seeds}")
@@ -66,8 +68,6 @@ class MultiStrainConfig(Validated, _MultiStrainConfigFields):
     ) -> "MultiStrainConfig":
         """Same parameters for every strain, seeds fanned out from params.seed;
         a ParameterError names any strain's seed outside [0, 2**64)."""
-        # the fan-out reads strains, so the base is checked first; __post_init__ checks each strain
-        validate_parameters(params)
         per_strain = tuple(
             params.with_seed(params.seed + j * STRAIN_SEED_STRIDE) for j in range(params.strains)
         )
@@ -232,7 +232,6 @@ def run_pandemic(
 def run_strain(params: EpidemicParameters, codec: Codec) -> StrainResult:
     """One strain run as a one-strain pandemic, seeded by params.seed.
 
-    The parameters are validated before any draw (ParameterError), and a
-    failed evaluation raises with run_pandemic's PandemicResult partial.
+    A failed evaluation raises with run_pandemic's PandemicResult partial.
     """
     return run_pandemic(MultiStrainConfig((params,)), codec).strains[0]

@@ -3,8 +3,8 @@
 All probabilities and spread ranges carry the suggested disease-statistics
 defaults, so a default-constructed parameter set is immediately runnable.
 The module also holds `randbelow`, the integer draw that the engine and the
-bit codec share, and `Validated`, the base of the named tuples that check
-their fields.
+bit codec share, `Validated`, the base of the named tuples that check
+their fields, and `is_integer`, the integer rule those checks share.
 """
 
 from __future__ import annotations
@@ -82,7 +82,12 @@ class Validated:
         return type(self), tuple(self)
 
 
-class EpidemicParameters(NamedTuple):
+def is_integer(value: object) -> bool:
+    """True for an int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+class _EpidemicParametersFields(NamedTuple):
     p_die: float = 0.05
     p_superspreader: float = 0.1
     ordinary_spread_range: tuple[int, int] = (0, 5)
@@ -96,9 +101,6 @@ class EpidemicParameters(NamedTuple):
     objective: Objective = Objective.MINIMIZE
     seed: int = 0
 
-    def with_seed(self, seed: int) -> "EpidemicParameters":
-        return self._replace(seed=seed)
-
 
 _PROBABILITY_FIELDS = (
     "p_die",
@@ -107,34 +109,60 @@ _PROBABILITY_FIELDS = (
     "p_isolation",
     "p_travel",
 )
+_RANGE_FIELDS = ("ordinary_spread_range", "superspreader_spread_range")
+_INTEGER_FIELDS = ("pandemic_duration", "strains", "traveler_rate", "seed")
 
 
-def validate_parameters(params: EpidemicParameters) -> EpidemicParameters:
-    """Return params unchanged when valid, else raise with every violation."""
-    violations: list[str] = []
-    for name in _PROBABILITY_FIELDS:
-        value = getattr(params, name)
-        if not 0.0 <= value <= 1.0:
-            violations.append(f"{name} out of [0,1]: {value}")
-    lo, hi = params.ordinary_spread_range
-    slo, shi = params.superspreader_spread_range
-    if lo < 0:
-        violations.append(f"ordinary_spread_range.low must be >= 0, got {lo}")
-    if hi < lo:
-        violations.append(f"ordinary_spread_range malformed: [{lo},{hi}]")
-    if shi < slo:
-        violations.append(f"superspreader_spread_range malformed: [{slo},{shi}]")
-    if slo < hi:
-        violations.append(
-            "superspreader_spread_range.low must be >= ordinary_spread_range.high"
-            f": {slo} < {hi}"
-        )
-    if params.pandemic_duration < 1:
-        violations.append(f"pandemic_duration must be >= 1, got {params.pandemic_duration}")
-    if params.strains < 1:
-        violations.append(f"strains must be >= 1, got {params.strains}")
-    if not 0 <= params.seed < 2**64:
-        violations.append(f"seed must be a 64-bit unsigned integer, got {params.seed}")
-    if violations:
-        raise ParameterError("; ".join(violations))
-    return params
+def _is_pair(value: object) -> bool:
+    return isinstance(value, tuple) and len(value) == 2 and all(map(is_integer, value))
+
+
+class EpidemicParameters(Validated, _EpidemicParametersFields):
+    """The epidemic model's parameters. Every way in checks every field and
+    raises one ParameterError that names each violation."""
+
+    __slots__ = ()
+
+    def __post_init__(self) -> None:
+        violations: list[str] = []
+        for name in _PROBABILITY_FIELDS:
+            value = getattr(self, name)
+            if not (is_integer(value) or isinstance(value, float)):
+                violations.append(f"{name} must be a number, got {value!r}")
+            elif not 0.0 <= value <= 1.0:
+                violations.append(f"{name} out of [0,1]: {value}")
+        for name in _RANGE_FIELDS:
+            value = getattr(self, name)
+            if not _is_pair(value):
+                violations.append(f"{name} must be a (low, high) pair of integers, got {value!r}")
+        if _is_pair(self.ordinary_spread_range) and _is_pair(self.superspreader_spread_range):
+            lo, hi = self.ordinary_spread_range
+            slo, shi = self.superspreader_spread_range
+            if lo < 0:
+                violations.append(f"ordinary_spread_range.low must be >= 0, got {lo}")
+            if hi < lo:
+                violations.append(f"ordinary_spread_range malformed: [{lo},{hi}]")
+            if shi < slo:
+                violations.append(f"superspreader_spread_range malformed: [{slo},{shi}]")
+            if slo < hi:
+                violations.append(
+                    "superspreader_spread_range.low must be >= ordinary_spread_range.high"
+                    f": {slo} < {hi}"
+                )
+        for name in _INTEGER_FIELDS:
+            value = getattr(self, name)
+            if not is_integer(value):
+                violations.append(f"{name} must be an integer, got {value!r}")
+        if is_integer(self.pandemic_duration) and self.pandemic_duration < 1:
+            violations.append(f"pandemic_duration must be >= 1, got {self.pandemic_duration}")
+        if is_integer(self.strains) and self.strains < 1:
+            violations.append(f"strains must be >= 1, got {self.strains}")
+        if is_integer(self.seed) and not 0 <= self.seed < 2**64:
+            violations.append(f"seed must be a 64-bit unsigned integer, got {self.seed}")
+        if not isinstance(self.objective, Objective):
+            violations.append(f"objective must be an Objective, got {self.objective!r}")
+        if violations:
+            raise ParameterError("; ".join(violations))
+
+    def with_seed(self, seed: int) -> "EpidemicParameters":
+        return self._replace(seed=seed)

@@ -17,14 +17,11 @@ from cvoa import (
     MultiStrainConfig,
     NetCodec,
     NetGenotype,
-    quadratic_fitness,
-    random_patient_zero,
-    replicate_bits,
     replicate_net,
     run_pandemic,
     traveler_flip_count,
 )
-from cvoa.binary import BitGenotype, _bias_strength, _nth_set_bit
+from cvoa.binary import _E_TRAVELER, BitGenotype, _bias_strength, _nth_set_bit, bit_brood
 from cvoa.nn import generate_net_patient_zero
 
 
@@ -65,19 +62,22 @@ class TestDecode:
 
 
 class TestQuadraticFitness:
+    """BinaryCodec.fitness, the one copy of (g - target)^2."""
+
     def test_at_target(self):
-        assert quadratic_fitness(15, 15) == 0
+        assert BinaryCodec(bits=10, target=15).fitness(15) == 0
 
     def test_one_off(self):
-        assert quadratic_fitness(16, 15) == 1
+        assert BinaryCodec(bits=10, target=15).fitness(16) == 1
 
     def test_at_zero(self):
-        assert quadratic_fitness(0, 15) == 225
+        assert BinaryCodec(bits=10, target=15).fitness(0) == 225
 
     def test_exhaustive_ten_bit_oracle(self):
         # brute force over all 1024 genotypes against the closed form
+        codec = BinaryCodec(bits=10, target=15)
         for x in range(1024):
-            f = quadratic_fitness(x, 15)
+            f = codec.fitness(x)
             assert f == (x - 15) ** 2
             assert f >= 0
             assert (f == 0) == (x == 15)
@@ -85,7 +85,8 @@ class TestQuadraticFitness:
     def test_wide_integer_arithmetic_at_fifty_bits(self):
         g = 2**50 - 1
         expected = (2**50 - 1 - 15) ** 2
-        assert quadratic_fitness(g, 15) == expected
+        fitness = BinaryCodec(bits=50, target=15).fitness(g)
+        assert type(fitness) is int and fitness == expected
         assert expected > 2**96  # would overflow fixed-width arithmetic
 
 
@@ -134,29 +135,39 @@ class TestGenotype:
 
 
 class TestPatientZero:
+    """BinaryCodec.generate_patient_zero: one getrandbits draw of `bits` bits."""
+
     def test_requested_length(self):
         rng = Random(0)
-        draws = [random_patient_zero(10, rng) for _ in range(200)]
+        codec = BinaryCodec(bits=10)
+        draws = [codec.generate_patient_zero(rng) for _ in range(200)]
         assert all(type(g) is int and 0 <= g < 2**10 for g in draws)
         assert max(draws).bit_length() == 10
 
     def test_same_draw_as_getrandbits(self):
-        assert random_patient_zero(50, Random(4)) == Random(4).getrandbits(50)
+        # replayed on a clone of the stream: the draw and the state after it match
+        rng = Random(4)
+        clone = Random()
+        clone.setstate(rng.getstate())
+        assert BinaryCodec(bits=50).generate_patient_zero(rng) == clone.getrandbits(50)
+        assert rng.getstate() == clone.getstate()
 
     def test_below_minimum_rejected(self):
-        with pytest.raises(ValueError):
-            random_patient_zero(1, Random(0))
+        with pytest.raises(ValueError, match="unsupported bit length 1"):
+            BinaryCodec(bits=1)
 
     def test_two_draws_differ(self):
         rng = Random(42)
-        assert random_patient_zero(20, rng) != random_patient_zero(20, rng)
+        codec = BinaryCodec(bits=20)
+        assert codec.generate_patient_zero(rng) != codec.generate_patient_zero(rng)
 
     def test_bits_are_fair_coins(self):
         rng = Random(7)
+        codec = BinaryCodec(bits=10)
         ones = [0] * 10
         draws = 10_000
         for _ in range(draws):
-            g = random_patient_zero(10, rng)
+            g = codec.generate_patient_zero(rng)
             for p in range(10):
                 ones[p] += (g >> p) & 1
         for count in ones:
@@ -173,8 +184,8 @@ class TestTravelerFlipCount:
 
 
 def reference_replicate_bits(parent, n, mode, rng, *, toward=None):
-    """replicate_bits as first written, with position lists; the mask-based
-    version must make the same draws and return the same child."""
+    """One child as first written, with position lists; the mask-based
+    bit_brood must make the same draws and yield the same child."""
     k = traveler_flip_count(n) if mode is DistanceMode.TRAVELER else 1
     traveling = mode is DistanceMode.TRAVELER
     child = parent
@@ -183,7 +194,7 @@ def reference_replicate_bits(parent, n, mode, rng, *, toward=None):
         pos = None
         if toward is not None:
             delta = child ^ toward
-            e = _bias_strength(delta.bit_count(), traveling)
+            e = _E_TRAVELER if traveling else _bias_strength(delta.bit_count())
             if rng.random() < e:
                 diff = [p for p in range(n) if (delta >> p) & 1 and p not in used]
                 if diff:
@@ -229,6 +240,11 @@ towards = st.one_of(
 )
 
 
+def one_bit_child(parent, n, mode, rng, *, toward=None):
+    """The one-child brood of bit_brood."""
+    return next(bit_brood(parent, n, mode, 1, rng, toward=toward))
+
+
 class TestReplicateBits:
     @given(
         sized_genotypes,
@@ -244,7 +260,7 @@ class TestReplicateBits:
             toward %= 1 << n
         expected_rng, rng = Random(seed), Random(seed)
         expected = reference_replicate_bits(parent, n, mode, expected_rng, toward=toward)
-        assert replicate_bits(parent, n, mode, rng, toward=toward) == expected
+        assert one_bit_child(parent, n, mode, rng, toward=toward) == expected
         assert rng.getstate() == expected_rng.getstate()
 
     @given(sized_genotypes, st.booleans())
@@ -252,7 +268,7 @@ class TestReplicateBits:
     def test_ordinary_flips_exactly_one_bit(self, sized, guided):
         n, parent = sized
         toward = 15 % (1 << n) if guided else None
-        child = replicate_bits(parent, n, DistanceMode.ORDINARY, Random(0), toward=toward)
+        child = one_bit_child(parent, n, DistanceMode.ORDINARY, Random(0), toward=toward)
         assert type(child) is int and 0 <= child < 2**n
         assert hamming(parent, child) == 1
 
@@ -261,7 +277,7 @@ class TestReplicateBits:
     def test_traveler_flips_contracted_distinct_bits(self, sized, guided):
         n, parent = sized
         toward = 15 % (1 << n) if guided else None
-        child = replicate_bits(parent, n, DistanceMode.TRAVELER, Random(1), toward=toward)
+        child = one_bit_child(parent, n, DistanceMode.TRAVELER, Random(1), toward=toward)
         assert type(child) is int and 0 <= child < 2**n
         assert hamming(parent, child) == traveler_flip_count(n)
 
@@ -270,14 +286,14 @@ class TestReplicateBits:
     def test_length_below_one_rejected(self, n, mode):
         # the inline position draw would loop forever on an empty range
         with pytest.raises(ValueError, match="bit length"):
-            replicate_bits(0, n, mode, Random(0))
+            one_bit_child(0, n, mode, Random(0))
 
     def test_traveler_twenty_bit_distance_two(self):
-        child = replicate_bits(0, 20, DistanceMode.TRAVELER, Random(3))
+        child = one_bit_child(0, 20, DistanceMode.TRAVELER, Random(3))
         assert hamming(0, child) == 2
 
     def test_traveler_fifty_bit_distance_five(self):
-        child = replicate_bits(0, 50, DistanceMode.TRAVELER, Random(3))
+        child = one_bit_child(0, 50, DistanceMode.TRAVELER, Random(3))
         assert hamming(0, child) == 5
 
     def test_unguided_positions_uniform(self):
@@ -285,7 +301,7 @@ class TestReplicateBits:
         flips = [0] * 10
         draws = 20_000
         for _ in range(draws):
-            child = replicate_bits(0, 10, DistanceMode.ORDINARY, rng)
+            child = one_bit_child(0, 10, DistanceMode.ORDINARY, rng)
             flips[child.bit_length() - 1] += 1
         for count in flips:
             assert abs(count / draws - 0.1) < 0.02
@@ -295,13 +311,13 @@ class TestReplicateBits:
         rng = Random(5)
         for bit in range(10):
             parent = 15 ^ (1 << bit)
-            assert replicate_bits(parent, 10, DistanceMode.ORDINARY, rng, toward=15) == 15
+            assert one_bit_child(parent, 10, DistanceMode.ORDINARY, rng, toward=15) == 15
 
     def test_guided_never_breaks_flip_contract(self):
         rng = Random(9)
         parent = 15  # already at the bias value
         for _ in range(200):
-            child = replicate_bits(parent, 10, DistanceMode.ORDINARY, rng, toward=15)
+            child = one_bit_child(parent, 10, DistanceMode.ORDINARY, rng, toward=15)
             assert hamming(parent, child) == 1
 
 
@@ -390,7 +406,7 @@ class TestBinaryCodec:
     def test_generate_uses_configured_length(self):
         g = BinaryCodec(bits=20).generate_patient_zero(Random(0))
         assert type(g) is int and 0 <= g < 2**20
-        assert g == random_patient_zero(20, Random(0))
+        assert g == Random(0).getrandbits(20)
 
     def test_target_must_fit(self):
         with pytest.raises(ValueError):
@@ -413,8 +429,3 @@ class TestBinaryCodec:
         best = run_pandemic(config, codec).best.genotype
         assert built == []
         assert BitGenotype.from_string(codec.text(best)) == best and built == [best]
-
-    def test_fitness_matches_free_function(self):
-        codec = BinaryCodec(bits=10, target=15)
-        g = 100
-        assert codec.fitness(g) == quadratic_fitness(g, 15)

@@ -604,3 +604,12 @@ class TestReadmeLibraryExample:
         fitness, termination = proc.stdout.split()
         assert float(fitness) >= 0
         assert termination in {str(t) for t in Termination}
+
+    def test_every_later_library_block_runs(self):
+        # the ports of removed names among them, so a renamed name fails here
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = re.search(r"\n## Library\n(.*?)\n## ", readme, re.S).group(1)
+        blocks = re.findall(r"```python\n(.*?)```", section, re.S)
+        assert len(blocks) >= 3
+        for block in blocks[1:]:
+            exec(compile(block, "README.md", "exec"), {})

@@ -25,7 +25,6 @@ from cvoa import (
     die,
     infect,
     new_infection,
-    replicate_bits,
     run_pandemic,
     run_strain,
 )
@@ -253,7 +252,7 @@ class TestInfect:
             replay = routing_strain(params, codec, clone)
             for _ in range(count):
                 # one child at a time, each routed before the next is drawn
-                candidate = replicate_bits(5, codec.bits, mode, clone, toward=codec.target)
+                [candidate] = codec.replicate(5, mode, 1, params.traveler_rate, clone)
                 new_infection(replay, candidate)
             assert rng.getstate() == clone.getstate()
             assert list(strain.new_infected) == list(replay.new_infected)

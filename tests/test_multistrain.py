@@ -171,6 +171,11 @@ class TestMultiStrainConfig:
         with pytest.raises(ParameterError, match="p_die"):
             MultiStrainConfig(parameters=(EpidemicParameters(seed=1, p_die=2.0),))
 
+    def test_each_strain_must_be_epidemic_parameters(self):
+        # a plain tuple of the same fields never passed the record's check
+        with pytest.raises(ValueError, match="EpidemicParameters"):
+            MultiStrainConfig(parameters=(tuple(EpidemicParameters(seed=1)),))
+
     def test_uniform_validates_each_fanned_out_seed(self):
         from cvoa import ParameterError
 

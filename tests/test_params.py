@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cvoa import EpidemicParameters, Objective, ParameterError, validate_parameters
+from cvoa import (
+    BinaryCodec,
+    EpidemicParameters,
+    MultiStrainConfig,
+    Objective,
+    ParameterError,
+    run_pandemic,
+)
 from cvoa.params import randbelow
 
 
@@ -24,53 +31,73 @@ def test_disease_statistics_defaults():
 
 
 def test_defaults_validate():
-    assert validate_parameters(EpidemicParameters()) == EpidemicParameters()
+    # construction runs the check, and the defaults pass it
+    EpidemicParameters()
 
 
 def test_probability_out_of_range_message():
     with pytest.raises(ParameterError, match=r"p_travel out of \[0,1\]: 1.5"):
-        validate_parameters(EpidemicParameters(p_travel=1.5))
+        EpidemicParameters(p_travel=1.5)
 
 
 def test_negative_probability_rejected():
     with pytest.raises(ParameterError, match="p_die"):
-        validate_parameters(EpidemicParameters(p_die=-0.01))
+        EpidemicParameters(p_die=-0.01)
 
 
 def test_all_violations_reported_together():
-    bad = EpidemicParameters(p_die=2.0, p_isolation=-1.0, pandemic_duration=0)
     with pytest.raises(ParameterError) as err:
-        validate_parameters(bad)
+        EpidemicParameters(p_die=2.0, p_isolation=-1.0, pandemic_duration=0)
     message = str(err.value)
     assert "p_die" in message and "p_isolation" in message and "pandemic_duration" in message
 
 
 def test_spread_ranges_must_be_ordered():
     with pytest.raises(ParameterError, match="ordinary_spread_range"):
-        validate_parameters(EpidemicParameters(ordinary_spread_range=(5, 2)))
+        EpidemicParameters(ordinary_spread_range=(5, 2))
     with pytest.raises(ParameterError, match="superspreader_spread_range"):
-        validate_parameters(EpidemicParameters(superspreader_spread_range=(15, 6)))
+        EpidemicParameters(superspreader_spread_range=(15, 6))
 
 
 def test_superspreader_range_must_not_undercut_ordinary():
     # a "super" spreader may not produce fewer candidates than an ordinary one
     with pytest.raises(ParameterError, match="superspreader_spread_range.low"):
-        validate_parameters(EpidemicParameters(superspreader_spread_range=(3, 15)))
+        EpidemicParameters(superspreader_spread_range=(3, 15))
 
 
 def test_duration_and_strains_lower_bounds():
     with pytest.raises(ParameterError):
-        validate_parameters(EpidemicParameters(pandemic_duration=0))
+        EpidemicParameters(pandemic_duration=0)
     with pytest.raises(ParameterError):
-        validate_parameters(EpidemicParameters(strains=0))
+        EpidemicParameters(strains=0)
 
 
 def test_seed_is_64_bit():
     with pytest.raises(ParameterError, match="seed"):
-        validate_parameters(EpidemicParameters(seed=-1))
+        EpidemicParameters(seed=-1)
     with pytest.raises(ParameterError, match="seed"):
-        validate_parameters(EpidemicParameters(seed=2**64))
-    validate_parameters(EpidemicParameters(seed=2**64 - 1))
+        EpidemicParameters(seed=2**64)
+    assert EpidemicParameters(seed=2**64 - 1).seed == 2**64 - 1
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("pandemic_duration", 2.5),
+        ("strains", 2.5),
+        ("seed", 1.5),
+        ("traveler_rate", True),
+        ("objective", "minimize"),
+        ("p_die", "0.05"),
+        ("ordinary_spread_range", [0, 5]),
+    ],
+)
+def test_field_of_wrong_type_rejected_before_any_draw(field, value):
+    # pandemic_duration=2.5 once ran this 16-bit maximize pandemic for 106
+    # iterations: no history length equals 2.5, so only extinction ended it
+    fields = {"seed": 1, "strains": 5, "objective": Objective.MAXIMIZE, field: value}
+    with pytest.raises(ParameterError, match=f"^{field} must be"):
+        run_pandemic(MultiStrainConfig.uniform(EpidemicParameters(**fields)), BinaryCodec(bits=16))
 
 
 def test_with_seed_replaces_only_seed():

@@ -43,7 +43,16 @@ CASES = {
         {"parameters": (EpidemicParameters(seed=1), MAXIMIZE)},
         "one objective",
     ),
-    "strain p_die 2.0": (ONE_STRAIN, {"parameters": (EpidemicParameters(p_die=2.0),)}, "p_die"),
+    "strain p_die 2.0": (EpidemicParameters(), {"p_die": 2.0}, "p_die out of [0,1]: 2.0"),
+    "fractional duration": (
+        EpidemicParameters(),
+        {"pandemic_duration": 2.5},
+        "pandemic_duration must be an integer, got 2.5",
+    ),
+    "fractional bits": (BinaryCodec(), {"bits": 10.0}, "bits must be an integer, got 10.0"),
+    "bool bits": (BinaryCodec(), {"bits": True}, "bits must be an integer, got True"),
+    # a float target once made every fitness a float
+    "fractional target": (BinaryCodec(), {"target": 15.0}, "target must be an integer, got 15.0"),
     "target and evaluator": (
         NetCodec(target=TARGET),
         {"evaluator": ExternalEvaluator(["true"])},
