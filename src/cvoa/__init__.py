@@ -40,6 +40,7 @@ __version__ = "1.0.0"
 _NN_NAMES = frozenset({
     "ArchitectureSpec",
     "ExternalEvaluator",
+    "ExternalNetCodec",
     "NetCodec",
     "NetGenotype",
     "mutate_position",

@@ -134,14 +134,15 @@ def build_codec(spec: dict, seed: int) -> Codec:
         except ValueError as exc:
             raise ConfigError(str(exc))
     # loaded here, not at import, so a binary run never loads the nn codec
-    from .nn import ExternalEvaluator, NetCodec, generate_net_patient_zero, parse_net_text
+    from .nn import ExternalEvaluator, ExternalNetCodec, NetCodec
+    from .nn import generate_net_patient_zero, parse_net_text
 
     if "evaluator" in spec:
         try:
             evaluator = ExternalEvaluator(spec["evaluator"])
         except ValueError as exc:
             raise ConfigError(f"codec.evaluator: {exc}")
-        return NetCodec(evaluator=evaluator)
+        return ExternalNetCodec(evaluator)
     target_text = spec["surrogate_target"]
     if target_text == "random":
         target = generate_net_patient_zero(Random((seed * _TARGET_SEED_MIX) % 2**64))

@@ -27,9 +27,11 @@ strain the genotypes not scored yet, each once and in discovery order. A
 codec's batch hook `fitness_all(genotypes)`, if it has one, scores each
 such batch in one call (concurrently, say) and returns an iterable of one
 score per genotype, in order, that raises at the first failure after the
-scores before it; without the hook, `fitness` scores one at a time. Each
-score must be finite; a failure, a non-finite score or a miscounted batch
-is an EvaluationError, raised once the scores before it are cached.
+scores before it; without the hook, `fitness` scores one at a time. Of the
+shipped codecs only the nn evaluator codec, `ExternalNetCodec`, has the
+hook. Each score must be finite (an `int` always is); a failure, a
+non-finite score or a miscounted batch is an EvaluationError, raised once
+the scores before it are cached.
 """
 
 from __future__ import annotations

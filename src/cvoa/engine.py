@@ -114,7 +114,7 @@ class SharedLedger:
             cached = len(cache)
             # zip reads uncached first, so a surplus score stays in `scores`
             for genotype, value in zip(uncached, scores):
-                if not math.isfinite(value):
+                if not (isinstance(value, int) or math.isfinite(value)):
                     raise EvaluationError(f"non-finite fitness {value!r} for {genotype!r}")
                 cache[genotype] = value
             # each paired score cached one new genotype

@@ -11,9 +11,11 @@ A genotype is a `NetGenotype` named tuple, hashed and compared in C.
 Building one checks no range: the engine builds only in-range genotypes,
 and `parse_net_text` and `NetCodec` check those that enter from outside.
 
-Two fitness paths are provided: a surrogate distance to a hidden target
-genotype (desk-scale stand-in for model training) and a bridge that ships
-the decoded architecture to an external evaluator process as line JSON.
+Two codecs search this space, one per scoring mode. `NetCodec(target)`
+scores a surrogate distance to a hidden target genotype (desk-scale
+stand-in for model training). `ExternalNetCodec(evaluator)` ships the
+decoded architecture to an external evaluator process as line JSON; it is
+the one codec with the `fitness_all` batch hook.
 """
 
 from __future__ import annotations
@@ -317,48 +319,13 @@ class ExternalEvaluator:
         return value
 
 
-class _NetCodecFields(NamedTuple):
-    target: NetGenotype | None = None
-    evaluator: ExternalEvaluator | None = None
-
-
-class NetCodec(Validated, _NetCodecFields):
-    """Codec over NetGenotype; scored by surrogate distance or an evaluator.
-
-    Exactly one of `target` (surrogate mode, range-checked) and `evaluator` must be set.
-    Surrogate mode knows its optimum and steers replication toward it;
-    evaluator mode has no target knowledge, so replication stays uniform.
-    """
+class _NetSpace:
+    """The genotype space that both nn codecs search."""
 
     __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if (self.target is None) == (self.evaluator is None):
-            raise ValueError("configure exactly one of target / evaluator")
-        if self.target is not None:
-            self.target.__post_init__()
-
     def generate_patient_zero(self, rng: Random) -> NetGenotype:
         return generate_net_patient_zero(rng)
-
-    def replicate(
-        self, parent: NetGenotype, mode: DistanceMode, count: int, traveler_rate: int, rng: Random
-    ) -> Iterator[NetGenotype]:
-        target = self.target
-        for _ in range(count):
-            yield replicate_net(parent, mode, traveler_rate, rng, toward=target)
-
-    def fitness(self, genotype: NetGenotype) -> float:
-        if self.target is not None:
-            return surrogate_fitness(genotype, self.target)
-        assert self.evaluator is not None
-        return self.evaluator.fitness(genotype)
-
-    def fitness_all(self, genotypes: list[NetGenotype]) -> Iterator[float]:
-        """Batch hook: an evaluator scores the genotypes concurrently."""
-        if self.evaluator is not None:
-            return self.evaluator.fitness_all(genotypes)
-        return map(self.fitness, genotypes)
 
     def distance(self, a: NetGenotype, b: NetGenotype) -> int:
         return net_distance(a, b)
@@ -369,5 +336,60 @@ class NetCodec(Validated, _NetCodecFields):
     def text(self, genotype: NetGenotype) -> str:
         return genotype.text()
 
-    def optimum_fitness(self) -> int | None:
-        return 0 if self.target is not None else None
+
+class _NetCodecFields(NamedTuple):
+    target: NetGenotype
+
+
+class NetCodec(Validated, _NetSpace, _NetCodecFields):
+    """Codec over NetGenotype scored by surrogate distance to `target`.
+
+    The target is range-checked. The codec knows its optimum (0, at the
+    target) and steers replication toward the target.
+    """
+
+    __slots__ = ()
+
+    def __post_init__(self) -> None:
+        self.target.__post_init__()
+
+    def replicate(
+        self, parent: NetGenotype, mode: DistanceMode, count: int, traveler_rate: int, rng: Random
+    ) -> Iterator[NetGenotype]:
+        target = self.target
+        for _ in range(count):
+            yield replicate_net(parent, mode, traveler_rate, rng, toward=target)
+
+    def fitness(self, genotype: NetGenotype) -> int:
+        return surrogate_fitness(genotype, self.target)
+
+    def optimum_fitness(self) -> int:
+        return 0
+
+
+class _ExternalNetCodecFields(NamedTuple):
+    evaluator: ExternalEvaluator
+
+
+class ExternalNetCodec(_NetSpace, _ExternalNetCodecFields):
+    """Codec over NetGenotype scored by `evaluator`, batch by batch.
+
+    It knows no optimum and no target, so replication stays unguided.
+    """
+
+    __slots__ = ()
+
+    def replicate(
+        self, parent: NetGenotype, mode: DistanceMode, count: int, traveler_rate: int, rng: Random
+    ) -> Iterator[NetGenotype]:
+        for _ in range(count):
+            yield replicate_net(parent, mode, traveler_rate, rng)
+
+    def fitness(self, genotype: NetGenotype) -> float:
+        return self.evaluator.fitness(genotype)
+
+    def fitness_all(self, genotypes: list[NetGenotype]) -> Iterator[float]:
+        return self.evaluator.fitness_all(genotypes)
+
+    def optimum_fitness(self) -> None:
+        return None

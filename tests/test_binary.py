@@ -14,6 +14,7 @@ from cvoa import (
     DistanceMode,
     EpidemicParameters,
     ExternalEvaluator,
+    ExternalNetCodec,
     MultiStrainConfig,
     NetCodec,
     NetGenotype,
@@ -326,6 +327,8 @@ def one_child(codec, parent, mode, traveler_rate, rng):
     reference bit replicator, or replicate_net, steered as the codec steers."""
     if isinstance(codec, BinaryCodec):
         return reference_replicate_bits(parent, codec.bits, mode, rng, toward=codec.target)
+    if isinstance(codec, ExternalNetCodec):
+        return replicate_net(parent, mode, traveler_rate, rng, toward=None)
     return replicate_net(parent, mode, traveler_rate, rng, toward=codec.target)
 
 
@@ -337,7 +340,7 @@ codecs = st.one_of(
         lambda seed: NetCodec(target=generate_net_patient_zero(Random(seed)))
     ),
     # no target, so replication is unguided; the evaluator never runs here
-    st.just(NetCodec(evaluator=ExternalEvaluator(["python3"]))),
+    st.just(ExternalNetCodec(ExternalEvaluator(["python3"]))),
 )
 
 

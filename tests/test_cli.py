@@ -160,6 +160,27 @@ class TestConfigErrors:
         assert main(["run", "--config", str(path)]) == 2
         assert "exactly one" in capsys.readouterr().err
 
+    def test_nn_codec_with_both_scoring_sources_rejected(self, tmp_path, capsys):
+        # the CLI is the one place that checks this: no nn codec can hold both
+        codec = {"kind": "nn", "surrogate_target": "random", "evaluator": "python3"}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"codec": codec}), encoding="utf-8")
+        assert main(["run", "--config", str(path)]) == 2
+        assert "exactly one" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "spec, name",
+        [
+            ({"kind": "nn", "surrogate_target": "random"}, "NetCodec"),
+            ({"kind": "nn", "evaluator": ["python3"]}, "ExternalNetCodec"),
+        ],
+        ids=["surrogate", "evaluator"],
+    )
+    def test_nn_codec_class_follows_the_scoring_source(self, spec, name):
+        import cvoa.nn
+
+        assert type(cvoa.cli.build_codec(spec, seed=1)) is getattr(cvoa.nn, name)
+
     @pytest.mark.parametrize(
         "codec, field",
         [

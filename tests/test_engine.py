@@ -652,3 +652,16 @@ class TestSharedLedger:
         with pytest.raises(EvaluationError):
             shared.evaluate(BadCodec(), 3)
         assert shared.evaluations_total() == 0
+
+    def test_an_int_score_past_the_float_range_is_finite(self):
+        # math.isfinite(10**400) raises OverflowError; an int is finite at any size
+        class HugeCodec(BinaryCodec):
+            def fitness(self, genotype):
+                return 10**400 + genotype
+
+        config = MultiStrainConfig.uniform(EpidemicParameters(seed=1, strains=2, pandemic_duration=5))
+        result = run_pandemic(config, HugeCodec(bits=10))
+        assert len(result.history) == 5
+        assert result.termination is Termination.DURATION_REACHED
+        assert result.best.fitness == 10**400 + result.best.genotype
+        assert type(result.best.fitness) is int

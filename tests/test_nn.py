@@ -15,8 +15,10 @@ from cvoa import (
     DistanceMode,
     EvaluationError,
     ExternalEvaluator,
+    ExternalNetCodec,
     NetCodec,
     NetGenotype,
+    SharedLedger,
     mutate_position,
     parse_net_text,
     replicate_net,
@@ -470,25 +472,20 @@ class TestExternalEvaluator:
 
 
 class TestNetCodec:
-    def test_exactly_one_scoring_source(self):
-        with pytest.raises(ValueError):
-            NetCodec()
-        with pytest.raises(ValueError):
-            NetCodec(
-                target=NetGenotype(0, 0, (0, 0)),
-                evaluator=ExternalEvaluator(["true"]),
-            )
-
     def test_surrogate_mode_knows_its_optimum(self):
         codec = NetCodec(target=NetGenotype(1, 2, (3, 4)))
         assert codec.optimum_fitness() == 0
         assert codec.fitness(NetGenotype(1, 2, (3, 4))) == 0
 
+    def test_surrogate_codec_requires_its_target(self):
+        with pytest.raises(TypeError):
+            NetCodec()
+
     def test_evaluator_mode_has_unknown_optimum(self, tmp_path):
         command = write_script(
             tmp_path, "fixed.py", "import sys; sys.stdin.readline(); print('{\"fitness\": 0.5}')"
         )
-        codec = NetCodec(evaluator=ExternalEvaluator(command))
+        codec = ExternalNetCodec(ExternalEvaluator(command))
         assert codec.optimum_fitness() is None
 
     def test_replicate_preserves_invariants(self):
@@ -500,9 +497,21 @@ class TestNetCodec:
             assert_in_range(g)
 
     def test_surrogate_fitness_all_scores_in_order(self):
+        # the surrogate codec has no batch hook: the ledger scores a batch by
+        # `fitness`, in list order
         codec = NetCodec(target=NetGenotype(1, 2, (3, 4)))
+        assert not hasattr(codec, "fitness_all")
         genotypes = [NetGenotype(0, 0, (c, 4)) for c in range(5)]
-        assert list(codec.fitness_all(genotypes)) == [codec.fitness(g) for g in genotypes]
+        scored = []
+
+        class Recording(NetCodec):
+            def fitness(self, genotype):
+                scored.append(genotype)
+                return super().fitness(genotype)
+
+        scores = SharedLedger().evaluate_all(Recording(codec.target), genotypes)
+        assert scored == genotypes
+        assert scores == [surrogate_fitness(g, codec.target) for g in genotypes]
 
     def test_text_round_trips_through_parser(self):
         codec = NetCodec(target=NetGenotype(1, 2, (3, 4)))
@@ -521,6 +530,6 @@ def test_evaluator_reply_shape_matches_request_contract(tmp_path):
         f"open({str(record)!r}, 'w').write(json.dumps(sorted(req)))\n"
         "print(json.dumps({'fitness': 0.47}))\n",
     )
-    codec = NetCodec(evaluator=ExternalEvaluator(command))
+    codec = ExternalNetCodec(ExternalEvaluator(command))
     assert codec.fitness(parse_net_text("{4,0,8}{9,7,2,7,2,7,10,7}")) == 0.47
     assert json.loads(record.read_text()) == ["dropout", "learning_rate", "units"]

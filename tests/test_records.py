@@ -18,7 +18,7 @@ from cvoa import (
     StrainResult,
 )
 from cvoa.cli import RunConfig
-from cvoa.nn import ArchitectureSpec, ExternalEvaluator, NetCodec, NetGenotype
+from cvoa.nn import ArchitectureSpec, ExternalEvaluator, ExternalNetCodec, NetCodec, NetGenotype
 
 TARGET = NetGenotype(1, 2, (3, 4))
 ONE_STRAIN = MultiStrainConfig((EpidemicParameters(seed=1),))
@@ -53,12 +53,6 @@ CASES = {
     "bool bits": (BinaryCodec(), {"bits": True}, "bits must be an integer, got True"),
     # a float target once made every fitness a float
     "fractional target": (BinaryCodec(), {"target": 15.0}, "target must be an integer, got 15.0"),
-    "target and evaluator": (
-        NetCodec(target=TARGET),
-        {"evaluator": ExternalEvaluator(["true"])},
-        "exactly one",
-    ),
-    "neither target nor evaluator": (NetCodec(target=TARGET), {"target": None}, "exactly one"),
     "target out of range": (
         NetCodec(target=TARGET),
         {"target": NetGenotype(6, 0, (0, 0))},
@@ -120,6 +114,7 @@ RECORDS = [
     BinaryCodec(),
     ONE_STRAIN,
     NetCodec(target=TARGET),
+    ExternalNetCodec(ExternalEvaluator(["true"])),
 ]
 
 

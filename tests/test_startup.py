@@ -79,6 +79,7 @@ def test_nn_run_loads_the_nn_codec(tmp_path):
 
 def test_nn_names_resolve_to_the_nn_module():
     assert cvoa.NetCodec is cvoa.nn.NetCodec
+    assert cvoa.ExternalNetCodec is cvoa.nn.ExternalNetCodec
     from cvoa import ExternalEvaluator
     from cvoa.nn import ExternalEvaluator as direct
 
