@@ -20,7 +20,7 @@ import os
 import sys
 from pathlib import Path
 from random import Random
-from typing import NamedTuple
+from typing import Any, NamedTuple
 
 from .binary import BinaryCodec
 from .codec import Codec, EvaluationError
@@ -38,7 +38,7 @@ class ConfigError(ValueError):
 
 
 class RunConfig(NamedTuple):
-    codec_spec: dict
+    codec_spec: Any  # the config's codec section as given; build_codec checks it
     parameters: EpidemicParameters
     pz_strategy: PzStrategy
     repeat: int
@@ -65,33 +65,6 @@ def _parse_parameters(raw: dict) -> EpidemicParameters:
     return EpidemicParameters(**values)
 
 
-def _parse_codec_spec(raw: dict) -> dict:
-    _require(isinstance(raw, dict), "codec must be an object")
-    kind = raw.get("kind")
-    _require(kind in ("binary", "nn"), f"codec.kind must be binary or nn, got {kind!r}")
-    if kind == "binary":
-        # build_codec checks the fields, by BinaryCodec's rule
-        allowed = {"kind", "bits", "target"}
-    else:
-        allowed = {"kind", "surrogate_target", "evaluator"}
-        has_target = "surrogate_target" in raw
-        has_evaluator = "evaluator" in raw
-        _require(
-            has_target != has_evaluator,
-            "nn codec needs exactly one of surrogate_target / evaluator",
-        )
-        # build_codec checks an evaluator command, by ExternalEvaluator's rule
-        if has_target:
-            target = raw["surrogate_target"]
-            _require(
-                isinstance(target, str),
-                f"codec.surrogate_target must be a string, got {target!r}",
-            )
-    unknown = sorted(set(raw) - allowed)
-    _require(not unknown, f"unknown codec field(s) for kind {kind}: {', '.join(unknown)}")
-    return dict(raw)
-
-
 def load_config(path: Path) -> RunConfig:
     try:
         text = path.read_text(encoding="utf-8")
@@ -106,7 +79,6 @@ def load_config(path: Path) -> RunConfig:
     unknown = sorted(set(raw) - allowed)
     _require(not unknown, f"unknown config field(s): {', '.join(unknown)}")
     _require("codec" in raw, "config needs a codec section")
-    codec_spec = _parse_codec_spec(raw["codec"])
     parameters = _parse_parameters(raw.get("parameters", {}))
     strategy_name = raw.get("pz_strategy", PzStrategy.MAX_HAMMING_SPREAD.value)
     try:
@@ -118,7 +90,7 @@ def load_config(path: Path) -> RunConfig:
     out = raw.get("out", "out")
     _require(isinstance(out, str), f"out must be a path string, got {out!r}")
     return RunConfig(
-        codec_spec=codec_spec,
+        codec_spec=raw["codec"],
         parameters=parameters,
         pz_strategy=pz_strategy,
         repeat=repeat,
@@ -126,24 +98,39 @@ def load_config(path: Path) -> RunConfig:
     )
 
 
-def build_codec(spec: dict, seed: int) -> Codec:
-    """Instantiate the configured codec; `seed` pins a "random" surrogate target."""
-    if spec["kind"] == "binary":
+def build_codec(spec: Any, seed: int) -> Codec:
+    """Check the config's codec section and instantiate its codec; `seed`
+    pins a "random" surrogate target. The one reader of the section: a
+    malformed one, from a config or passed here directly, is a ConfigError.
+    """
+    _require(isinstance(spec, dict), "codec must be an object")
+    kind = spec.get("kind")
+    _require(kind in ("binary", "nn"), f"codec.kind must be binary or nn, got {kind!r}")
+    fields = {name: value for name, value in spec.items() if name != "kind"}
+    allowed = BinaryCodec._fields if kind == "binary" else ("surrogate_target", "evaluator")
+    unknown = sorted(str(name) for name in fields if name not in allowed)
+    _require(not unknown, f"unknown codec field(s) for kind {kind}: {', '.join(unknown)}")
+    if kind == "binary":
         try:
-            return BinaryCodec(**{name: value for name, value in spec.items() if name != "kind"})
+            return BinaryCodec(**fields)
         except ValueError as exc:
             raise ConfigError(str(exc))
+    _require(len(fields) == 1, "nn codec needs exactly one of surrogate_target / evaluator")
     # loaded here, not at import, so a binary run never loads the nn codec
     from .nn import ExternalEvaluator, ExternalNetCodec, NetCodec
     from .nn import generate_net_patient_zero, parse_net_text
 
-    if "evaluator" in spec:
+    if "evaluator" in fields:
         try:
-            evaluator = ExternalEvaluator(spec["evaluator"])
+            evaluator = ExternalEvaluator(fields["evaluator"])
         except ValueError as exc:
             raise ConfigError(f"codec.evaluator: {exc}")
         return ExternalNetCodec(evaluator)
-    target_text = spec["surrogate_target"]
+    target_text = fields["surrogate_target"]
+    _require(
+        isinstance(target_text, str),
+        f"codec.surrogate_target must be a string, got {target_text!r}",
+    )
     if target_text == "random":
         target = generate_net_patient_zero(Random((seed * _TARGET_SEED_MIX) % 2**64))
     else:
@@ -296,8 +283,9 @@ def cmd_run(config: RunConfig) -> int:
 
 
 def cmd_sweep(config: RunConfig, lengths: list[int]) -> int:
-    _require(config.codec_spec["kind"] == "binary", "sweep requires a binary codec config")
     params = config.parameters
+    configured = build_codec(config.codec_spec, params.seed)
+    _require(isinstance(configured, BinaryCodec), "sweep requires a binary codec config")
     _require(
         params.objective is Objective.MINIMIZE,
         "sweep requires objective minimize: it stops each run at the codec's minimum",
@@ -307,9 +295,9 @@ def cmd_sweep(config: RunConfig, lengths: list[int]) -> int:
     codecs: list[BinaryCodec] = []
     for length in lengths:
         try:
-            codec = build_codec({**config.codec_spec, "bits": length}, params.seed)
+            codec = configured._replace(bits=length)
             _require_room(codec, params.strains)
-        except ConfigError as exc:
+        except ValueError as exc:
             raise ConfigError(f"length {length}: {exc}")
         codecs.append(codec)
     _make_out_dir(config.out)

@@ -92,9 +92,7 @@ class SharedLedger:
         return len(self.fitness_cache)
 
     def evaluate(self, codec: Codec, genotype: Any) -> float:
-        """Memoized fitness; a miss is scored by evaluate_all."""
-        if genotype in self.fitness_cache:
-            return self.fitness_cache[genotype]
+        """Memoized fitness of one genotype, by evaluate_all."""
         return self.evaluate_all(codec, [genotype])[0]
 
     def evaluate_all(self, codec: Codec, genotypes: list) -> list[float]:

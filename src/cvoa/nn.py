@@ -40,6 +40,8 @@ MISSING_LAYER_PENALTY = 12
 
 # bias strength of target-seeking moves when a toward genotype is known
 _E_GUIDE = 0.85
+# highest code at each replicate_net position: LR, DROP, then each layer
+_POSITION_MAX = (len(LR_TABLE) - 1, len(DROP_TABLE) - 1) + (LAYER_CODE_MAX,) * MAX_LAYERS
 
 
 class NetGenotype(NamedTuple):
@@ -156,20 +158,14 @@ def replicate_net(
     set, position picks and nudges prefer closing the gap to that genotype.
     """
     if rng.random() < 1 / 3:
-        old_count = len(parent.layer_codes)
-        new_count = None
-        if toward is not None:
-            desired = len(toward.layer_codes)
-            if rng.random() < _E_GUIDE and old_count != desired:
-                new_count = old_count + max(-2, min(2, desired - old_count))
-        if new_count is None:
-            new_count = mutate_position(old_count, MIN_LAYERS, MAX_LAYERS, rng)
-        parent = resize_layers(parent, new_count, rng)
-    lr, drop, codes = parent
-    layers = list(codes)
-
-    count = len(layers)
-    positions = 2 + count  # 0 = LR, 1 = DROP, 2.. = layers
+        count = len(parent.layer_codes)
+        if toward is None:
+            count = mutate_position(count, MIN_LAYERS, MAX_LAYERS, rng)
+        else:
+            count = _step_toward(count, len(toward.layer_codes), MIN_LAYERS, MAX_LAYERS, rng)
+        parent = resize_layers(parent, count, rng)
+    values = [parent.lr_code, parent.drop_code, *parent.layer_codes]
+    positions = len(values)
     if mode is DistanceMode.ORDINARY:
         m = 1
     elif traveler_rate >= 0:
@@ -178,44 +174,25 @@ def replicate_net(
         m = rng.randint(0, positions)
     m = min(m, positions)
 
-    differing: list[int] = []
-    if toward is not None:
-        if lr != toward.lr_code:
-            differing.append(0)
-        if drop != toward.drop_code:
-            differing.append(1)
-        aligned = min(count, len(toward.layer_codes))
-        differing.extend(2 + i for i in range(aligned) if layers[i] != toward.layer_codes[i])
-
+    # the toward genotype's codes, front-aligned with values
+    goal = () if toward is None else (toward.lr_code, toward.drop_code, *toward.layer_codes)
+    differing = [pos for pos, (value, desired) in enumerate(zip(values, goal)) if value != desired]
     chosen: set[int] = set()
     for _ in range(m):
-        pos = None
-        if toward is not None:
-            pool = [p for p in differing if p not in chosen]
-            if pool and rng.random() < _E_GUIDE:
-                pos = pool[rng.randrange(len(pool))]
-        if pos is None:
+        pool = [p for p in differing if p not in chosen]
+        if pool and rng.random() < _E_GUIDE:
+            pos = pool[rng.randrange(len(pool))]
+        else:
             free = [p for p in range(positions) if p not in chosen]
             pos = free[rng.randrange(len(free))]
         chosen.add(pos)
 
     for pos in sorted(chosen):
-        if pos == 0:
-            if toward is not None:
-                lr = _step_toward(lr, toward.lr_code, 0, len(LR_TABLE) - 1, rng)
-            else:
-                lr = mutate_position(lr, 0, len(LR_TABLE) - 1, rng)
-        elif pos == 1:
-            if toward is not None:
-                drop = _step_toward(drop, toward.drop_code, 0, len(DROP_TABLE) - 1, rng)
-            else:
-                drop = mutate_position(drop, 0, len(DROP_TABLE) - 1, rng)
+        if pos < len(goal):
+            values[pos] = _step_toward(values[pos], goal[pos], 0, _POSITION_MAX[pos], rng)
         else:
-            i = pos - 2
-            if toward is not None and i < len(toward.layer_codes):
-                layers[i] = _step_toward(layers[i], toward.layer_codes[i], 0, LAYER_CODE_MAX, rng)
-            else:
-                layers[i] = mutate_position(layers[i], 0, LAYER_CODE_MAX, rng)
+            values[pos] = mutate_position(values[pos], 0, _POSITION_MAX[pos], rng)
+    lr, drop, *layers = values
     return NetGenotype(lr, drop, tuple(layers))
 
 
@@ -344,13 +321,15 @@ class _NetCodecFields(NamedTuple):
 class NetCodec(Validated, _NetSpace, _NetCodecFields):
     """Codec over NetGenotype scored by surrogate distance to `target`.
 
-    The target is range-checked. The codec knows its optimum (0, at the
+    The target must be an in-range NetGenotype. The codec knows its optimum (0, at the
     target) and steers replication toward the target.
     """
 
     __slots__ = ()
 
     def __post_init__(self) -> None:
+        if not isinstance(self.target, NetGenotype):
+            raise ValueError(f"target must be a NetGenotype, got {self.target!r}")
         self.target.__post_init__()
 
     def replicate(
@@ -371,13 +350,17 @@ class _ExternalNetCodecFields(NamedTuple):
     evaluator: ExternalEvaluator
 
 
-class ExternalNetCodec(_NetSpace, _ExternalNetCodecFields):
+class ExternalNetCodec(Validated, _NetSpace, _ExternalNetCodecFields):
     """Codec over NetGenotype scored by `evaluator`, batch by batch.
 
     It knows no optimum and no target, so replication stays unguided.
     """
 
     __slots__ = ()
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.evaluator, ExternalEvaluator):
+            raise ValueError(f"evaluator must be an ExternalEvaluator, got {self.evaluator!r}")
 
     def replicate(
         self, parent: NetGenotype, mode: DistanceMode, count: int, traveler_rate: int, rng: Random

@@ -182,6 +182,24 @@ class TestConfigErrors:
         assert type(cvoa.cli.build_codec(spec, seed=1)) is getattr(cvoa.nn, name)
 
     @pytest.mark.parametrize(
+        "spec, message",
+        [
+            (["binary"], "codec must be an object"),
+            ({"kind": "gray"}, "codec.kind must be binary or nn, got 'gray'"),
+            ({"kind": "binary", "bits": 10, "bogus": 1}, "unknown codec field(s) for kind binary: bogus"),
+            ({"kind": "nn"}, "exactly one"),
+            ({"kind": "nn", "surrogate_target": "random", "evaluator": "python3"}, "exactly one"),
+            ({"kind": "nn", "surrogate_target": 5}, "codec.surrogate_target must be a string, got 5"),
+        ],
+        ids=["not-an-object", "kind-gray", "binary-unknown-field", "nn-neither", "nn-both", "target-number"],
+    )
+    def test_build_codec_checks_a_spec_passed_directly(self, spec, message):
+        # the one reader of the codec section: no config load runs before it
+        with pytest.raises(cvoa.cli.ConfigError) as info:
+            cvoa.cli.build_codec(spec, seed=1)
+        assert message in str(info.value)
+
+    @pytest.mark.parametrize(
         "codec, field",
         [
             ({"kind": "nn", "surrogate_target": 5}, "surrogate_target"),
@@ -366,15 +384,21 @@ class TestSweep:
             raise AssertionError("run_pandemic called before every length was checked")
 
         monkeypatch.setattr(cvoa.cli, "run_pandemic", no_run)
-        out = tmp_path / "out"
-        path = write_config(tmp_path, {"out": str(out)})
-        assert main(["sweep", "--config", str(path), "--lengths", "10,5"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert any(
-            line.startswith("error:") and "length 5" in line for line in captured.err.splitlines()
-        )
-        assert not out.exists()
+        # a length below the minimum, and one that the configured target does not fit
+        cases = [
+            ("too-short", BINARY_CONFIG["codec"], "10,5", "length 5"),
+            ("target-does-not-fit", {"kind": "binary", "bits": 12, "target": 300}, "12,8", "length 8"),
+        ]
+        for name, codec, lengths, bad in cases:
+            out = tmp_path / name
+            path = write_config(tmp_path, {"out": str(out)}, codec=codec)
+            assert main(["sweep", "--config", str(path), "--lengths", lengths]) == 2, name
+            captured = capsys.readouterr()
+            assert captured.out == "", name
+            assert any(
+                line.startswith("error:") and bad in line for line in captured.err.splitlines()
+            ), (name, captured.err)
+            assert not out.exists(), name
 
     def test_malformed_lengths_rejected(self, tmp_path, capsys):
         path = write_config(tmp_path)

@@ -21,6 +21,7 @@ from cvoa.cli import RunConfig
 from cvoa.nn import ArchitectureSpec, ExternalEvaluator, ExternalNetCodec, NetCodec, NetGenotype
 
 TARGET = NetGenotype(1, 2, (3, 4))
+EVALUATOR = ExternalEvaluator(["true"])
 ONE_STRAIN = MultiStrainConfig((EpidemicParameters(seed=1),))
 MAXIMIZE = EpidemicParameters(seed=2, objective=Objective.MAXIMIZE)
 
@@ -57,6 +58,21 @@ CASES = {
         NetCodec(target=TARGET),
         {"target": NetGenotype(6, 0, (0, 0))},
         "lr_code 6",
+    ),
+    "target not a genotype": (
+        NetCodec(target=TARGET),
+        {"target": None},
+        "target must be a NetGenotype, got None",
+    ),
+    "target in text form": (
+        NetCodec(target=TARGET),
+        {"target": "{1,2,2}{3,4}"},
+        "target must be a NetGenotype, got '{1,2,2}{3,4}'",
+    ),
+    "evaluator not an evaluator": (
+        ExternalNetCodec(EVALUATOR),
+        {"evaluator": None},
+        "evaluator must be an ExternalEvaluator, got None",
     ),
 }
 
@@ -98,7 +114,12 @@ def test_every_way_in_keeps_a_valid_value(case):
     copies += [pickle.loads(pickle.dumps(good, protocol)) for protocol in PROTOCOLS]
     for copy in copies:
         assert type(copy) is cls
-        assert copy == good
+        if isinstance(good, ExternalNetCodec):
+            # an evaluator has no value equality: an unpickled copy holds its own
+            assert type(copy.evaluator) is ExternalEvaluator
+            assert vars(copy.evaluator) == vars(good.evaluator)
+        else:
+            assert copy == good
 
 
 BEST = EvaluatedIndividual(15, 0)
@@ -114,7 +135,7 @@ RECORDS = [
     BinaryCodec(),
     ONE_STRAIN,
     NetCodec(target=TARGET),
-    ExternalNetCodec(ExternalEvaluator(["true"])),
+    ExternalNetCodec(EVALUATOR),
 ]
 
 
