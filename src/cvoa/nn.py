@@ -321,8 +321,8 @@ class _NetCodecFields(NamedTuple):
 class NetCodec(Validated, _NetSpace, _NetCodecFields):
     """Codec over NetGenotype scored by surrogate distance to `target`.
 
-    The target must be an in-range NetGenotype. The codec knows its optimum (0, at the
-    target) and steers replication toward the target.
+    The target must be an in-range NetGenotype. The codec knows its
+    optimum (0, at the target) and steers replication toward the target.
     """
 
     __slots__ = ()
