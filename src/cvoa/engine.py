@@ -6,14 +6,14 @@ the Strain and steps it. Each step: infected that another strain has
 buried since are dropped, the dying are removed from the infected set and
 buried, every surviving spreader breeds a brood of candidate infections
 in one call of the codec's replicate operator (the fittest share of
-spreaders with the super-spreader range), infect routes each candidate
-through isolation / reinfection bookkeeping as the brood yields it (the
-rule that new_infection states for one candidate, with the same draws),
-the newly evaluated individuals update the best-so-far, isolates either
-die or recover, the spreaders recover, and the new infections become the
-next generation. The step that empties the infected set (extinction) or
-completes the configured duration ends the strain and records why in
-`termination`; the driver records a goal.
+spreaders with the super-spreader range), each candidate is routed
+through isolation / reinfection bookkeeping as the brood yields it (by
+_route, the one statement of the rule; new_infection routes one
+candidate through it), the newly evaluated individuals update the
+best-so-far, isolates either die or recover, the spreaders recover, and
+the new infections become the next generation. The step that empties the
+infected set (extinction) or completes the configured duration ends the
+strain and records why in `termination`; the driver records a goal.
 
 Every population a loop draws random numbers over is kept in discovery
 order: an insertion-ordered dict admits each genotype in the order the
@@ -146,48 +146,19 @@ def die(infected: Iterable[Any], params: EpidemicParameters, rng: Random) -> set
     return {g for g in infected if rng.random() < params.p_die}
 
 
-def new_infection(strain: Strain, candidate: Any) -> Disposition:
-    """Route one candidate: ignore the dead and this iteration's repeats,
-    isolate or admit the fresh, and give recovered candidates their
-    reinfection chance. An isolate enters the recovered population at once
-    and takes its death draw at the end of the iteration (resolve_isolates).
-
-    This is the routing rule for one candidate; infect applies the same
-    rule inline to each candidate of a brood, with the same draws."""
-    shared = strain.shared
-    if candidate in shared.dead or candidate in strain.new_infected:
-        return Disposition.IGNORED
-    if candidate not in shared.recovered:
-        if strain.rng.random() > strain.params.p_isolation:
-            strain.new_infected[candidate] = None
-            return Disposition.ADDED_TO_NEW_INFECTED
-        shared.recovered.add(candidate)
-        strain.isolated_now[candidate] = None
-        return Disposition.ISOLATED
-    if strain.rng.random() < strain.params.p_reinfection:
-        shared.recovered.remove(candidate)
-        strain.new_infected[candidate] = None
-        return Disposition.REINFECTED
-    return Disposition.IGNORED
-
-
-def infect(strain: Strain, individual: Any, wide: bool) -> None:
-    """Spread from one individual: one travel draw decides the move
-    distance for the whole brood, then one draw its candidate count, from
-    the super-spreader range if `wide`, else the ordinary range. The codec
-    breeds the brood lazily, and each candidate is routed by
-    new_infection's rule, inline, before the next is drawn."""
-    params, rng = strain.params, strain.rng
-    random = rng.random
-    traveling = random() < params.p_travel
-    lo, hi = params.superspreader_spread_range if wide else params.ordinary_spread_range
-    count = lo + randbelow(rng, hi - lo + 1)  # rng.randint(lo, hi), draw for draw
-    mode = _TRAVELER if traveling else _ORDINARY
-    shared = strain.shared
+def _route(strain: Strain, candidates: Iterable[Any]) -> None:
+    """Route each candidate as `candidates` yields it: ignore the dead and
+    this iteration's repeats, isolate or admit the fresh (one draw against
+    p_isolation), and give recovered candidates their reinfection chance
+    (one draw against p_reinfection). An isolate enters the recovered
+    population at once and takes its death draw at the end of the
+    iteration (resolve_isolates)."""
+    params, shared = strain.params, strain.shared
     dead, recovered = shared.dead, shared.recovered
     new_infected, isolated_now = strain.new_infected, strain.isolated_now
     p_isolation, p_reinfection = params.p_isolation, params.p_reinfection
-    for candidate in strain.codec.replicate(individual, mode, count, params.traveler_rate, rng):
+    random = strain.rng.random
+    for candidate in candidates:
         if candidate in dead or candidate in new_infected:
             continue
         if candidate not in recovered:
@@ -199,6 +170,32 @@ def infect(strain: Strain, individual: Any, wide: bool) -> None:
         elif random() < p_reinfection:
             recovered.remove(candidate)
             new_infected[candidate] = None
+
+
+def new_infection(strain: Strain, candidate: Any) -> Disposition:
+    """Route one candidate, and say which way it went."""
+    was_recovered = candidate in strain.shared.recovered
+    admitted, isolated = len(strain.new_infected), len(strain.isolated_now)
+    _route(strain, (candidate,))
+    if len(strain.isolated_now) > isolated:
+        return Disposition.ISOLATED
+    if len(strain.new_infected) > admitted:
+        return Disposition.REINFECTED if was_recovered else Disposition.ADDED_TO_NEW_INFECTED
+    return Disposition.IGNORED
+
+
+def infect(strain: Strain, individual: Any, wide: bool) -> None:
+    """Spread from one individual: one travel draw decides the move
+    distance for the whole brood, then one draw its candidate count, from
+    the super-spreader range if `wide`, else the ordinary range. The codec
+    breeds the brood lazily, and each candidate is routed before the next
+    is drawn."""
+    params, rng = strain.params, strain.rng
+    traveling = rng.random() < params.p_travel
+    lo, hi = params.superspreader_spread_range if wide else params.ordinary_spread_range
+    count = lo + randbelow(rng, hi - lo + 1)  # rng.randint(lo, hi), draw for draw
+    mode = _TRAVELER if traveling else _ORDINARY
+    _route(strain, strain.codec.replicate(individual, mode, count, params.traveler_rate, rng))
 
 
 def resolve_isolates(strain: Strain, isolates: Iterable[Any]) -> set:
