@@ -8,8 +8,9 @@ of per-layer unit codes. Codes decode through fixed lookup tables:
     layer code 0..11 -> 25 * (code + 1) units (25..300)
 
 A genotype is a `NetGenotype` named tuple, hashed and compared in C.
-Building one checks no range: the engine builds only in-range genotypes,
-and `parse_net_text` and `NetCodec` check those that enter from outside.
+Building one checks nothing: the engine builds only well-formed genotypes,
+and `parse_net_text` and `NetCodec` check the types and ranges of those
+that enter from outside.
 
 Two codecs search this space, one per scoring mode. `NetCodec(target)`
 scores a surrogate distance to a hidden target genotype (desk-scale
@@ -29,7 +30,7 @@ from random import Random
 from typing import Iterator, NamedTuple
 
 from .codec import EvaluationError
-from .params import DistanceMode, Validated
+from .params import DistanceMode, Validated, is_integer
 
 LR_TABLE = (0.0, 0.1, 0.01, 0.001, 0.0001, 0.00001)
 DROP_TABLE = (0.0, 0.10, 0.15, 0.20, 0.25, 0.30, 0.35, 0.40, 0.45)
@@ -52,6 +53,11 @@ class NetGenotype(NamedTuple):
     # named __post_init__ because perfbench/child.py wraps that attribute;
     # the rename goes with the next change to the benchmark
     def __post_init__(self) -> None:
+        for name, code in (("lr_code", self.lr_code), ("drop_code", self.drop_code)):
+            if not is_integer(code):
+                raise ValueError(f"{name} must be an integer, got {code!r}")
+        if not isinstance(self.layer_codes, tuple):
+            raise ValueError(f"layer_codes must be a tuple, got {self.layer_codes!r}")
         if not 0 <= self.lr_code < len(LR_TABLE):
             raise ValueError(f"lr_code {self.lr_code} out of [0,{len(LR_TABLE) - 1}]")
         if not 0 <= self.drop_code < len(DROP_TABLE):
@@ -61,6 +67,8 @@ class NetGenotype(NamedTuple):
                 f"layer count {len(self.layer_codes)} out of ({MIN_LAYERS - 1},{MAX_LAYERS}]"
             )
         for code in self.layer_codes:
+            if not is_integer(code):
+                raise ValueError(f"layer code must be an integer, got {code!r}")
             if not 0 <= code <= LAYER_CODE_MAX:
                 raise ValueError(f"layer code {code} out of [0,{LAYER_CODE_MAX}]")
 
@@ -231,9 +239,11 @@ class ExternalEvaluator:
     must be {"fitness": <finite JSON number in float range>}, not a string
     or bool. `command` is a non-empty list of strings, or a string that
     shlex splits into one; any other command is a ValueError at
-    construction. Each fitness() call is one evaluator process; the
-    evaluator keeps no per-genotype state, because
-    the engine's ledger already scores each genotype once per pandemic.
+    construction. `timeout` is None (wait forever) or a finite number of
+    seconds above 0 (an int or a float, not a bool); anything else is a
+    ValueError at construction too. Each fitness() call is one evaluator
+    process; the evaluator keeps no per-genotype state, because the
+    engine's ledger already scores each genotype once per pandemic.
     `invocations` counts the round trips that fitness_all() started, the
     one way the engine reaches an evaluator. One caller at a time.
     """
@@ -242,6 +252,9 @@ class ExternalEvaluator:
         words = shlex.split(command) if isinstance(command, str) else command
         if not (isinstance(words, list) and words and all(isinstance(w, str) for w in words)):
             raise ValueError(f"command must be a non-empty list of strings or a string, got {command!r}")
+        seconds = is_integer(timeout) or isinstance(timeout, float)
+        if timeout is not None and not (seconds and 0 < timeout < math.inf):
+            raise ValueError(f"timeout must be None or a finite number of seconds above 0, got {timeout!r}")
         self.command = list(words)
         self.timeout = timeout
         self.invocations = 0

@@ -6,6 +6,8 @@ from operator import attrgetter
 from random import Random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import cvoa.engine
 import cvoa.multistrain
@@ -184,6 +186,64 @@ class TestNewInfection:
         strain.shared.recovered.add(7)
         assert new_infection(strain, 7) is Disposition.IGNORED
         assert 7 in strain.shared.recovered
+
+
+# the population moves each disposition makes, as
+# (joins new_infected, joins recovered and isolated_now, leaves recovered)
+MOVES = {
+    Disposition.ADDED_TO_NEW_INFECTED: (True, False, False),
+    Disposition.ISOLATED: (False, True, False),
+    Disposition.REINFECTED: (True, False, True),
+    Disposition.IGNORED: (False, False, False),
+}
+
+
+class TestRoutingRule:
+    """The routing rule stated here, apart from the engine's one loop."""
+
+    @given(
+        dead=st.sets(st.integers(0, 7)),
+        recovered=st.sets(st.integers(0, 7)),
+        candidates=st.lists(st.integers(0, 7), max_size=16),
+        p_isolation=st.floats(0.0, 1.0),
+        p_reinfection=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_each_candidate_takes_the_draws_and_moves_its_state_says(
+        self, dead, recovered, candidates, p_isolation, p_reinfection, seed
+    ):
+        params = EpidemicParameters(p_isolation=p_isolation, p_reinfection=p_reinfection)
+        strain = routing_strain(params, rng=Random(seed))
+        strain.shared.dead |= dead
+        strain.shared.recovered |= recovered - dead  # the ledger keeps them disjoint
+        clone = Random(seed)
+        for candidate in candidates:
+            new_infected = list(strain.new_infected)
+            isolated_now = list(strain.isolated_now)
+            recovered_now = set(strain.shared.recovered)
+            if candidate in dead or candidate in new_infected:
+                expected = Disposition.IGNORED  # and no draw
+            elif candidate in recovered_now:
+                reinfected = clone.random() < p_reinfection
+                expected = Disposition.REINFECTED if reinfected else Disposition.IGNORED
+            else:
+                admitted = clone.random() > p_isolation
+                expected = Disposition.ADDED_TO_NEW_INFECTED if admitted else Disposition.ISOLATED
+
+            assert new_infection(strain, candidate) is expected
+            assert strain.rng.getstate() == clone.getstate()
+            joins_infected, isolated, leaves_recovered = MOVES[expected]
+            if joins_infected:
+                new_infected.append(candidate)
+            if isolated:
+                recovered_now.add(candidate)
+                isolated_now.append(candidate)
+            if leaves_recovered:
+                recovered_now.remove(candidate)
+            assert list(strain.new_infected) == new_infected
+            assert list(strain.isolated_now) == isolated_now
+            assert strain.shared.recovered == recovered_now
+            assert strain.shared.dead == dead
 
 
 class TestInfect:

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -459,6 +460,16 @@ class TestExternalEvaluator:
         assert time.monotonic() - start < 5
         with pytest.raises(ProcessLookupError):
             os.kill(int(pid_path.read_text()), 0)
+
+    @pytest.mark.parametrize("timeout", [-1, 0, math.nan, "60", True])
+    def test_timeout_that_is_no_positive_number_of_seconds_is_rejected(self, timeout):
+        # a timeout of -1 once built, and then failed every round trip
+        with pytest.raises(ValueError, match=f"timeout .* got {timeout!r}"):
+            ExternalEvaluator(["true"], timeout=timeout)
+
+    @pytest.mark.parametrize("timeout", [None, 0.5])
+    def test_no_timeout_or_a_positive_one_builds(self, timeout):
+        assert ExternalEvaluator(["true"], timeout=timeout).timeout is timeout
 
     @pytest.mark.parametrize("command", ["", [], "   ", {"cmd": "python3"}, ["python3", 5]])
     def test_empty_command_is_rejected(self, command):

@@ -59,6 +59,27 @@ CASES = {
         {"target": NetGenotype(6, 0, (0, 0))},
         "lr_code 6",
     ),
+    # each of these once built a codec, or raised TypeError instead
+    "target lr_code in text form": (
+        NetCodec(target=TARGET),
+        {"target": NetGenotype("1", 2, (3, 4))},
+        "lr_code must be an integer, got '1'",
+    ),
+    "target layer codes in a list": (
+        NetCodec(target=TARGET),
+        {"target": NetGenotype(1, 2, [3, 4])},
+        "layer_codes must be a tuple, got [3, 4]",
+    ),
+    "fractional target lr_code": (
+        NetCodec(target=TARGET),
+        {"target": NetGenotype(1.0, 2, (3, 4))},
+        "lr_code must be an integer, got 1.0",
+    ),
+    "bool target lr_code": (
+        NetCodec(target=TARGET),
+        {"target": NetGenotype(True, 2, (3, 4))},
+        "lr_code must be an integer, got True",
+    ),
     "target not a genotype": (
         NetCodec(target=TARGET),
         {"target": None},
