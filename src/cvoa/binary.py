@@ -116,24 +116,19 @@ def bit_brood(
         flips = traveler_flip_count(n)
         for _ in range(count):
             child = parent
-            used = 0
+            free = full
             for _ in range(flips):
-                pos = None
+                # a guided flip prefers a free position where the child still
+                # differs from toward, and falls back to any free one
+                mask = free
                 if toward is not None and random() < _E_TRAVELER:
-                    diff = (child ^ toward) & full & ~used
-                    if diff:
-                        pos = _nth_set_bit(diff, randbelow(rng, diff.bit_count()))
-                if pos is None:
-                    if used:
-                        free = full & ~used
-                        pos = _nth_set_bit(free, randbelow(rng, free.bit_count()))
-                    else:
-                        pos = randbelow(rng, n)
-                used |= 1 << pos
-                child ^= 1 << pos
+                    mask = ((child ^ toward) & free) or free
+                bit = 1 << _nth_set_bit(mask, randbelow(rng, mask.bit_count()))
+                free ^= bit
+                child ^= bit
             yield child
         return
-    # ordinary: one flip, with nothing used yet; the bias depends on the parent alone
+    # ordinary: one flip from the whole length; the bias depends on the parent alone
     e, diff = 0.0, 0
     if toward is not None:
         delta = parent ^ toward

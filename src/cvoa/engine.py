@@ -10,10 +10,11 @@ spreaders with the super-spreader range), each candidate is routed
 through isolation / reinfection bookkeeping as the brood yields it (by
 _route, the one statement of the rule; new_infection routes one
 candidate through it), the newly evaluated individuals update the
-best-so-far, isolates either die or recover, the spreaders recover, and
-the new infections become the next generation. The step that empties the
-infected set (extinction) or completes the configured duration ends the
-strain and records why in `termination`; the driver records a goal.
+best-so-far, this iteration's isolates take their death draw, every
+survivor among isolates and spreaders recovers, and the new infections
+become the next generation. The step that empties the infected set
+(extinction) or completes the configured duration ends the strain and
+records why in `termination`; the driver records a goal.
 
 Every population a loop draws random numbers over is kept in discovery
 order: an insertion-ordered dict admits each genotype in the order the
@@ -22,8 +23,8 @@ the genotypes' hashes. The one other order is the spreaders' fitness
 rank, a stable sort of discovery order, and every fitness tie (among the
 spreaders, and in Objective.best, which picks every best) goes to the
 first in list order. Genotypes are never compared by anything but
-equality. Strain.step is the one place that sets these orders; die and
-resolve_isolates draw in the order they are given.
+equality. Strain.step is the one place that sets these orders; die
+draws in the order it is given.
 """
 
 from __future__ import annotations
@@ -152,7 +153,7 @@ def _route(strain: Strain, candidates: Iterable[Any]) -> None:
     p_isolation), and give recovered candidates their reinfection chance
     (one draw against p_reinfection). An isolate enters the recovered
     population at once and takes its death draw at the end of the
-    iteration (resolve_isolates)."""
+    iteration (Strain.step)."""
     params, shared = strain.params, strain.shared
     dead, recovered = shared.dead, shared.recovered
     new_infected, isolated_now = strain.new_infected, strain.isolated_now
@@ -196,22 +197,6 @@ def infect(strain: Strain, individual: Any, wide: bool) -> None:
     count = lo + randbelow(rng, hi - lo + 1)  # rng.randint(lo, hi), draw for draw
     mode = _TRAVELER if traveling else _ORDINARY
     _route(strain, strain.codec.replicate(individual, mode, count, params.traveler_rate, rng))
-
-
-def resolve_isolates(strain: Strain, isolates: Iterable[Any]) -> set:
-    """End-of-iteration fate of this iteration's isolates: each one not
-    itself a spreader (spreaders took their draw already) dies with p_die
-    or recovers. Returns the buried ones.
-
-    `isolates` is this iteration's isolates not reinfected meanwhile, in
-    the order Strain.step sets (discovery order); die() draws in it."""
-    shared = strain.shared
-    isolates = [g for g in isolates if g not in strain.infected]
-    dying = die(isolates, strain.params, strain.rng)
-    for genotype in dying:
-        shared.bury(genotype)
-    shared.recover_all(isolates)
-    return dying
 
 
 def superspreader_count(p_superspreader: float, spreaders: int) -> int:
@@ -271,7 +256,11 @@ class Strain:
         for rank, spreader in enumerate(spreaders):
             infect(self, spreader, rank < superspreaders)
 
-        isolates = [g for g in self.isolated_now if g not in self.new_infected]
+        # the isolates that take a death draw now: not reinfected since, and
+        # not spreaders, which took theirs at the start of the step
+        isolates = [
+            g for g in self.isolated_now if g not in self.new_infected and g not in self.infected
+        ]
         fresh = [*self.new_infected, *isolates]
         if fresh:
             values = shared.evaluate_all(self.codec, fresh)
@@ -279,8 +268,9 @@ class Strain:
             if params.objective.better(values[index], self.best.fitness):
                 self.best = EvaluatedIndividual(fresh[index], values[index])
 
-        resolve_isolates(self, isolates)
-        shared.recover_all(self.infected)
+        for genotype in die(isolates, params, self.rng):
+            shared.bury(genotype)
+        shared.recover_all([*isolates, *self.infected])
         self.infected = self.new_infected
         self.new_infected = {}
 

@@ -142,8 +142,10 @@ def resize_layers(g: NetGenotype, new_count: int, rng: Random) -> NetGenotype:
     return NetGenotype(g.lr_code, g.drop_code, codes)
 
 
-def _step_toward(value: int, desired: int, low: int, high: int, rng: Random) -> int:
-    if rng.random() < _E_GUIDE and value != desired:
+def _step_toward(value: int, desired: int | None, low: int, high: int, rng: Random) -> int:
+    """Step value up to 2 toward desired (one guide draw), else nudge it by
+    mutate_position; with desired None there is no goal and no guide draw."""
+    if desired is not None and rng.random() < _E_GUIDE and value != desired:
         return value + max(-2, min(2, desired - value))
     return mutate_position(value, low, high, rng)
 
@@ -166,11 +168,8 @@ def replicate_net(
     set, position picks and nudges prefer closing the gap to that genotype.
     """
     if rng.random() < 1 / 3:
-        count = len(parent.layer_codes)
-        if toward is None:
-            count = mutate_position(count, MIN_LAYERS, MAX_LAYERS, rng)
-        else:
-            count = _step_toward(count, len(toward.layer_codes), MIN_LAYERS, MAX_LAYERS, rng)
+        desired = None if toward is None else len(toward.layer_codes)
+        count = _step_toward(len(parent.layer_codes), desired, MIN_LAYERS, MAX_LAYERS, rng)
         parent = resize_layers(parent, count, rng)
     values = [parent.lr_code, parent.drop_code, *parent.layer_codes]
     positions = len(values)
@@ -182,9 +181,10 @@ def replicate_net(
         m = rng.randint(0, positions)
     m = min(m, positions)
 
-    # the toward genotype's codes, front-aligned with values
-    goal = () if toward is None else (toward.lr_code, toward.drop_code, *toward.layer_codes)
-    differing = [pos for pos, (value, desired) in enumerate(zip(values, goal)) if value != desired]
+    # the toward genotype's codes by position, front-aligned with values
+    codes = () if toward is None else (toward.lr_code, toward.drop_code, *toward.layer_codes)
+    goal = dict(enumerate(codes))
+    differing = [pos for pos, value in enumerate(values) if goal.get(pos, value) != value]
     chosen: set[int] = set()
     for _ in range(m):
         pool = [p for p in differing if p not in chosen]
@@ -196,10 +196,7 @@ def replicate_net(
         chosen.add(pos)
 
     for pos in sorted(chosen):
-        if pos < len(goal):
-            values[pos] = _step_toward(values[pos], goal[pos], 0, _POSITION_MAX[pos], rng)
-        else:
-            values[pos] = mutate_position(values[pos], 0, _POSITION_MAX[pos], rng)
+        values[pos] = _step_toward(values[pos], goal.get(pos), 0, _POSITION_MAX[pos], rng)
     lr, drop, *layers = values
     return NetGenotype(lr, drop, tuple(layers))
 

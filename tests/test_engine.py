@@ -30,7 +30,7 @@ from cvoa import (
     run_pandemic,
     run_strain,
 )
-from cvoa.engine import Strain, resolve_isolates, superspreader_count
+from cvoa.engine import Strain, superspreader_count
 
 FITNESS = attrgetter("fitness")
 
@@ -367,51 +367,90 @@ class TestSuperspreaders:
             assert max(wide) <= min(narrow)
 
 
-class TestResolveIsolates:
-    def test_every_isolate_dies_at_total_mortality(self):
-        strain = routing_strain(EpidemicParameters(p_isolation=1.0, p_die=1.0))
-        for candidate in range(5):
-            assert new_infection(strain, candidate) is Disposition.ISOLATED
-        isolates = sorted(strain.isolated_now.keys() - strain.new_infected.keys())
-        assert resolve_isolates(strain, isolates) == set(range(5))
-        assert strain.shared.dead == set(range(5))
-        assert strain.shared.recovered == set()
-        assert strain.shared.recoveries == 0
+class BroodCodec:
+    """Codec whose spreaders breed the fixed brood `broods` names for them
+    (none for a parent it does not name), scored by the genotype itself;
+    `parents` records each spreader in the order it bred."""
+
+    def __init__(self, broods):
+        self.broods = broods
+        self.parents = []
+
+    def replicate(self, parent, mode, count, traveler_rate, rng):
+        self.parents.append(parent)
+        return iter(self.broods.get(parent, ()))
+
+    def fitness(self, genotype):
+        return genotype
+
+
+def brood_strain(params, broods):
+    """A Strain whose patient zero 0 is scored and infected, on a fresh ledger."""
+    codec = BroodCodec(broods)
+    shared = SharedLedger()
+    patient_zero = EvaluatedIndividual(0, shared.evaluate(codec, 0))
+    return Strain(params, codec, Random(0), shared, patient_zero)
+
+
+@pytest.fixture
+def die_calls(monkeypatch):
+    """The population each die call receives, in call order. Strain.step
+    calls die twice: first for its spreaders, whom this die spares so that
+    a step at p_die 1 still spreads, then for its isolates, which it
+    passes to the real die."""
+    calls = []
+    original = cvoa.engine.die
+
+    def recording(infected, params, rng):
+        infected = list(infected)
+        calls.append(infected)
+        return set() if len(calls) % 2 else original(infected, params, rng)
+
+    monkeypatch.setattr(cvoa.engine, "die", recording)
+    return calls
+
+
+class TestStepFates:
+    """The end of Strain.step: which isolates take a death draw, and who
+    recovers."""
+
+    def test_every_isolate_dies_at_total_mortality(self, die_calls):
+        strain = brood_strain(EpidemicParameters(p_isolation=1.0, p_die=1.0), {0: [1, 2, 3, 4, 5]})
+        strain.step()
+        assert die_calls == [[0], [1, 2, 3, 4, 5]]
+        assert strain.shared.dead == {1, 2, 3, 4, 5}
+        # only the spreader recovers
+        assert strain.shared.recovered == {0}
+        assert strain.shared.counts() == (5, 1)
 
     def test_surviving_isolates_count_as_recovered(self):
-        strain = routing_strain(EpidemicParameters(p_isolation=1.0, p_die=0.0))
-        for candidate in range(5):
-            new_infection(strain, candidate)
-        isolates = sorted(strain.isolated_now.keys() - strain.new_infected.keys())
-        assert resolve_isolates(strain, isolates) == set()
-        assert strain.shared.recovered == set(range(5))
-        assert strain.shared.counts() == (0, 5)
+        strain = brood_strain(EpidemicParameters(p_isolation=1.0, p_die=0.0), {0: [1, 2, 3, 4, 5]})
+        strain.step()
+        assert strain.shared.dead == set()
+        assert strain.shared.recovered == {0, 1, 2, 3, 4, 5}
+        assert strain.shared.counts() == (0, 6)
 
-    def test_reinfected_isolate_is_not_buried(self):
-        isolate = EpidemicParameters(p_isolation=1.0, p_die=1.0)
-        strain = routing_strain(isolate)
-        new_infection(strain, 7)
-        strain.params = EpidemicParameters(p_reinfection=1.0, p_die=1.0)
-        assert new_infection(strain, 7) is Disposition.REINFECTED
-        isolates = sorted(strain.isolated_now.keys() - strain.new_infected.keys())
-        strain.params = isolate
-        assert resolve_isolates(strain, isolates) == set()
+    def test_reinfected_isolate_is_not_buried_and_spreads_next_iteration(self, die_calls):
+        # 7 is isolated, then met again and reinfected in the same iteration
+        params = EpidemicParameters(p_isolation=1.0, p_reinfection=1.0, p_die=1.0)
+        strain = brood_strain(params, {0: [7, 7]})
+        strain.step()
+        assert die_calls == [[0], []]
         assert 7 not in strain.shared.dead
-        assert 7 in strain.new_infected
+        assert list(strain.infected) == [7]
+        strain.step()
+        assert strain.codec.parents == [0, 7]
 
-    def test_spreader_isolated_by_its_own_strain_takes_no_second_death_draw(self):
+    def test_spreader_isolated_by_its_own_strain_takes_no_second_death_draw(self, die_calls):
         # a self-hit: a candidate equal to one of the strain's own spreaders
         # is routed as fresh, so it may be isolated; it took its death draw
-        # as a spreader, so resolve_isolates neither draws for it nor buries it
-        strain = routing_strain(EpidemicParameters(p_isolation=1.0, p_die=1.0))
-        strain.infected = {7: None}
-        assert new_infection(strain, 7) is Disposition.ISOLATED
-        state = strain.rng.getstate()
-        assert resolve_isolates(strain, [7]) == set()
-        assert strain.rng.getstate() == state
-        assert 7 not in strain.shared.dead
-        assert 7 in strain.shared.recovered
-        assert strain.shared.counts() == (0, 0)
+        # as a spreader, so the step neither draws for it again nor buries it
+        strain = brood_strain(EpidemicParameters(p_isolation=1.0, p_die=1.0), {0: [0]})
+        strain.step()
+        assert die_calls == [[0], []]
+        assert 0 not in strain.shared.dead
+        assert strain.shared.recovered == {0}
+        assert strain.shared.counts() == (0, 1)
 
 
 class TestSelectBest:
