@@ -80,7 +80,7 @@ def load_config(path: Path) -> RunConfig:
     _require(not unknown, f"unknown config field(s): {', '.join(unknown)}")
     _require("codec" in raw, "config needs a codec section")
     parameters = _parse_parameters(raw.get("parameters", {}))
-    strategy_name = raw.get("pz_strategy", PzStrategy.MAX_HAMMING_SPREAD.value)
+    strategy_name = raw.get("pz_strategy", MultiStrainConfig._field_defaults["pz_strategy"].value)
     try:
         pz_strategy = PzStrategy(strategy_name)
     except ValueError:

@@ -39,7 +39,7 @@ class PzStrategy(Enum):
 
 class _MultiStrainConfigFields(NamedTuple):
     parameters: tuple[EpidemicParameters, ...]
-    pz_strategy: PzStrategy = PzStrategy.RANDOM
+    pz_strategy: PzStrategy = PzStrategy.MAX_HAMMING_SPREAD
 
 
 class MultiStrainConfig(Validated, _MultiStrainConfigFields):
@@ -64,7 +64,7 @@ class MultiStrainConfig(Validated, _MultiStrainConfigFields):
     def uniform(
         cls,
         params: EpidemicParameters,
-        pz_strategy: PzStrategy = PzStrategy.MAX_HAMMING_SPREAD,
+        pz_strategy: PzStrategy = _MultiStrainConfigFields._field_defaults["pz_strategy"],
     ) -> "MultiStrainConfig":
         """Same parameters for every strain, seeds fanned out from params.seed;
         a ParameterError names any strain's seed outside [0, 2**64)."""

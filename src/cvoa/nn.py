@@ -39,6 +39,9 @@ MIN_LAYERS = 2
 MAX_LAYERS = 11
 MISSING_LAYER_PENALTY = 12
 
+# longest evaluator wait, in seconds: poll() takes whole milliseconds in a C int
+MAX_TIMEOUT_S = (2**31 - 1) / 1000
+
 # bias strength of target-seeking moves when a toward genotype is known
 _E_GUIDE = 0.85
 # highest code at each replicate_net position: LR, DROP, then each layer
@@ -236,9 +239,9 @@ class ExternalEvaluator:
     must be {"fitness": <finite JSON number in float range>}, not a string
     or bool. `command` is a non-empty list of strings, or a string that
     shlex splits into one; any other command is a ValueError at
-    construction. `timeout` is None (wait forever) or a finite number of
-    seconds above 0 (an int or a float, not a bool); anything else is a
-    ValueError at construction too. Each fitness() call is one evaluator
+    construction. `timeout` is None (wait forever) or a number of seconds
+    above 0 and at most MAX_TIMEOUT_S (an int or a float, not a bool);
+    anything else is a ValueError at construction too. Each fitness() call is one evaluator
     process; the evaluator keeps no per-genotype state, because the
     engine's ledger already scores each genotype once per pandemic.
     `invocations` counts the round trips that fitness_all() started, the
@@ -250,8 +253,10 @@ class ExternalEvaluator:
         if not (isinstance(words, list) and words and all(isinstance(w, str) for w in words)):
             raise ValueError(f"command must be a non-empty list of strings or a string, got {command!r}")
         seconds = is_integer(timeout) or isinstance(timeout, float)
-        if timeout is not None and not (seconds and 0 < timeout < math.inf):
-            raise ValueError(f"timeout must be None or a finite number of seconds above 0, got {timeout!r}")
+        if timeout is not None and not (seconds and 0 < timeout <= MAX_TIMEOUT_S):
+            raise ValueError(
+                f"timeout must be None or a number of seconds in (0, {MAX_TIMEOUT_S}], got {timeout!r}"
+            )
         self.command = list(words)
         self.timeout = timeout
         self.invocations = 0

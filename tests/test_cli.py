@@ -9,7 +9,15 @@ from pathlib import Path
 import pytest
 
 import cvoa.cli
-from cvoa import BinaryCodec, EpidemicParameters, Objective, PandemicResult, Termination
+from cvoa import (
+    BinaryCodec,
+    EpidemicParameters,
+    MultiStrainConfig,
+    Objective,
+    PandemicResult,
+    PzStrategy,
+    Termination,
+)
 from cvoa.cli import iterations_to_optimum, load_config, main
 
 BINARY_CONFIG = {
@@ -622,6 +630,13 @@ class TestIterationsToOptimum:
         document = json.loads((out / "summary.json").read_text())
         assert [r["iterations_to_optimum"] for r in document["runs"]] == [None] * 3
         assert document["aggregates"]["success_rate"] == 0.0
+
+
+class TestPzStrategyDefault:
+    def test_config_without_pz_strategy_gets_the_records_default(self, tmp_path):
+        config = load_config(write_config(tmp_path))
+        assert config.pz_strategy is MultiStrainConfig._field_defaults["pz_strategy"]
+        assert config.pz_strategy is PzStrategy.MAX_HAMMING_SPREAD
 
 
 class TestReadmeConfigExample:

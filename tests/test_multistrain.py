@@ -141,6 +141,12 @@ class TestMultiStrainConfig:
         assert len(set(seeds)) == 5
         assert seeds[0] == 3
 
+    def test_hand_built_and_uniform_configs_share_the_default_strategy(self):
+        # the hand-built default was once RANDOM while uniform spread them apart
+        by_hand = MultiStrainConfig(parameters=tuple(EpidemicParameters(seed=s) for s in range(5)))
+        uniform = MultiStrainConfig.uniform(EpidemicParameters(seed=1, strains=5))
+        assert by_hand.pz_strategy is uniform.pz_strategy is PzStrategy.MAX_HAMMING_SPREAD
+
     def test_duplicate_seeds_rejected(self):
         with pytest.raises(ValueError):
             MultiStrainConfig(parameters=(EpidemicParameters(seed=1), EpidemicParameters(seed=1)))

@@ -471,6 +471,22 @@ class TestExternalEvaluator:
     def test_no_timeout_or_a_positive_one_builds(self, timeout):
         assert ExternalEvaluator(["true"], timeout=timeout).timeout is timeout
 
+    @pytest.mark.parametrize("batch", [False, True], ids=["fitness", "fitness_all"])
+    def test_longest_timeout_poll_can_wait_builds_and_scores(self, tmp_path, batch):
+        command = write_script(
+            tmp_path, "fixed.py", "import sys; sys.stdin.readline(); print('{\"fitness\": 1.5}')"
+        )
+        evaluator = ExternalEvaluator(command, timeout=2147483.647)
+        g = NetGenotype(0, 0, (0, 0))
+        assert (list(evaluator.fitness_all([g])) if batch else [evaluator.fitness(g)]) == [1.5]
+
+    @pytest.mark.parametrize("timeout", [2147483.648, 1e12, math.inf])
+    def test_timeout_past_what_poll_can_wait_is_rejected(self, timeout):
+        # these once built, and then each round trip raised OverflowError,
+        # which is no EvaluationError, so a failed run kept no partial result
+        with pytest.raises(ValueError, match=f"timeout .* got {timeout!r}"):
+            ExternalEvaluator(["true"], timeout=timeout)
+
     @pytest.mark.parametrize("command", ["", [], "   ", {"cmd": "python3"}, ["python3", 5]])
     def test_empty_command_is_rejected(self, command):
         with pytest.raises(ValueError, match="empty"):
