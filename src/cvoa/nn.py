@@ -241,9 +241,10 @@ class ExternalEvaluator:
     shlex splits into one; any other command is a ValueError at
     construction. `timeout` is None (wait forever) or a number of seconds
     above 0 and at most MAX_TIMEOUT_S (an int or a float, not a bool);
-    anything else is a ValueError at construction too. Each fitness() call is one evaluator
-    process; the evaluator keeps no per-genotype state, because the
-    engine's ledger already scores each genotype once per pandemic.
+    anything else is a ValueError at construction too. Each fitness() call
+    is one evaluator process; the evaluator keeps no per-genotype state,
+    because the engine's ledger already scores each genotype once per
+    pandemic.
     `invocations` counts the round trips that fitness_all() started, the
     one way the engine reaches an evaluator. One caller at a time.
     """
