@@ -114,6 +114,8 @@ def bit_brood(
     full = (1 << n) - 1
     if mode is _TRAVELER:
         flips = traveler_flip_count(n)
+        if flips > n:
+            raise ValueError(f"a traveler flips {flips} distinct bits, more than n={n}")
         for _ in range(count):
             child = parent
             free = full

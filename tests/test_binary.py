@@ -289,6 +289,13 @@ class TestReplicateBits:
         with pytest.raises(ValueError, match="bit length"):
             one_bit_child(0, n, mode, Random(0))
 
+    def test_traveler_longer_than_the_parent_rejected_before_any_draw(self):
+        rng = Random(0)
+        state = rng.getstate()
+        with pytest.raises(ValueError, match=r"flips 2 distinct bits, more than n=1"):
+            one_bit_child(0, 1, DistanceMode.TRAVELER, rng)
+        assert rng.getstate() == state
+
     def test_traveler_twenty_bit_distance_two(self):
         child = one_bit_child(0, 20, DistanceMode.TRAVELER, Random(3))
         assert hamming(0, child) == 2

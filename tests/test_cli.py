@@ -1,7 +1,9 @@
 """Command-line behavior: artifacts, determinism, exit codes."""
 
 import json
+import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -40,21 +42,30 @@ def write_config(tmp_path, overrides=None, **top_level):
     return path
 
 
+def assert_config_error(capsys, path, argv, text):
+    """The CLI's contract for a config error: status 2, nothing on stdout,
+    one stderr line that starts `error: ` and contains `text`, and no
+    output directory (`out` beside the config file)."""
+    out = path.parent / "out"
+    assert main([*argv, "--config", str(path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: ") and text in line, line
+    assert not out.exists()
+
+
 class TestConfigErrors:
     def test_missing_file(self, tmp_path, capsys):
-        assert main(["run", "--config", str(tmp_path / "nope.json")]) == 2
-        assert "error:" in capsys.readouterr().err
+        assert_config_error(capsys, tmp_path / "nope.json", ["run"], "cannot read config")
 
     def test_invalid_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json", encoding="utf-8")
-        assert main(["run", "--config", str(path)]) == 2
-        assert "not valid JSON" in capsys.readouterr().err
+        assert_config_error(capsys, path, ["run"], "not valid JSON")
 
     def test_unknown_top_level_key(self, tmp_path, capsys):
-        path = write_config(tmp_path, {"bogus": 1})
-        assert main(["run", "--config", str(path)]) == 2
-        assert "bogus" in capsys.readouterr().err
+        assert_config_error(capsys, write_config(tmp_path, {"bogus": 1}), ["run"], "bogus")
 
     @pytest.mark.parametrize(
         "overrides, message",
@@ -66,7 +77,9 @@ class TestConfigErrors:
             ({"parameters": {"strains": 2.5}}, "strains"),
             ({"parameters": {"pandemic_duration": 2.5}}, "pandemic_duration"),
             ({"codec": {"bits": "ten"}}, "bits"),
+            ({"codec": {"bits": 10.5}}, "bits must be an integer, got 10.5"),
             ({"codec": {"target": 15.5}}, "target"),
+            ({"codec": {"bogus": 1}}, "unknown codec field(s) for kind binary: bogus"),
             ({"repeat": True}, "repeat"),
             ({"out": 5}, "out"),
         ],
@@ -78,16 +91,15 @@ class TestConfigErrors:
             "strains-float",
             "duration-float",
             "bits-string",
+            "bits-float",
             "target-float",
+            "codec-unknown-field",
             "repeat-bool",
             "out-number",
         ],
     )
     def test_bad_parameter_value(self, tmp_path, capsys, overrides, message):
-        path = write_config(tmp_path, overrides)
-        assert main(["run", "--config", str(path)]) == 2
-        err_lines = capsys.readouterr().err.splitlines()
-        assert any(line.startswith("error:") and message in line for line in err_lines)
+        assert_config_error(capsys, write_config(tmp_path, overrides), ["run"], message)
 
     @pytest.mark.parametrize(
         "argv, overrides",
@@ -100,12 +112,7 @@ class TestConfigErrors:
         ids=["negative", "sweep-too-large", "strain-fan-out", "repeat"],
     )
     def test_out_of_range_seed_rejected_before_any_run(self, tmp_path, capsys, argv, overrides):
-        out = tmp_path / "out"
-        path = write_config(tmp_path, {"out": str(out), **overrides})
-        assert main([*argv, "--config", str(path)]) == 2
-        err_lines = capsys.readouterr().err.splitlines()
-        assert any(line.startswith("error:") and "seed" in line for line in err_lines)
-        assert not out.exists()
+        assert_config_error(capsys, write_config(tmp_path, overrides), argv, "seed")
 
     @pytest.mark.parametrize(
         "argv",
@@ -113,19 +120,8 @@ class TestConfigErrors:
         ids=["run", "sweep", "sweep-second-length"],
     )
     def test_more_strains_than_genotypes_rejected_before_any_output(self, tmp_path, capsys, argv):
-        out = tmp_path / "out"
-        path = write_config(
-            tmp_path,
-            {"codec": {"bits": 8}, "parameters": {"strains": 300}, "out": str(out)},
-        )
-        assert main([*argv, "--config", str(path)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert any(
-            line.startswith("error:") and "strains=300" in line and "256" in line
-            for line in captured.err.splitlines()
-        )
-        assert not out.exists()
+        path = write_config(tmp_path, {"codec": {"bits": 8}, "parameters": {"strains": 300}})
+        assert_config_error(capsys, path, argv, "strains=300 exceed the codec's 256 genotypes")
 
     @pytest.mark.parametrize("argv", [["run"], ["sweep", "--lengths", "10,12"]], ids=["run", "sweep"])
     @pytest.mark.parametrize("under", [False, True], ids=["at-a-file", "under-a-file"])
@@ -154,27 +150,20 @@ class TestConfigErrors:
 
     def test_unknown_parameter_field(self, tmp_path, capsys):
         path = write_config(tmp_path, {"parameters": {"p_zombie": 0.1}})
-        assert main(["run", "--config", str(path)]) == 2
-        assert "p_zombie" in capsys.readouterr().err
+        assert_config_error(capsys, path, ["run"], "p_zombie")
 
     def test_unknown_codec_kind(self, tmp_path, capsys):
         path = write_config(tmp_path, {"codec": {"kind": "gray"}})
-        assert main(["run", "--config", str(path)]) == 2
-        assert "gray" in capsys.readouterr().err
+        assert_config_error(capsys, path, ["run"], "gray")
 
     def test_nn_codec_needs_one_scoring_source(self, tmp_path, capsys):
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps({"codec": {"kind": "nn"}}), encoding="utf-8")
-        assert main(["run", "--config", str(path)]) == 2
-        assert "exactly one" in capsys.readouterr().err
+        path = write_config(tmp_path, codec={"kind": "nn"})
+        assert_config_error(capsys, path, ["run"], "exactly one")
 
     def test_nn_codec_with_both_scoring_sources_rejected(self, tmp_path, capsys):
         # the CLI is the one place that checks this: no nn codec can hold both
         codec = {"kind": "nn", "surrogate_target": "random", "evaluator": "python3"}
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps({"codec": codec}), encoding="utf-8")
-        assert main(["run", "--config", str(path)]) == 2
-        assert "exactly one" in capsys.readouterr().err
+        assert_config_error(capsys, write_config(tmp_path, codec=codec), ["run"], "exactly one")
 
     @pytest.mark.parametrize(
         "spec, name",
@@ -208,19 +197,21 @@ class TestConfigErrors:
         assert message in str(info.value)
 
     @pytest.mark.parametrize(
-        "codec, field",
+        "codec, message",
         [
-            ({"kind": "nn", "surrogate_target": 5}, "surrogate_target"),
-            ({"kind": "nn", "surrogate_target": None}, "surrogate_target"),
-            ({"kind": "nn", "evaluator": ["python3", 5]}, "evaluator"),
-            ({"kind": "nn", "evaluator": []}, "evaluator"),
-            ({"kind": "nn", "evaluator": "   "}, "evaluator"),
-            ({"kind": "nn", "evaluator": "python3 'unclosed"}, "evaluator"),
-            ({"kind": "nn", "evaluator": {"cmd": "python3"}}, "evaluator"),
+            ({"kind": "nn", "surrogate_target": 5}, "codec.surrogate_target"),
+            ({"kind": "nn", "surrogate_target": None}, "codec.surrogate_target"),
+            ({"kind": "nn", "surrogate_target": "{6,0,2}{0,0}"}, "lr_code 6 out of [0,5]"),
+            ({"kind": "nn", "evaluator": ["python3", 5]}, "codec.evaluator"),
+            ({"kind": "nn", "evaluator": []}, "codec.evaluator"),
+            ({"kind": "nn", "evaluator": "   "}, "codec.evaluator"),
+            ({"kind": "nn", "evaluator": "python3 'unclosed"}, "codec.evaluator"),
+            ({"kind": "nn", "evaluator": {"cmd": "python3"}}, "codec.evaluator"),
         ],
         ids=[
             "target-number",
             "target-null",
+            "target-lr-code-out-of-range",
             "evaluator-list-with-number",
             "evaluator-empty-list",
             "evaluator-blank-string",
@@ -228,19 +219,11 @@ class TestConfigErrors:
             "evaluator-object",
         ],
     )
-    def test_nn_codec_field_of_wrong_type(self, tmp_path, capsys, codec, field):
-        out = tmp_path / "out"
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps({"codec": codec, "out": str(out)}), encoding="utf-8")
-        assert main(["run", "--config", str(path)]) == 2
-        err_lines = capsys.readouterr().err.splitlines()
-        assert any(line.startswith("error:") and f"codec.{field}" in line for line in err_lines)
-        assert not out.exists()
+    def test_nn_codec_field_of_wrong_type(self, tmp_path, capsys, codec, message):
+        assert_config_error(capsys, write_config(tmp_path, codec=codec), ["run"], message)
 
     def test_bad_repeat(self, tmp_path, capsys):
-        path = write_config(tmp_path, {"repeat": 0})
-        assert main(["run", "--config", str(path)]) == 2
-        assert "repeat" in capsys.readouterr().err
+        assert_config_error(capsys, write_config(tmp_path, {"repeat": 0}), ["run"], "repeat")
 
 
 class TestRunArtifacts:
@@ -264,6 +247,8 @@ class TestRunArtifacts:
             text = (out / "run_1" / "best.txt").read_text().strip()
             assert set(text) <= {"0", "1"}
             assert len(text) == 10
+            [run] = json.loads((out / "summary.json").read_text())["runs"]
+            assert BinaryCodec().fitness(int(text, 2)) == run["best_fitness"]
             texts.append(text)
         assert texts[0] == texts[1]
 
@@ -327,19 +312,75 @@ class TestSummaryDocument:
         assert 0.0 <= doc["aggregates"]["mean_evaluated_fraction"] <= 1.0
 
 
+FIVE_STRAINS = {"codec": {"kind": "binary", "bits": 10}, "parameters": {"seed": 1, "strains": 5}}
+ONE_STRAIN = {"codec": {"kind": "binary", "bits": 20}, "parameters": {"seed": 7, "strains": 1}}
+NN_SURROGATE = {
+    "codec": {"kind": "nn", "surrogate_target": "random"},
+    "parameters": {"seed": 1, "strains": 2, "pandemic_duration": 3},
+}
+EVALUATOR = [
+    sys.executable,
+    "-I",
+    "-S",
+    "-c",
+    "import json, sys; r = json.loads(sys.stdin.readline()); "
+    'print(json.dumps({"fitness": sum(r["units"]) / 100 + r["dropout"]}))',
+]
+
+
+def nn_external(evaluator):
+    return {
+        "codec": {"kind": "nn", "evaluator": evaluator},
+        "parameters": {"seed": 1, "strains": 2, "pandemic_duration": 2},
+    }
+
+
 class TestDeterminism:
-    def test_single_strain_rerun_is_byte_identical(self, tmp_path):
-        config = {
-            "codec": {"kind": "binary", "bits": 20, "target": 15},
-            "parameters": {"seed": 7, "strains": 1},
-        }
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(config), encoding="utf-8")
-        assert main(["run", "--config", str(path), "--out", str(tmp_path / "a")]) == 0
-        assert main(["run", "--config", str(path), "--out", str(tmp_path / "b")]) == 0
-        first = (tmp_path / "a" / "run_7" / "iterations.csv").read_bytes()
-        second = (tmp_path / "b" / "run_7" / "iterations.csv").read_bytes()
-        assert first == second
+    @pytest.mark.parametrize(
+        "argv, first, second",
+        [
+            pytest.param(["run"], FIVE_STRAINS, FIVE_STRAINS, id="five-strains"),
+            pytest.param(
+                ["run"],
+                FIVE_STRAINS,
+                {**FIVE_STRAINS, "pz_strategy": "max_hamming_spread"},
+                id="spread-spelled-out",
+            ),
+            pytest.param(["sweep", "--lengths", "10,12"], FIVE_STRAINS, FIVE_STRAINS, id="sweep"),
+            pytest.param(["run"], NN_SURROGATE, NN_SURROGATE, id="nn-surrogate"),
+            pytest.param(["run"], nn_external(EVALUATOR), nn_external(EVALUATOR), id="nn-external"),
+            pytest.param(
+                ["run"],
+                nn_external(EVALUATOR),
+                nn_external(shlex.join(EVALUATOR)),
+                id="evaluator-string",
+            ),
+            pytest.param(["run"], ONE_STRAIN, ONE_STRAIN, id="single-strain"),
+        ],
+    )
+    def test_rerun_is_byte_identical(self, tmp_path, argv, first, second):
+        # each side runs in a fresh interpreter under its own hash seed
+        src = str(Path(cvoa.cli.__file__).resolve().parents[1])
+        trees = []
+        for hash_seed, config in enumerate((first, second)):
+            side = tmp_path / str(hash_seed)
+            side.mkdir()
+            path = side / "config.json"
+            path.write_text(json.dumps(config), encoding="utf-8")
+            out = side / "out"
+            proc = subprocess.run(
+                [sys.executable, "-m", "cvoa.cli", *argv, "--config", str(path), "--out", str(out)],
+                env={**os.environ, "PYTHONHASHSEED": str(hash_seed), "PYTHONPATH": src},
+                capture_output=True,
+                text=True,
+                timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            trees.append(
+                {str(f.relative_to(out)): f.is_file() and f.read_bytes() for f in out.rglob("*")}
+            )
+        assert trees[0].keys() & {"summary.json", "sweep.csv"}
+        assert trees[0] == trees[1]
 
 
 class TestFlagOverrides:
@@ -359,8 +400,21 @@ class TestFlagOverrides:
 
 
 class TestSweep:
-    def test_two_lengths_two_rows(self, tmp_path):
+    def test_two_lengths_two_rows(self, tmp_path, monkeypatch):
         # a config without a target sweeps toward BinaryCodec's default, 15
+        checked = []
+        summarize = cvoa.cli.run_summary
+
+        def checked_summary(seed, result, codec, objective):
+            # each run's best re-scores, as text, to the fitness it reports
+            summary = summarize(seed, result, codec, objective)
+            text = codec.text(result.best.genotype)
+            assert len(text) == codec.bits and set(text) <= {"0", "1"}, text
+            assert codec.fitness(int(text, 2)) == summary["best_fitness"], (text, summary)
+            checked.append(codec.bits)
+            return summary
+
+        monkeypatch.setattr(cvoa.cli, "run_summary", checked_summary)
         tables = []
         for name, codec in (("set", BINARY_CONFIG["codec"]), ("unset", {"kind": "binary"})):
             out = tmp_path / name
@@ -372,20 +426,15 @@ class TestSweep:
             assert lines[1].startswith("10,") and lines[2].startswith("20,")
             tables.append(lines)
         assert tables[0] == tables[1]
+        assert checked == ([10] * 5 + [20] * 5) * 2
 
     def test_sweep_rejects_nn_config(self, tmp_path, capsys):
-        config = {"codec": {"kind": "nn", "surrogate_target": "random"}}
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(config), encoding="utf-8")
-        assert main(["sweep", "--config", str(path), "--lengths", "10"]) == 2
-        assert "binary" in capsys.readouterr().err
+        path = write_config(tmp_path, codec={"kind": "nn", "surrogate_target": "random"})
+        assert_config_error(capsys, path, ["sweep", "--lengths", "10"], "requires a binary codec")
 
     def test_sweep_rejects_maximize_before_any_output(self, tmp_path, capsys):
-        out = tmp_path / "out"
-        path = write_config(tmp_path, {"parameters": {"objective": "maximize"}, "out": str(out)})
-        assert main(["sweep", "--config", str(path), "--lengths", "10"]) == 2
-        assert "error:" in capsys.readouterr().err
-        assert not out.exists()
+        path = write_config(tmp_path, {"parameters": {"objective": "maximize"}})
+        assert_config_error(capsys, path, ["sweep", "--lengths", "10"], "objective minimize")
 
     def test_every_length_checked_before_the_first_run(self, tmp_path, capsys, monkeypatch):
         def no_run(*args, **kwargs):
@@ -398,20 +447,13 @@ class TestSweep:
             ("target-does-not-fit", {"kind": "binary", "bits": 12, "target": 300}, "12,8", "length 8"),
         ]
         for name, codec, lengths, bad in cases:
-            out = tmp_path / name
-            path = write_config(tmp_path, {"out": str(out)}, codec=codec)
-            assert main(["sweep", "--config", str(path), "--lengths", lengths]) == 2, name
-            captured = capsys.readouterr()
-            assert captured.out == "", name
-            assert any(
-                line.startswith("error:") and bad in line for line in captured.err.splitlines()
-            ), (name, captured.err)
-            assert not out.exists(), name
+            (tmp_path / name).mkdir()
+            path = write_config(tmp_path / name, codec=codec)
+            assert_config_error(capsys, path, ["sweep", "--lengths", lengths], bad)
 
     def test_malformed_lengths_rejected(self, tmp_path, capsys):
         path = write_config(tmp_path)
-        assert main(["sweep", "--config", str(path), "--lengths", "ten"]) == 2
-        assert "lengths" in capsys.readouterr().err
+        assert_config_error(capsys, path, ["sweep", "--lengths", "ten"], "lengths")
 
 
 def run_counting_evaluator(tmp_path, name, *, limit, repeat=1, pandemic_duration):
@@ -564,6 +606,7 @@ class TestExternalEvaluatorRun:
         assert main(["run", "--config", str(path)]) == 0
         runs = json.loads((out / "summary.json").read_text())["runs"]
         assert len(runs) == 3
+        assert all(r["evaluations_total"] > 0 and r["best_fitness"] is not None for r in runs)
         evaluations = sum(r["evaluations_total"] for r in runs)
         [evaluator] = evaluators
         assert evaluator.invocations == evaluations
