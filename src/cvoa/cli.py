@@ -137,7 +137,7 @@ def build_codec(spec: Any, seed: int) -> Codec:
         try:
             target = parse_net_text(target_text)
         except ValueError as exc:
-            raise ConfigError(str(exc))
+            raise ConfigError(f"codec.surrogate_target: {exc}")
     return NetCodec(target=target)
 
 

@@ -37,7 +37,7 @@ the scores before it are cached.
 from __future__ import annotations
 
 from random import Random
-from typing import Any, Iterator, NamedTuple, Protocol, runtime_checkable
+from typing import Any, Iterator, NamedTuple, Protocol
 
 from .params import DistanceMode
 
@@ -58,7 +58,6 @@ class EvaluatedIndividual(NamedTuple):
     fitness: float
 
 
-@runtime_checkable
 class Codec(Protocol):
     def generate_patient_zero(self, rng: Random) -> Any:
         ...

@@ -5,7 +5,6 @@ paired and surrogate studies, seed 1 for the demo run) and are never tuned
 to the outcome. Each test prints one pass/fail line under pytest -v.
 """
 
-import statistics
 import time
 from pathlib import Path
 from random import Random
@@ -17,22 +16,14 @@ from cvoa import (
     BinaryCodec,
     EpidemicParameters,
     MultiStrainConfig,
-    NetCodec,
     Objective,
     PzStrategy,
     Termination,
     run_pandemic,
     run_strain,
 )
-from cvoa.cli import iterations_to_optimum, main
-from cvoa.nn import (
-    NetGenotype,
-    decode,
-    generate_net_patient_zero,
-    parse_net_text,
-    resize_layers,
-    surrogate_fitness,
-)
+from cvoa.cli import aggregate_summaries, build_codec, main, run_summary
+from cvoa.nn import NetGenotype, decode, parse_net_text, resize_layers, surrogate_fitness
 
 SEEDS_50 = range(1, 51)
 SEEDS_20 = range(1, 21)
@@ -49,8 +40,17 @@ def defaults(seed: int) -> MultiStrainConfig:
     )
 
 
-def ito(result, codec) -> int | None:
-    return iterations_to_optimum(result, codec, Objective.MINIMIZE)
+def campaign(configs, codec_for, stop=None) -> tuple[list[dict], dict]:
+    """One pandemic per config, scored by `codec_for(seed)` and stopped at
+    fitness `stop`, if given: the per-run records and the aggregates that
+    `cvoa run` writes to summary.json."""
+    runs = []
+    for config in configs:
+        seed = config.parameters[0].seed
+        codec = codec_for(seed)
+        result = run_pandemic(config, codec, stop_fitness=stop)
+        runs.append(run_summary(seed, result, codec, Objective.MINIMIZE))
+    return runs, aggregate_summaries(runs, codec.search_space_size())
 
 
 @pytest.fixture(scope="module")
@@ -60,18 +60,7 @@ def length_sweep():
     stats = {}
     for bits in LENGTHS:
         codec = BinaryCodec(bits=bits, target=TARGET)
-        itos = []
-        fractions = []
-        for seed in SEEDS_50:
-            result = run_pandemic(defaults(seed), codec, stop_fitness=0)
-            reached = ito(result, codec)
-            if reached is not None:
-                itos.append(reached)
-            fractions.append(result.evaluations_total / codec.search_space_size())
-        stats[bits] = {
-            "mean_ito": statistics.mean(itos) if itos else None,
-            "mean_fraction": statistics.mean(fractions),
-        }
+        _, stats[bits] = campaign(map(defaults, SEEDS_50), lambda seed: codec, stop=0)
     return stats, time.monotonic() - started
 
 
@@ -79,17 +68,14 @@ def test_ten_bit_defaults_reach_optimum_reliably():
     """>= 95% of 50 seeded runs hit fitness 0 within 30 iterations, median <= 15, < 10 s."""
     codec = BinaryCodec(bits=10, target=TARGET)
     started = time.monotonic()
-    itos = []
-    for seed in SEEDS_50:
-        result = run_pandemic(defaults(seed), codec)
-        reached = ito(result, codec)
-        if reached is not None and reached <= DURATION:
-            itos.append(reached)
+    _, stats = campaign(map(defaults, SEEDS_50), lambda seed: codec)
     elapsed = time.monotonic() - started
-    success_rate = len(itos) / 50
+    success_rate = stats["success_rate"]
     assert elapsed < 10.0, f"runtime budget exceeded: {elapsed:.1f}s"
-    assert statistics.median(itos) <= 15
-    assert success_rate >= 0.95, f"optimum reached in {len(itos)}/50 runs ({success_rate:.0%})"
+    assert stats["median_iterations_to_optimum"] <= 15
+    assert success_rate >= 0.95, (
+        f"optimum reached in {success_rate * 50:.0f}/50 runs ({success_rate:.0%})"
+    )
 
 
 def test_mean_iterations_to_optimum_grows_weakly_with_length(length_sweep):
@@ -97,7 +83,7 @@ def test_mean_iterations_to_optimum_grows_weakly_with_length(length_sweep):
     inversion of at most 1 iteration tolerated; whole campaign < 10 min."""
     stats, elapsed = length_sweep
     assert elapsed < 600.0, f"runtime budget exceeded: {elapsed:.1f}s"
-    means = [stats[bits]["mean_ito"] for bits in LENGTHS]
+    means = [stats[bits]["mean_iterations_to_optimum"] for bits in LENGTHS]
     assert all(m is not None for m in means), f"some length never reached the optimum: {means}"
     inversions = [
         (bits, earlier - later)
@@ -111,7 +97,7 @@ def test_mean_iterations_to_optimum_grows_weakly_with_length(length_sweep):
 def test_evaluated_fraction_shrinks_strictly_with_length(length_sweep):
     """Evaluated share of the space strictly decreases with length; < 2% at 20 bits."""
     stats, _ = length_sweep
-    fractions = [stats[bits]["mean_fraction"] for bits in LENGTHS]
+    fractions = [stats[bits]["mean_evaluated_fraction"] for bits in LENGTHS]
     assert all(
         earlier > later for earlier, later in zip(fractions, fractions[1:])
     ), f"fractions not strictly decreasing: {fractions}"
@@ -201,18 +187,17 @@ def test_resize_and_decode_match_worked_examples():
 def test_surrogate_search_finds_hidden_targets_and_oracle_confirms_unique_zero():
     """>= 80% of 20 seeded searches reach surrogate fitness 0 within 30 iterations;
     exhaustive two-layer subspace (7776 genotypes) has exactly one zero."""
-    wins = 0
-    for seed in SEEDS_20:
-        target = generate_net_patient_zero(Random((seed * 2654435761) % 2**64))
-        codec = NetCodec(target=target)
-        config = MultiStrainConfig.uniform(
-            EpidemicParameters(seed=seed, strains=5), pz_strategy=PzStrategy.RANDOM
-        )
-        result = run_pandemic(config, codec)
-        reached = ito(result, codec)
-        if reached is not None and reached <= DURATION:
-            wins += 1
-    assert wins / 20 >= 0.80, f"hidden target found in only {wins}/20 runs"
+    # stopped at the goal: strains run in lockstep, so each run is the same up to it
+    _, stats = campaign(
+        (
+            MultiStrainConfig.uniform(EpidemicParameters(seed=seed, strains=5), PzStrategy.RANDOM)
+            for seed in SEEDS_20
+        ),
+        lambda seed: build_codec({"kind": "nn", "surrogate_target": "random"}, seed),
+        stop=0,
+    )
+    wins = stats["success_rate"] * 20
+    assert stats["success_rate"] >= 0.80, f"hidden target found in only {wins:.0f}/20 runs"
 
     target = parse_net_text("{3,5,2}{7,2}")
     zeros = []
@@ -243,16 +228,17 @@ def test_multi_strain_degenerate_equality_and_median_speedup():
         assert pandemic.best == standalone.best
         assert pandemic.history == standalone.history
 
-    def campaign(strains: int) -> list[int]:
-        capped = []
-        for seed in SEEDS_20:
-            config = MultiStrainConfig.uniform(EpidemicParameters(seed=seed, strains=strains))
-            reached = ito(run_pandemic(config, codec, stop_fitness=0), codec)
-            capped.append(reached if reached is not None else DURATION + 1)
-        return capped
+    def paired(strains: int) -> dict:
+        configs = (
+            MultiStrainConfig.uniform(EpidemicParameters(seed=seed, strains=strains))
+            for seed in SEEDS_20
+        )
+        return campaign(configs, lambda seed: codec, stop=0)[1]
 
-    five = statistics.median(campaign(5))
-    one = statistics.median(campaign(1))
+    five, one = paired(5), paired(1)
+    # a median over reached runs only: a miss is later than any reach
+    assert five["success_rate"] >= one["success_rate"], f"5 strains reach less often: {five} {one}"
+    five, one = five["median_iterations_to_optimum"], one["median_iterations_to_optimum"]
     assert five <= one, f"5-strain median {five} worse than single-strain {one}"
 
 

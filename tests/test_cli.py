@@ -4,6 +4,7 @@ import json
 import os
 import re
 import shlex
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -201,7 +202,11 @@ class TestConfigErrors:
         [
             ({"kind": "nn", "surrogate_target": 5}, "codec.surrogate_target"),
             ({"kind": "nn", "surrogate_target": None}, "codec.surrogate_target"),
-            ({"kind": "nn", "surrogate_target": "{6,0,2}{0,0}"}, "lr_code 6 out of [0,5]"),
+            (
+                {"kind": "nn", "surrogate_target": "{6,0,2}{0,0}"},
+                "codec.surrogate_target: lr_code 6 out of [0,5]",
+            ),
+            ({"kind": "nn", "surrogate_target": "{1,2}"}, "codec.surrogate_target: malformed genotype text"),
             ({"kind": "nn", "evaluator": ["python3", 5]}, "codec.evaluator"),
             ({"kind": "nn", "evaluator": []}, "codec.evaluator"),
             ({"kind": "nn", "evaluator": "   "}, "codec.evaluator"),
@@ -212,6 +217,7 @@ class TestConfigErrors:
             "target-number",
             "target-null",
             "target-lr-code-out-of-range",
+            "target-malformed",
             "evaluator-list-with-number",
             "evaluator-empty-list",
             "evaluator-blank-string",
@@ -303,6 +309,20 @@ class TestSummaryDocument:
         runs = doc["runs"]
         reached = sum(r["iterations_to_optimum"] is not None for r in runs)
         assert doc["aggregates"]["success_rate"] == reached / len(runs)
+
+    def test_aggregates_recompute_from_run_records(self, tmp_path):
+        # two iterations leave most runs short of the optimum; seed 10 starts on it
+        parameters = {"seed": 1, "strains": 5, "pandemic_duration": 2}
+        doc = self.read_summary(tmp_path, repeat=10, parameters=parameters)
+        runs = doc["runs"]
+        reached = [r["iterations_to_optimum"] for r in runs if r["iterations_to_optimum"] is not None]
+        assert 0 in reached and 0 < len(reached) < len(runs), reached
+        fractions = [r["evaluations_total"] / doc["search_space_size"] for r in runs]
+        aggregates = doc["aggregates"]
+        assert aggregates["mean_iterations_to_optimum"] == statistics.mean(reached)
+        assert aggregates["median_iterations_to_optimum"] == statistics.median(reached)
+        assert aggregates["success_rate"] == len(reached) / len(runs)
+        assert aggregates["mean_evaluated_fraction"] == statistics.mean(fractions)
 
     def test_evaluated_fraction_in_unit_interval(self, tmp_path):
         doc = self.read_summary(tmp_path, repeat=3)
