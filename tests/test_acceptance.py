@@ -40,17 +40,17 @@ def defaults(seed: int) -> MultiStrainConfig:
     )
 
 
-def campaign(configs, codec_for, stop=None) -> tuple[list[dict], dict]:
+def campaign(configs, codec_for, stop=None) -> dict:
     """One pandemic per config, scored by `codec_for(seed)` and stopped at
-    fitness `stop`, if given: the per-run records and the aggregates that
-    `cvoa run` writes to summary.json."""
+    fitness `stop`, if given: the aggregates that `cvoa run` writes to
+    summary.json."""
     runs = []
     for config in configs:
         seed = config.parameters[0].seed
         codec = codec_for(seed)
         result = run_pandemic(config, codec, stop_fitness=stop)
         runs.append(run_summary(seed, result, codec, Objective.MINIMIZE))
-    return runs, aggregate_summaries(runs, codec.search_space_size())
+    return aggregate_summaries(runs, codec.search_space_size())
 
 
 @pytest.fixture(scope="module")
@@ -60,7 +60,7 @@ def length_sweep():
     stats = {}
     for bits in LENGTHS:
         codec = BinaryCodec(bits=bits, target=TARGET)
-        _, stats[bits] = campaign(map(defaults, SEEDS_50), lambda seed: codec, stop=0)
+        stats[bits] = campaign(map(defaults, SEEDS_50), lambda seed: codec, stop=0)
     return stats, time.monotonic() - started
 
 
@@ -68,7 +68,7 @@ def test_ten_bit_defaults_reach_optimum_reliably():
     """>= 95% of 50 seeded runs hit fitness 0 within 30 iterations, median <= 15, < 10 s."""
     codec = BinaryCodec(bits=10, target=TARGET)
     started = time.monotonic()
-    _, stats = campaign(map(defaults, SEEDS_50), lambda seed: codec)
+    stats = campaign(map(defaults, SEEDS_50), lambda seed: codec)
     elapsed = time.monotonic() - started
     success_rate = stats["success_rate"]
     assert elapsed < 10.0, f"runtime budget exceeded: {elapsed:.1f}s"
@@ -188,7 +188,7 @@ def test_surrogate_search_finds_hidden_targets_and_oracle_confirms_unique_zero()
     """>= 80% of 20 seeded searches reach surrogate fitness 0 within 30 iterations;
     exhaustive two-layer subspace (7776 genotypes) has exactly one zero."""
     # stopped at the goal: strains run in lockstep, so each run is the same up to it
-    _, stats = campaign(
+    stats = campaign(
         (
             MultiStrainConfig.uniform(EpidemicParameters(seed=seed, strains=5), PzStrategy.RANDOM)
             for seed in SEEDS_20
@@ -233,11 +233,12 @@ def test_multi_strain_degenerate_equality_and_median_speedup():
             MultiStrainConfig.uniform(EpidemicParameters(seed=seed, strains=strains))
             for seed in SEEDS_20
         )
-        return campaign(configs, lambda seed: codec, stop=0)[1]
+        return campaign(configs, lambda seed: codec, stop=0)
 
     five, one = paired(5), paired(1)
-    # a median over reached runs only: a miss is later than any reach
-    assert five["success_rate"] >= one["success_rate"], f"5 strains reach less often: {five} {one}"
+    # medians are over reached runs only; with every 5-strain run reaching,
+    # a 1-strain miss (later than any reach) can only raise its own median
+    assert five["success_rate"] == 1.0, f"some 5-strain runs miss the optimum: {five}"
     five, one = five["median_iterations_to_optimum"], one["median_iterations_to_optimum"]
     assert five <= one, f"5-strain median {five} worse than single-strain {one}"
 
