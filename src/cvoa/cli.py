@@ -8,7 +8,8 @@ the evaluated fraction of each search space.
 
 Exit status: 0 on success, 1 when a fitness evaluation fails (the partial
 iteration trace is still flushed), 2 for config or usage errors (an
-unusable output directory among them), all found before the first run.
+unusable output directory or output file path among them), all found
+before the first run.
 """
 
 from __future__ import annotations
@@ -200,8 +201,9 @@ def aggregate_summaries(runs: list[dict], space_size: int) -> dict:
     reached = [r["iterations_to_optimum"] for r in runs if r["iterations_to_optimum"] is not None]
     fractions = [r["evaluations_total"] / space_size for r in runs]
     return {
-        "mean_iterations_to_optimum": statistics.mean(reached) if reached else None,
-        "median_iterations_to_optimum": statistics.median(reached) if reached else None,
+        # always floats: mean and median return an int when exact
+        "mean_iterations_to_optimum": float(statistics.mean(reached)) if reached else None,
+        "median_iterations_to_optimum": float(statistics.median(reached)) if reached else None,
         "success_rate": len(reached) / len(runs) if runs else 0.0,
         "mean_evaluated_fraction": statistics.mean(fractions) if fractions else None,
     }
@@ -231,6 +233,12 @@ def _make_out_dir(out: Path) -> None:
         raise ConfigError(f"cannot create output directory {out}: {exc}")
 
 
+def _require_file_paths(paths: list[Path]) -> None:
+    """No directory stands where an output file goes; checked before the first run."""
+    for path in paths:
+        _require(not path.is_dir(), f"cannot write {path}: a directory is in its place")
+
+
 def cmd_run(config: RunConfig) -> int:
     """Run every repeat; the first failed evaluation ends the campaign
     with status 1, after the summary of the runs that finished."""
@@ -245,6 +253,10 @@ def cmd_run(config: RunConfig) -> int:
             run_dir.is_dir() or not os.path.lexists(run_dir),
             f"cannot create run directory {run_dir}: a file is in its place",
         )
+    _require_file_paths(
+        [d / name for d in run_dirs for name in ("iterations.csv", "best.txt")]
+        + [config.out / "summary.json"]
+    )
     runs: list[dict] = []
     status = 0
     for pandemic, run_dir in zip(pandemics, run_dirs):
@@ -301,6 +313,8 @@ def cmd_sweep(config: RunConfig, lengths: list[int]) -> int:
             raise ConfigError(f"length {length}: {exc}")
         codecs.append(codec)
     _make_out_dir(config.out)
+    sweep_path = config.out / "sweep.csv"
+    _require_file_paths([sweep_path])
     rows: list[tuple[int, float | None, float]] = []
     for length, codec in zip(lengths, codecs):
         optimum = codec.optimum_fitness()
@@ -316,7 +330,6 @@ def cmd_sweep(config: RunConfig, lengths: list[int]) -> int:
             f"length {length}: mean_iterations_to_optimum={rows[-1][1]} "
             f"mean_evaluated_fraction={rows[-1][2]}"
         )
-    sweep_path = config.out / "sweep.csv"
     with sweep_path.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(("Length", "MeanIterationsToOptimum", "MeanEvaluatedFraction"))

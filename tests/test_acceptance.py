@@ -11,7 +11,6 @@ from random import Random
 
 import pytest
 
-import cvoa.engine
 from cvoa import (
     BinaryCodec,
     EpidemicParameters,
@@ -134,33 +133,9 @@ def test_fixed_seed_single_strain_csv_is_byte_identical(tmp_path):
     assert first == second
 
 
-def test_instrumented_run_upholds_ledger_invariants(monkeypatch):
-    """A whole run, 29 iterations to extinction, with every disposition and
-    spread call checked: dead/recovered disjoint, dead never spread from or
-    readmitted, monotone best."""
-    violations = []
-    broods = []
-    original_infect = cvoa.engine.infect
-
-    def checked_infect(strain, individual, wide):
-        if individual in strain.shared.dead:
-            violations.append(("spreader is dead", individual))
-        if strain.infected.keys() & strain.shared.dead:
-            violations.append(("dead overlap infected at spread time",))
-        admitted = strain.new_infected.keys() | strain.isolated_now.keys()
-        original_infect(strain, individual, wide)
-        # checked after each brood; no brood buries, so the dead are those it met
-        dead = strain.shared.dead
-        if dead & strain.shared.recovered:
-            violations.append(("dead overlap recovered",))
-        if ((strain.new_infected.keys() | strain.isolated_now.keys()) - admitted) & dead:
-            violations.append(("dead candidate admitted",))
-        if strain.new_infected.keys() & dead:
-            violations.append(("dead member in new_infected",))
-        broods.append(individual)
-
-    monkeypatch.setattr(cvoa.engine, "infect", checked_infect)
-
+def test_instrumented_run_upholds_ledger_invariants(engine_probe):
+    """A whole run, 29 iterations to extinction, with a monotone best and
+    every brood checked by the engine probe's ledger rules."""
     result = run_strain(EpidemicParameters(seed=0), BinaryCodec(bits=30, target=TARGET))
     # a fixed-seed trajectory fact, like the pins in test_multistrain.py: a
     # deliberate change to the search re-pins it, never the seed or parameters
@@ -169,7 +144,8 @@ def test_instrumented_run_upholds_ledger_invariants(monkeypatch):
     )
     best_trace = [row.best_fitness for row in result.history]
     assert best_trace == sorted(best_trace, reverse=True), "best fitness not monotone"
-    assert broods, "the hook never ran"
+    assert engine_probe.broods, "the probe saw no brood"
+    violations = engine_probe.violations
     assert violations == [], f"{len(violations)} ledger violations: {violations[:5]}"
 
 

@@ -43,15 +43,21 @@ def write_config(tmp_path, overrides=None, **top_level):
     return path
 
 
+def usage_error(capsys, argv):
+    """The one stderr line of a command that exits 2 with nothing on stdout."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    return line
+
+
 def assert_config_error(capsys, path, argv, text):
     """The CLI's contract for a config error: status 2, nothing on stdout,
     one stderr line that starts `error: ` and contains `text`, and no
     output directory (`out` beside the config file)."""
     out = path.parent / "out"
-    assert main([*argv, "--config", str(path), "--out", str(out)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    [line] = captured.err.splitlines()
+    line = usage_error(capsys, [*argv, "--config", str(path), "--out", str(out)])
     assert line.startswith("error: ") and text in line, line
     assert not out.exists()
 
@@ -131,10 +137,7 @@ class TestConfigErrors:
         blocker.write_text("", encoding="utf-8")
         out = blocker / "x" if under else blocker
         path = write_config(tmp_path)
-        assert main([*argv, "--config", str(path), "--out", str(out)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        [line] = captured.err.splitlines()
+        line = usage_error(capsys, [*argv, "--config", str(path), "--out", str(out)])
         assert line.startswith(f"error: cannot create output directory {out}: ")
 
     def test_run_directory_blocked_by_a_file_rejected_before_any_run(self, tmp_path, capsys):
@@ -142,12 +145,26 @@ class TestConfigErrors:
         out.mkdir()
         (out / "run_2").write_text("", encoding="utf-8")
         path = write_config(tmp_path, {"out": str(out), "repeat": 2})
-        assert main(["run", "--config", str(path)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        [line] = captured.err.splitlines()
+        line = usage_error(capsys, ["run", "--config", str(path)])
         assert line.startswith(f"error: cannot create run directory {out / 'run_2'}: ")
         assert sorted(p.name for p in out.iterdir()) == ["run_2"]
+
+    @pytest.mark.parametrize(
+        "blocked", ["summary.json", "run_2/iterations.csv", "run_2/best.txt", "sweep.csv"]
+    )
+    def test_output_file_blocked_by_a_directory_rejected_before_any_run(
+        self, tmp_path, capsys, monkeypatch, blocked
+    ):
+        def no_run(*args, **kwargs):
+            raise AssertionError("run_pandemic called before the output paths were checked")
+
+        monkeypatch.setattr(cvoa.cli, "run_pandemic", no_run)
+        out = tmp_path / "out"
+        (out / blocked).mkdir(parents=True)
+        path = write_config(tmp_path, {"out": str(out), "repeat": 2})
+        argv = ["sweep", "--lengths", "10,12"] if blocked == "sweep.csv" else ["run"]
+        line = usage_error(capsys, [*argv, "--config", str(path)])
+        assert line == f"error: cannot write {out / blocked}: a directory is in its place"
 
     def test_unknown_parameter_field(self, tmp_path, capsys):
         path = write_config(tmp_path, {"parameters": {"p_zombie": 0.1}})
@@ -323,6 +340,12 @@ class TestSummaryDocument:
         assert aggregates["median_iterations_to_optimum"] == statistics.median(reached)
         assert aggregates["success_rate"] == len(reached) / len(runs)
         assert aggregates["mean_evaluated_fraction"] == statistics.mean(fractions)
+        # floats even where exact, here and in sweep.csv, so a strict schema sees one type
+        assert type(aggregates["mean_iterations_to_optimum"]) is float
+        assert type(aggregates["median_iterations_to_optimum"]) is float
+        assert main(["sweep", "--config", str(tmp_path / "config.json"), "--lengths", "10"]) == 0
+        [_, row] = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
+        assert row.split(",")[1] == repr(aggregates["mean_iterations_to_optimum"])
 
     def test_evaluated_fraction_in_unit_interval(self, tmp_path):
         doc = self.read_summary(tmp_path, repeat=3)
@@ -634,49 +657,33 @@ class TestExternalEvaluatorRun:
 
 
 class TestIterationsToOptimum:
-    def test_optimal_patient_zero_counts_as_zero(self):
-        result = PandemicResult(
+    @staticmethod
+    def unstepped(initial_best):
+        """The result of a pandemic that ended at its scored patient zeros."""
+        return PandemicResult(
             best=None,
             strains=[],
             history=[],
-            initial_best=0,
+            initial_best=initial_best,
             evaluations_total=1,
             dead_total=0,
             recovered_total=0,
             termination=None,
         )
-        assert iterations_to_optimum(result, BinaryCodec(), Objective.MINIMIZE) == 0
+
+    def test_optimal_patient_zero_counts_as_zero(self):
+        assert iterations_to_optimum(self.unstepped(0), BinaryCodec(), Objective.MINIMIZE) == 0
 
     def test_unknown_optimum_yields_none(self):
         class NoOptimum(BinaryCodec):
             def optimum_fitness(self):
                 return None
 
-        result = PandemicResult(
-            best=None,
-            strains=[],
-            history=[],
-            initial_best=5,
-            evaluations_total=1,
-            dead_total=0,
-            recovered_total=0,
-            termination=None,
-        )
-        assert iterations_to_optimum(result, NoOptimum(), Objective.MINIMIZE) is None
+        assert iterations_to_optimum(self.unstepped(5), NoOptimum(), Objective.MINIMIZE) is None
 
 
     def test_maximize_run_has_no_known_optimum(self):
-        result = PandemicResult(
-            best=None,
-            strains=[],
-            history=[],
-            initial_best=0,
-            evaluations_total=1,
-            dead_total=0,
-            recovered_total=0,
-            termination=None,
-        )
-        assert iterations_to_optimum(result, BinaryCodec(), Objective.MAXIMIZE) is None
+        assert iterations_to_optimum(self.unstepped(0), BinaryCodec(), Objective.MAXIMIZE) is None
 
     def test_maximize_runs_never_claim_the_optimum(self, tmp_path):
         out = tmp_path / "out"

@@ -10,7 +10,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import cvoa.engine
-import cvoa.multistrain
 from cvoa import (
     BinaryCodec,
     Disposition,
@@ -94,20 +93,6 @@ class BatchingCodec(RecordingCodec):
             if isinstance(outcome, EvaluationError):
                 raise outcome
             yield outcome
-
-
-@pytest.fixture
-def ledgers(monkeypatch):
-    """Every SharedLedger that the runs in a test build, in order."""
-    built = []
-
-    class RecordedLedger(cvoa.multistrain.SharedLedger):
-        def __init__(self):
-            super().__init__()
-            built.append(self)
-
-    monkeypatch.setattr(cvoa.multistrain, "SharedLedger", RecordedLedger)
-    return built
 
 
 def routing_strain(params=EpidemicParameters(), codec=None, rng=None):
@@ -273,24 +258,14 @@ class TestInfect:
         infect(routing_strain(EpidemicParameters(p_travel=0.0), codec), 5, True)
         assert all(mode is DistanceMode.ORDINARY for mode in codec.replicate_modes)
 
-    def test_added_genotypes_land_in_new_infected(self, monkeypatch):
-        broods = []
-        original = cvoa.engine.infect
-
-        def checked(strain, individual, wide):
-            before = list(strain.new_infected)
-            bred = len(strain.codec.children)
-            original(strain, individual, wide)
-            brood = strain.codec.children[bred:]
-            # p_isolation 0 on an empty ledger: every new child is admitted, once, as bred
-            assert list(strain.new_infected) == list(dict.fromkeys([*before, *brood]))
-            broods.append(brood)
-
-        monkeypatch.setattr(cvoa.engine, "infect", checked)
+    def test_added_genotypes_land_in_new_infected(self, engine_probe):
         strain = routing_strain(EpidemicParameters(p_isolation=0.0), RecordingCodec(), Random(1))
         cvoa.engine.infect(strain, 5, True)
-        assert len(broods) == 1 and broods[0]  # the hook ran, over a brood
-        assert strain.new_infected
+        [brood] = engine_probe.broods
+        # p_isolation 0 on an empty ledger: every new child is admitted, once, as bred
+        assert brood.admitted == list(dict.fromkeys(strain.codec.children))
+        assert brood.admitted and list(strain.new_infected) == brood.admitted
+        assert engine_probe.violations == []
 
     @pytest.mark.parametrize("wide", [True, False])
     def test_draws_travel_then_count_then_each_candidate(self, wide):
@@ -337,34 +312,23 @@ class TestSuperspreaders:
             run_strain(params.with_seed(seed), codec)
             assert 6 <= len(codec.replicate_modes) <= 15
 
-    def test_fittest_spreaders_take_the_wide_range(self, monkeypatch):
-        seen = []
-        original = cvoa.engine.infect
-
-        discovered = []
-
-        def recording(strain, individual, wide):
-            seen.append((strain.shared.fitness_cache[individual], individual, wide))
-            discovered.append(list(strain.infected))
-            return original(strain, individual, wide)
-
-        monkeypatch.setattr(cvoa.engine, "infect", recording)
+    def test_fittest_spreaders_take_the_wide_range(self, engine_probe):
         for objective, sign in ((Objective.MINIMIZE, 1), (Objective.MAXIMIZE, -1)):
-            seen.clear()
-            discovered.clear()
+            first = len(engine_probe.broods)
             params = EpidemicParameters(
                 p_die=0.0, p_isolation=0.0, pandemic_duration=2, objective=objective, seed=1
             )
             run_strain(params, BinaryCodec(bits=20))
-            second = seen[1:]  # the spreaders of iteration 2, in the order they spread
-            wide = [sign * f for f, _, w in second if w]
-            narrow = [sign * f for f, _, w in second if not w]
+            second = engine_probe.broods[first + 1 :]  # iteration 2's spreaders, in spread order
+            wide = [sign * b.fitness for b in second if b.wide]
+            narrow = [sign * b.fitness for b in second if not b.wide]
             assert len(wide) == superspreader_count(0.1, len(second))
             # fittest first, ties in discovery order: the infected's own order
-            fitness = {g: sign * f for f, g, _ in second}
-            spreaders = [g for _, g, _ in second]
-            assert spreaders == sorted(discovered[1], key=fitness.__getitem__)
+            fitness = {b.spreader: sign * b.fitness for b in second}
+            spreaders = [b.spreader for b in second]
+            assert spreaders == sorted(second[0].infected, key=fitness.__getitem__)
             assert max(wide) <= min(narrow)
+        assert engine_probe.violations == []
 
 
 class BroodCodec:
@@ -542,10 +506,11 @@ class TestRunStrain:
         assert result.history[0].deaths_total == 1
         assert result.history[0].infected_count == 0
 
-    def test_total_mortality_buries_patient_zero(self, ledgers):
+    def test_total_mortality_buries_patient_zero(self, engine_probe):
         result = run_strain(EpidemicParameters(p_die=1.0), BinaryCodec())
-        [shared] = ledgers
+        [shared] = engine_probe.ledgers
         assert shared.dead == {result.best.genotype}
+        assert engine_probe.violations == []
 
     @pytest.mark.parametrize(
         "invalid",
@@ -602,29 +567,19 @@ class TestRunStrain:
         assert codec.fitness_calls
         assert max(codec.fitness_calls.values()) == 1
 
-    def test_dead_and_recovered_never_overlap(self, ledgers):
+    def test_dead_and_recovered_never_overlap(self, engine_probe):
         run_strain(EpidemicParameters(seed=6), BinaryCodec(bits=20))
-        [shared] = ledgers
-        assert not (shared.dead & shared.recovered)
+        [shared] = engine_probe.ledgers
+        assert shared.dead and not (shared.dead & shared.recovered)
+        assert engine_probe.violations == []
 
-    def test_dead_members_never_reenter_circulation(self, monkeypatch, ledgers):
-        original = cvoa.engine.infect
-        checked_with_dead = []
-
-        def checked(strain, individual, wide):
-            original(strain, individual, wide)
-            # no brood buries, so a dead member admitted or isolated is still dead here
-            dead = strain.shared.dead
-            assert not strain.new_infected.keys() & dead
-            assert not strain.isolated_now.keys() & dead
-            assert not strain.shared.recovered & dead
-            checked_with_dead.append(bool(dead))
-
-        monkeypatch.setattr(cvoa.engine, "infect", checked)
+    def test_dead_members_never_reenter_circulation(self, engine_probe):
         for seed in range(5):
             run_strain(EpidemicParameters(seed=seed), BinaryCodec(bits=20))
-        assert any(shared.dead for shared in ledgers)
-        assert any(checked_with_dead)  # the hook ran after broods with deaths in the ledger
+        assert any(shared.dead for shared in engine_probe.ledgers)
+        # the probe checked broods bred with deaths in the ledger
+        assert any(brood.deaths for brood in engine_probe.broods)
+        assert engine_probe.violations == []
 
     def test_stop_fitness_halts_at_goal(self):
         result = run_pandemic(

@@ -29,6 +29,7 @@ from cvoa import (
     run_strain,
     seed_patient_zeros,
 )
+from cvoa.cli import build_codec
 from cvoa.nn import generate_net_patient_zero
 
 SRC = str(Path(cvoa.engine.__file__).resolve().parent.parent)
@@ -217,22 +218,15 @@ class TestRunPandemic:
         for _ in range(2):
             assert run_pandemic(config, codec) == first
 
-    def test_binary_genotypes_are_plain_ints(self, monkeypatch):
+    def test_binary_genotypes_are_plain_ints(self, engine_probe):
         # the codec owns the length: every genotype the engine scores is an int
-        ledgers = []
-
-        class RecordedLedger(cvoa.multistrain.SharedLedger):
-            def __init__(self):
-                super().__init__()
-                ledgers.append(self)
-
-        monkeypatch.setattr(cvoa.multistrain, "SharedLedger", RecordedLedger)
         config = MultiStrainConfig.uniform(EpidemicParameters(seed=1, strains=5))
         result = run_pandemic(config, BinaryCodec(bits=20, target=15))
-        [shared] = ledgers
+        [shared] = engine_probe.ledgers
         genotypes = [*shared.fitness_cache, result.best.genotype]
         assert len(genotypes) > 5
         assert all(type(g) is int and 0 <= g < 2**20 for g in genotypes)
+        assert engine_probe.violations == []
 
     def test_five_strain_surrogate_run_is_reproducible(self):
         target = generate_net_patient_zero(Random((6 * 2654435761) % 2**64))
@@ -404,23 +398,8 @@ class TestRunPandemic:
         assert result.termination is Termination.DURATION_REACHED
         assert Termination.GOAL_REACHED not in {s.termination for s in result.strains}
 
-    def test_dead_genotypes_stay_out_of_circulation_under_contention(self, monkeypatch):
+    def test_dead_genotypes_stay_out_of_circulation_under_contention(self, engine_probe):
         # tiny space + many strains forces heavy ledger contention
-        original = cvoa.engine.infect
-        violations = []
-        broods = []
-
-        def checked(strain, individual, wide):
-            original(strain, individual, wide)
-            # no brood buries, so a dead candidate admitted or isolated is still dead here
-            dead = strain.shared.dead
-            if (strain.new_infected.keys() | strain.isolated_now.keys()) & dead:
-                violations.append("dead candidate in circulation")
-            if dead & strain.shared.recovered:
-                violations.append("overlap")
-            broods.append(bool(dead))
-
-        monkeypatch.setattr(cvoa.engine, "infect", checked)
         codec = BinaryCodec(bits=8, target=15)
         for seed in range(3):
             config = MultiStrainConfig.uniform(
@@ -428,24 +407,27 @@ class TestRunPandemic:
             )
             result = run_pandemic(config, codec)
             assert len(result.strains) == 8
-        assert any(broods)  # the hook ran after broods with deaths in the ledger
-        assert violations == []
+        # the probe checked broods bred with deaths in the ledger
+        assert any(brood.deaths for brood in engine_probe.broods)
+        assert engine_probe.violations == []
 
-    def test_no_strain_spreads_a_genotype_another_strain_buried(self, monkeypatch):
-        original = cvoa.engine.infect
-        spreads = []
-
-        def checked(strain, individual, wide):
-            spreads.append(individual in strain.shared.dead)
-            return original(strain, individual, wide)
-
-        monkeypatch.setattr(cvoa.engine, "infect", checked)
+    def test_no_strain_spreads_a_genotype_another_strain_buried(self, engine_probe):
         for seed in range(1, 11):
             run_pandemic(
                 MultiStrainConfig.uniform(EpidemicParameters(seed=seed, strains=5)),
                 BinaryCodec(bits=10),
             )
-        assert spreads and not any(spreads), f"{sum(spreads)} of {len(spreads)} spreaders dead"
+        assert engine_probe.broods
+        assert engine_probe.violations == []
+
+    def test_net_codec_runs_uphold_the_ledger_rules(self, engine_probe):
+        # hidden targets derived from the seed, as the acceptance surrogate study derives them
+        for seed in range(1, 4):
+            codec = build_codec({"kind": "nn", "surrogate_target": "random"}, seed)
+            config = MultiStrainConfig.uniform(EpidemicParameters(seed=seed, strains=5))
+            run_pandemic(config, codec, stop_fitness=0)
+        assert any(brood.deaths for brood in engine_probe.broods)
+        assert engine_probe.violations == []
 
     def test_evaluation_error_cancels_and_reports_partials(self):
         class FailingCodec(BinaryCodec):
