@@ -238,10 +238,12 @@ class ExternalEvaluator:
     {"learning_rate": ..., "dropout": ..., "units": [...]} and the reply
     must be {"fitness": <finite JSON number in float range>}, not a string
     or bool. `command` is a non-empty list of strings, or a string that
-    shlex splits into one; any other command is a ValueError at
-    construction. `timeout` is None (wait forever) or a number of seconds
-    above 0 and at most MAX_TIMEOUT_S (an int or a float, not a bool);
-    anything else is a ValueError at construction too. Each fitness() call
+    shlex splits into one, and no word may hold a NUL; any other command
+    is a ValueError at construction. `timeout` is None (wait forever) or a
+    number of seconds above 0 and at most MAX_TIMEOUT_S (an int or a float,
+    not a bool); anything else is a ValueError at construction too. The
+    evaluator's output is read as UTF-8 with undecodable bytes replaced, so
+    such a byte can spoil a reply but not escape it. Each fitness() call
     is one evaluator process; the evaluator keeps no per-genotype state,
     because the engine's ledger already scores each genotype once per
     pandemic.
@@ -253,6 +255,8 @@ class ExternalEvaluator:
         words = shlex.split(command) if isinstance(command, str) else command
         if not (isinstance(words, list) and words and all(isinstance(w, str) for w in words)):
             raise ValueError(f"command must be a non-empty list of strings or a string, got {command!r}")
+        if any("\0" in w for w in words):
+            raise ValueError(f"command words must not contain a NUL, got {command!r}")
         seconds = is_integer(timeout) or isinstance(timeout, float)
         if timeout is not None and not (seconds and 0 < timeout <= MAX_TIMEOUT_S):
             raise ValueError(
@@ -290,7 +294,8 @@ class ExternalEvaluator:
                 self.command,
                 input=request + "\n",
                 capture_output=True,
-                text=True,
+                encoding="utf-8",
+                errors="replace",
                 timeout=self.timeout,
             )
         except (OSError, subprocess.TimeoutExpired) as exc:
@@ -305,7 +310,7 @@ class ExternalEvaluator:
             if type(value) not in (int, float):  # float() would take a string or a bool
                 raise TypeError(f"fitness {value!r} is not a number")
             value = float(value)  # an int past the float range overflows
-        except (ValueError, KeyError, TypeError, OverflowError) as exc:
+        except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
             raise EvaluationError(f"malformed evaluator reply {line!r}") from exc
         if not math.isfinite(value):
             raise EvaluationError(f"evaluator returned non-finite fitness {value!r}")

@@ -1,12 +1,18 @@
-"""The engine probe: the ledger rules, stated once and checked on every brood."""
+"""Shared doubles: the engine probe, which states the ledger rules once and
+checks them on every brood; scripted external evaluators and the `cvoa run`
+of an nn config they score; and a codec that fails on its k-th evaluation."""
 
-from itertools import islice
+import json
+import sys
+from itertools import count, islice
 from typing import Any, NamedTuple
 
 import pytest
 
 import cvoa.engine
 import cvoa.multistrain
+from cvoa import BinaryCodec, EvaluationError
+from cvoa.cli import main
 
 
 class Brood(NamedTuple):
@@ -77,3 +83,50 @@ def engine_probe(monkeypatch) -> EngineProbe:
     monkeypatch.setattr(cvoa.engine, "infect", probe.infect)
     monkeypatch.setattr(cvoa.multistrain, "SharedLedger", probe.ledger)
     return probe
+
+
+def _fresh(directory, stem: str, suffix: str = ""):
+    """The first path directory/<stem><n><suffix>, n = 1, 2, ..., that does not exist."""
+    paths = (directory / f"{stem}{n}{suffix}" for n in count(1))
+    return next(path for path in paths if not path.exists())
+
+
+def evaluator_script(tmp_path, body: str) -> list[str]:
+    """The command that runs `body` as a stdlib evaluator script."""
+    path = _fresh(tmp_path, "evaluator", ".py")
+    path.write_text(body, encoding="utf-8")
+    return [sys.executable, "-I", "-S", str(path)]
+
+
+def run_nn(tmp_path, command, repeat=1, **parameters):
+    """`cvoa run` of an nn config scored by `command`, with seed 1 and
+    `parameters`: the exit status and the output directory."""
+    run = _fresh(tmp_path, "run")
+    run.mkdir()
+    config = {
+        "codec": {"kind": "nn", "evaluator": command},
+        "parameters": {"seed": 1, **parameters},
+        "repeat": repeat,
+        "out": str(run / "out"),
+    }
+    path = run / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    return main(["run", "--config", str(path)]), run / "out"
+
+
+class FailOnKth:
+    """A 20-bit BinaryCodec whose k-th fitness evaluation raises."""
+
+    def __init__(self, k):
+        self.inner = BinaryCodec(bits=20)
+        self.k = k
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def fitness(self, genotype):
+        self.calls += 1
+        if self.calls == self.k:
+            raise EvaluationError(f"synthetic failure at evaluation {self.k}")
+        return self.inner.fitness(genotype)

@@ -22,6 +22,8 @@ from cvoa import (
     Termination,
 )
 from cvoa.cli import iterations_to_optimum, load_config, main
+from conftest import evaluator_script, run_nn
+from test_nn import FAILING_REPLIES
 
 BINARY_CONFIG = {
     "codec": {"kind": "binary", "bits": 10, "target": 15},
@@ -229,6 +231,7 @@ class TestConfigErrors:
             ({"kind": "nn", "evaluator": "   "}, "codec.evaluator"),
             ({"kind": "nn", "evaluator": "python3 'unclosed"}, "codec.evaluator"),
             ({"kind": "nn", "evaluator": {"cmd": "python3"}}, "codec.evaluator"),
+            ({"kind": "nn", "evaluator": ["python3\0"]}, "codec.evaluator: command words must not contain a NUL"),
         ],
         ids=[
             "target-number",
@@ -240,6 +243,7 @@ class TestConfigErrors:
             "evaluator-blank-string",
             "evaluator-unbalanced-quote",
             "evaluator-object",
+            "evaluator-nul",
         ],
     )
     def test_nn_codec_field_of_wrong_type(self, tmp_path, capsys, codec, message):
@@ -499,16 +503,15 @@ class TestSweep:
         assert_config_error(capsys, path, ["sweep", "--lengths", "ten"], "lengths")
 
 
-def run_counting_evaluator(tmp_path, name, *, limit, repeat=1, pandemic_duration):
-    """`cvoa run` of a 2-strain nn config whose evaluator counts its
-    requests under a file lock and fails (exit 3) from the `limit`-th on.
-    Returns the exit status and the output directory."""
-    counter = tmp_path / f"{name}.count"
-    script = tmp_path / f"{name}.py"
-    script.write_text(
+def run_counting_evaluator(tmp_path, *, limit, repeat=1, pandemic_duration):
+    """`run_nn` of 2 strains under an evaluator that counts its requests
+    (in a file beside it, under a lock) and fails (exit 3) from the
+    `limit`-th on."""
+    command = evaluator_script(
+        tmp_path,
         "import fcntl, json, sys\n"
         "line = sys.stdin.readline()\n"
-        f"with open({str(counter)!r}, 'a+') as fh:\n"
+        "with open(__file__ + '.count', 'a+') as fh:\n"
         "    fcntl.flock(fh, fcntl.LOCK_EX)\n"
         "    fh.seek(0)\n"
         "    n = len(fh.read()) + 1\n"
@@ -517,66 +520,30 @@ def run_counting_evaluator(tmp_path, name, *, limit, repeat=1, pandemic_duration
         "    sys.exit(3)\n"
         "req = json.loads(line)\n"
         "print(json.dumps({'fitness': sum(req['units']) / 100 + req['dropout']}))\n",
-        encoding="utf-8",
     )
-    out = tmp_path / name
-    config = {
-        "codec": {"kind": "nn", "evaluator": [sys.executable, "-I", "-S", str(script)]},
-        "parameters": {"seed": 1, "strains": 2, "pandemic_duration": pandemic_duration},
-        "repeat": repeat,
-        "out": str(out),
-    }
-    path = tmp_path / f"{name}.json"
-    path.write_text(json.dumps(config), encoding="utf-8")
-    return main(["run", "--config", str(path)]), out
+    return run_nn(tmp_path, command, repeat, strains=2, pandemic_duration=pandemic_duration)
 
 
 class TestEvaluationFailure:
-    def test_failing_evaluator_exits_one_with_partial_csv(self, tmp_path, capsys):
-        script = tmp_path / "boom.py"
-        script.write_text("import sys; sys.exit(3)", encoding="utf-8")
-        out = tmp_path / "out"
-        config = {
-            "codec": {"kind": "nn", "evaluator": f"{sys.executable} {script}"},
-            "parameters": {"seed": 1, "strains": 1},
-            "out": str(out),
-        }
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(config), encoding="utf-8")
-        assert main(["run", "--config", str(path)]) == 1
-        assert "evaluation failed" in capsys.readouterr().err
-        csv_path = out / "run_1" / "iterations.csv"
-        assert csv_path.exists()
-        assert csv_path.read_text().splitlines()[0] == "Iteration,Deaths,Recovered,Infected,Fitness"
-
-    def test_fitness_past_float_range_exits_one_with_partial_csv(self, tmp_path, capsys):
-        script = tmp_path / "huge.py"
-        script.write_text(
-            "import sys; sys.stdin.readline(); print('{\"fitness\": ' + '9' * 401 + '}')",
-            encoding="utf-8",
-        )
-        out = tmp_path / "out"
-        config = {
-            "codec": {"kind": "nn", "evaluator": [sys.executable, str(script)]},
-            "parameters": {"seed": 1, "strains": 2},
-            "out": str(out),
-        }
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(config), encoding="utf-8")
-        assert main(["run", "--config", str(path)]) == 1
-        assert "malformed evaluator reply" in capsys.readouterr().err
+    @pytest.mark.parametrize("body, message", FAILING_REPLIES)
+    def test_failing_reply_exits_one_with_no_rows(self, tmp_path, capsys, body, message):
+        # every request fails, so the patient zeros' batch does and no row is written
+        status, out = run_nn(tmp_path, evaluator_script(tmp_path, body), strains=2)
+        assert status == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: evaluation failed in run seed=1: ") and message in line
         rows = (out / "run_1" / "iterations.csv").read_text().splitlines()
         assert rows == ["Iteration,Deaths,Recovered,Infected,Fitness"]
 
     def test_failure_after_the_patient_zeros_flushes_the_completed_rows(self, tmp_path, capsys):
         # a run that fails on its last evaluation keeps every row before that step
-        status, out = run_counting_evaluator(tmp_path, "whole", limit=10**9, pandemic_duration=3)
+        status, out = run_counting_evaluator(tmp_path, limit=10**9, pandemic_duration=3)
         assert status == 0
         [record] = json.loads((out / "summary.json").read_text())["runs"]
         whole = (out / "run_1" / "iterations.csv").read_text().splitlines()
         capsys.readouterr()
         status, out = run_counting_evaluator(
-            tmp_path, "failing", limit=record["evaluations_total"], pandemic_duration=3
+            tmp_path, limit=record["evaluations_total"], pandemic_duration=3
         )
         assert status == 1
         assert "evaluation failed" in capsys.readouterr().err
@@ -587,20 +554,14 @@ class TestEvaluationFailure:
         assert rows[-1].split(",")[0] == str(len(rows) - 1)
 
     def test_failure_in_a_later_run_keeps_the_finished_runs_summary(self, tmp_path, capsys):
-        status, out = run_counting_evaluator(
-            tmp_path, "whole", limit=10**9, repeat=3, pandemic_duration=2
-        )
+        status, out = run_counting_evaluator(tmp_path, limit=10**9, repeat=3, pandemic_duration=2)
         assert status == 0
         whole = json.loads((out / "summary.json").read_text())
         first = whole["runs"][0]
         capsys.readouterr()
         # run 1 takes first["evaluations_total"] requests; run 2 fails after its patient zeros
         status, out = run_counting_evaluator(
-            tmp_path,
-            "failing",
-            limit=first["evaluations_total"] + 3,
-            repeat=3,
-            pandemic_duration=2,
+            tmp_path, limit=first["evaluations_total"] + 3, repeat=3, pandemic_duration=2
         )
         assert status == 1
         assert "evaluation failed in run seed=2" in capsys.readouterr().err
@@ -628,25 +589,16 @@ class TestExternalEvaluatorRun:
 
         monkeypatch.setattr(cvoa.nn, "ExternalEvaluator", RecordedEvaluator)
         log = tmp_path / "requests.log"
-        script = tmp_path / "evaluator.py"
-        script.write_text(
+        command = evaluator_script(
+            tmp_path,
             "import json, sys\n"
             "line = sys.stdin.readline()\n"
             f"open({str(log)!r}, 'a').write(line)\n"
             "req = json.loads(line)\n"
             "print(json.dumps({'fitness': sum(req['units']) / 100 + req['dropout']}))\n",
-            encoding="utf-8",
         )
-        out = tmp_path / "out"
-        config = {
-            "codec": {"kind": "nn", "evaluator": [sys.executable, "-I", "-S", str(script)]},
-            "parameters": {"seed": 1, "strains": 2, "pandemic_duration": 2},
-            "repeat": 3,
-            "out": str(out),
-        }
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(config), encoding="utf-8")
-        assert main(["run", "--config", str(path)]) == 0
+        status, out = run_nn(tmp_path, command, repeat=3, strains=2, pandemic_duration=2)
+        assert status == 0
         runs = json.loads((out / "summary.json").read_text())["runs"]
         assert len(runs) == 3
         assert all(r["evaluations_total"] > 0 and r["best_fitness"] is not None for r in runs)

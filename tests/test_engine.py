@@ -30,6 +30,7 @@ from cvoa import (
     run_strain,
 )
 from cvoa.engine import Strain, superspreader_count
+from conftest import FailOnKth
 
 FITNESS = attrgetter("fitness")
 
@@ -38,12 +39,11 @@ class RecordingCodec:
     """BinaryCodec wrapper that counts fitness calls and records each
     child's replicate mode and the child itself."""
 
-    def __init__(self, bits=10, target=15, fail_after=None):
+    def __init__(self, bits=10, target=15):
         self.inner = BinaryCodec(bits=bits, target=target)
         self.fitness_calls = Counter()
         self.replicate_modes = []
         self.children = []
-        self.fail_after = fail_after
 
     def generate_patient_zero(self, rng):
         return self.inner.generate_patient_zero(rng)
@@ -57,8 +57,6 @@ class RecordingCodec:
 
     def fitness(self, genotype):
         self.fitness_calls[genotype] += 1
-        if self.fail_after is not None and sum(self.fitness_calls.values()) > self.fail_after:
-            raise EvaluationError("synthetic failure")
         return self.inner.fitness(genotype)
 
     def distance(self, a, b):
@@ -591,10 +589,9 @@ class TestRunStrain:
         assert result.history[-1].best_fitness == 0
 
     def test_evaluation_error_carries_partial_history(self):
-        codec = RecordingCodec(bits=20, fail_after=10)
         params = EpidemicParameters(p_isolation=0.0, p_die=0.0, seed=9)
         with pytest.raises(EvaluationError) as err:
-            run_strain(params, codec)
+            run_strain(params, FailOnKth(11))
         partial = err.value.partial
         assert partial.termination is None
         assert partial.best is not None
@@ -602,7 +599,7 @@ class TestRunStrain:
 
     def test_patient_zero_failure_carries_an_empty_partial(self):
         with pytest.raises(EvaluationError) as err:
-            run_strain(EpidemicParameters(seed=9), RecordingCodec(fail_after=0))
+            run_strain(EpidemicParameters(seed=9), FailOnKth(1))
         partial = err.value.partial
         assert isinstance(partial, PandemicResult)
         assert (partial.best, partial.strains, partial.history) == (None, [], [])

@@ -31,6 +31,7 @@ from cvoa import (
 )
 from cvoa.cli import build_codec
 from cvoa.nn import generate_net_patient_zero
+from conftest import FailOnKth
 
 SRC = str(Path(cvoa.engine.__file__).resolve().parent.parent)
 
@@ -430,21 +431,12 @@ class TestRunPandemic:
         assert engine_probe.violations == []
 
     def test_evaluation_error_cancels_and_reports_partials(self):
-        class FailingCodec(BinaryCodec):
-            def fitness(self, genotype):
-                value = super().fitness(genotype)
-                if value == 0:
-                    raise EvaluationError("synthetic failure at the optimum")
-                return value
-
-        codec = FailingCodec(bits=10, target=15)
-        config = MultiStrainConfig.uniform(EpidemicParameters(seed=1, strains=5))
-        with pytest.raises(EvaluationError) as err:
-            run_pandemic(config, codec)
-        partial = err.value.partial
+        # 20 bits, seed 1: the 600th of the pandemic's 1,258 evaluations fails
+        partial = failed_pandemic(EpidemicParameters(seed=1, strains=5), 600)
         assert isinstance(partial, PandemicResult)
         assert partial.termination is None
         assert len(partial.strains) <= 5
+        assert partial.evaluations_total == 599
 
 
 @dataclass(frozen=True)
@@ -528,24 +520,6 @@ class TestGenotypeContract:
         ]
         assert "PandemicResult(" in outputs[0]
         assert outputs[0] == outputs[1]
-
-
-class FailOnKth:
-    """A 20-bit BinaryCodec whose k-th fitness evaluation raises."""
-
-    def __init__(self, k):
-        self.inner = BinaryCodec(bits=20)
-        self.k = k
-        self.calls = 0
-
-    def __getattr__(self, name):
-        return getattr(self.inner, name)
-
-    def fitness(self, genotype):
-        self.calls += 1
-        if self.calls == self.k:
-            raise EvaluationError(f"synthetic failure at evaluation {self.k}")
-        return self.inner.fitness(genotype)
 
 
 def failed_pandemic(params, k):

@@ -4,7 +4,6 @@ import hashlib
 import json
 import math
 import os
-import sys
 import time
 from random import Random
 
@@ -13,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cvoa.nn
+from conftest import evaluator_script
 from cvoa import (
     DistanceMode,
     EvaluationError,
@@ -384,70 +384,67 @@ class TestSurrogate:
         assert net_search_space_size() == expected
 
 
-def write_script(tmp_path, name, body):
-    path = tmp_path / name
-    path.write_text(body, encoding="utf-8")
-    return [sys.executable, str(path)]
+def replying(line):
+    """The body of an evaluator that reads its request and prints `line`."""
+    return f"import sys; sys.stdin.readline(); print({line!r})"
+
+
+# the one genotype each reply answers: units [100, 25], lr 0.1, dropout 0.15
+REQUEST = parse_net_text("{1,2,2}{3,0}")
+
+# the evaluator contract: an evaluator body, and the score it gives or the
+# message of the EvaluationError it raises
+REPLIES = [
+    pytest.param(replying('{"fitness": 1.22}'), 1.22, id="fixed"),
+    pytest.param(
+        "import json, sys\n"
+        "req = json.loads(sys.stdin.readline())\n"
+        "print(json.dumps({'fitness': req['units'][0] + req['learning_rate'] + req['dropout']}))\n",
+        100.25,
+        id="request-is-decoded-architecture",
+    ),
+    pytest.param(
+        replying('{"fitness": 1.0}') + "; sys.stderr.buffer.write(b'\\xff')",
+        1.0,
+        id="undecodable-stderr",
+    ),
+    pytest.param(replying('{"fitness": NaN}'), "non-finite", id="nan"),
+    pytest.param("import sys; sys.exit(3)", "exited 3", id="nonzero-exit"),
+    pytest.param(replying("not json"), "malformed", id="not-json"),
+    pytest.param(replying('{"fitness": "3.5"}'), "malformed", id="string"),
+    pytest.param(replying('{"fitness": true}'), "malformed", id="bool"),
+    pytest.param(replying('{"fitness": ' + "1" * 401 + "}"), "malformed", id="past-float-range"),
+    pytest.param(replying('{"score": 1.0}'), "malformed", id="no-fitness-key"),
+    pytest.param("import sys; sys.stdin.readline()", "malformed", id="no-reply"),
+    pytest.param(
+        "import sys; sys.stdin.readline(); sys.stdout.buffer.write(b'{\"fitness\": 1.0}\\xff\\n')",
+        "malformed",
+        id="undecodable-reply",
+    ),
+    pytest.param(
+        "import sys; sys.stdin.readline(); print('[' * 200_000)", "malformed", id="deep-nesting"
+    ),
+]
+FAILING_REPLIES = [row for row in REPLIES if isinstance(row.values[1], str)]
 
 
 class TestExternalEvaluator:
-    def test_fixed_reply(self, tmp_path):
-        command = write_script(
-            tmp_path, "fixed.py", "import sys; sys.stdin.readline(); print('{\"fitness\": 1.22}')"
-        )
-        assert ExternalEvaluator(command).fitness(NetGenotype(0, 0, (0, 0))) == 1.22
-
-    def test_request_is_decoded_architecture(self, tmp_path):
-        command = write_script(
-            tmp_path,
-            "echoing.py",
-            "import json, sys\n"
-            "req = json.loads(sys.stdin.readline())\n"
-            "out = req['units'][0] + req['learning_rate'] + req['dropout']\n"
-            "print(json.dumps({'fitness': out}))\n",
-        )
-        g = parse_net_text("{1,2,2}{3,0}")
-        # units[0] = 25*(3+1) = 100, lr = 0.1, dropout = 0.15
-        assert ExternalEvaluator(command).fitness(g) == pytest.approx(100.25)
-
-    def test_nan_reply_is_error(self, tmp_path):
-        command = write_script(
-            tmp_path, "nan.py", "import sys; sys.stdin.readline(); print('{\"fitness\": NaN}')"
-        )
-        with pytest.raises(EvaluationError, match="non-finite"):
-            ExternalEvaluator(command).fitness(NetGenotype(0, 0, (0, 0)))
-
-    def test_nonzero_exit_is_error(self, tmp_path):
-        command = write_script(tmp_path, "boom.py", "import sys; sys.exit(3)")
-        with pytest.raises(EvaluationError, match="exited 3"):
-            ExternalEvaluator(command).fitness(NetGenotype(0, 0, (0, 0)))
-
-    def test_malformed_reply_is_error(self, tmp_path):
-        command = write_script(
-            tmp_path, "garbled.py", "import sys; sys.stdin.readline(); print('not json')"
-        )
-        with pytest.raises(EvaluationError, match="malformed"):
-            ExternalEvaluator(command).fitness(NetGenotype(0, 0, (0, 0)))
-
-    @pytest.mark.parametrize(
-        "fitness", ['"3.5"', "true", "1" * 401], ids=["string", "bool", "past-float-range"]
-    )
-    def test_reply_that_is_no_float_number_is_malformed(self, tmp_path, fitness):
-        command = write_script(
-            tmp_path,
-            "odd.py",
-            f"import sys; sys.stdin.readline(); print('{{\"fitness\": {fitness}}}')",
-        )
-        evaluator = ExternalEvaluator(command)
-        with pytest.raises(EvaluationError, match="malformed"):
-            evaluator.fitness(NetGenotype(0, 0, (0, 0)))
+    @pytest.mark.parametrize("body, reply", REPLIES)
+    def test_reply(self, tmp_path, body, reply):
+        # callers score one genotype through fitness, the engine a batch through fitness_all
+        evaluator = ExternalEvaluator(evaluator_script(tmp_path, body))
+        for score in (evaluator.fitness, lambda g: list(evaluator.fitness_all([g]))[0]):
+            if isinstance(reply, str):
+                with pytest.raises(EvaluationError, match=reply):
+                    score(REQUEST)
+            else:
+                assert score(REQUEST) == pytest.approx(reply)
 
     @pytest.mark.parametrize("batch", [False, True], ids=["fitness", "fitness_all"])
     def test_timeout_is_error_and_reaps_the_evaluator(self, tmp_path, batch):
         pid_path = tmp_path / "pid"
-        command = write_script(
+        command = evaluator_script(
             tmp_path,
-            "sleepy.py",
             "import os, pathlib, time\n"
             f"pathlib.Path({str(pid_path)!r}).write_text(str(os.getpid()))\n"
             "time.sleep(60)\n",
@@ -461,6 +458,27 @@ class TestExternalEvaluator:
         with pytest.raises(ProcessLookupError):
             os.kill(int(pid_path.read_text()), 0)
 
+    def test_no_evaluator_outlives_a_failed_batch(self, tmp_path):
+        pid_path = tmp_path / "pids"
+        command = evaluator_script(
+            tmp_path,
+            "import json, os, sys, time\n"
+            "if json.loads(sys.stdin.readline())['units'][0] == 25:\n"
+            "    sys.exit(2)\n"
+            f"with open({str(pid_path)!r}, 'a') as fh:\n"
+            "    fh.write(f'{os.getpid()}\\n')\n"
+            "time.sleep(1)\n"
+            "print('{\"fitness\": 1.0}')\n",
+        )
+        genotypes = [NetGenotype(0, 0, (c, 0)) for c in range(3)]
+        with pytest.raises(EvaluationError, match="exited 2"):
+            list(ExternalEvaluator(command).fitness_all(genotypes))
+        pids = [int(pid) for pid in pid_path.read_text().split()]
+        assert len(pids) == 2
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+
     @pytest.mark.parametrize("timeout", [-1, 0, math.nan, "60", True])
     def test_timeout_that_is_no_positive_number_of_seconds_is_rejected(self, timeout):
         # a timeout of -1 once built, and then failed every round trip
@@ -473,9 +491,7 @@ class TestExternalEvaluator:
 
     @pytest.mark.parametrize("batch", [False, True], ids=["fitness", "fitness_all"])
     def test_longest_timeout_poll_can_wait_builds_and_scores(self, tmp_path, batch):
-        command = write_script(
-            tmp_path, "fixed.py", "import sys; sys.stdin.readline(); print('{\"fitness\": 1.5}')"
-        )
+        command = evaluator_script(tmp_path, replying('{"fitness": 1.5}'))
         evaluator = ExternalEvaluator(command, timeout=2147483.647)
         g = NetGenotype(0, 0, (0, 0))
         assert (list(evaluator.fitness_all([g])) if batch else [evaluator.fitness(g)]) == [1.5]
@@ -492,10 +508,18 @@ class TestExternalEvaluator:
         with pytest.raises(ValueError, match="empty"):
             ExternalEvaluator(command)
 
+    @pytest.mark.parametrize(
+        "command",
+        [["python3\0"], "python3 -c\0", ["python3", "-\0c"]],
+        ids=["list", "string", "second-word"],
+    )
+    def test_command_word_with_a_nul_is_rejected(self, command):
+        with pytest.raises(ValueError, match="NUL"):
+            ExternalEvaluator(command)
+
     def test_fitness_all_scores_in_order(self, tmp_path):
-        command = write_script(
+        command = evaluator_script(
             tmp_path,
-            "units.py",
             "import json, sys\n"
             "req = json.loads(sys.stdin.readline())\n"
             "print(json.dumps({'fitness': req['units'][0]}))\n",
@@ -508,9 +532,8 @@ class TestExternalEvaluator:
         assert evaluator.invocations == 6
 
     def test_fitness_all_raises_the_first_failure_in_order(self, tmp_path):
-        command = write_script(
+        command = evaluator_script(
             tmp_path,
-            "picky.py",
             "import json, sys\n"
             "unit = json.loads(sys.stdin.readline())['units'][0]\n"
             "sys.exit(unit // 25) if unit in (50, 75) else print(json.dumps({'fitness': 1.0}))\n",
@@ -535,9 +558,7 @@ class TestNetCodec:
             NetCodec()
 
     def test_evaluator_mode_has_unknown_optimum(self, tmp_path):
-        command = write_script(
-            tmp_path, "fixed.py", "import sys; sys.stdin.readline(); print('{\"fitness\": 0.5}')"
-        )
+        command = evaluator_script(tmp_path, replying('{"fitness": 0.5}'))
         codec = ExternalNetCodec(ExternalEvaluator(command))
         assert codec.optimum_fitness() is None
 
@@ -575,9 +596,8 @@ class TestNetCodec:
 def test_evaluator_reply_shape_matches_request_contract(tmp_path):
     # full round trip through the codec: request keys, reply key
     record = tmp_path / "seen.json"
-    command = write_script(
+    command = evaluator_script(
         tmp_path,
-        "recorder.py",
         "import json, sys\n"
         "req = json.loads(sys.stdin.readline())\n"
         f"open({str(record)!r}, 'w').write(json.dumps(sorted(req)))\n"
