@@ -311,7 +311,7 @@ class ExternalEvaluator:
                 raise TypeError(f"fitness {value!r} is not a number")
             value = float(value)  # an int past the float range overflows
         except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
-            raise EvaluationError(f"malformed evaluator reply {line!r}") from exc
+            raise EvaluationError(f"malformed evaluator reply {line[:500]!r}") from exc
         if not math.isfinite(value):
             raise EvaluationError(f"evaluator returned non-finite fitness {value!r}")
         return value

@@ -1,6 +1,7 @@
 """Shared doubles: the engine probe, which states the ledger rules once and
-checks them on every brood; scripted external evaluators and the `cvoa run`
-of an nn config they score; and a codec that fails on its k-th evaluation."""
+checks them on every brood; scripted external evaluators, the reply table
+that states their contract, and the `cvoa run` of an nn config they score;
+and a codec that fails on its k-th evaluation."""
 
 import json
 import sys
@@ -11,7 +12,7 @@ import pytest
 
 import cvoa.engine
 import cvoa.multistrain
-from cvoa import BinaryCodec, EvaluationError
+from cvoa import BinaryCodec, EvaluationError, parse_net_text
 from cvoa.cli import main
 
 
@@ -96,6 +97,52 @@ def evaluator_script(tmp_path, body: str) -> list[str]:
     path = _fresh(tmp_path, "evaluator", ".py")
     path.write_text(body, encoding="utf-8")
     return [sys.executable, "-I", "-S", str(path)]
+
+
+def replying(line):
+    """The body of an evaluator that reads its request and prints `line`."""
+    return f"import sys; sys.stdin.readline(); print({line!r})"
+
+
+# the one genotype each reply answers: units [100, 25], lr 0.1, dropout 0.15
+REQUEST = parse_net_text("{1,2,2}{3,0}")
+
+MALFORMED = "malformed evaluator reply"
+
+# the evaluator contract: an evaluator body, and the score it gives or the
+# message of the EvaluationError it raises
+REPLIES = [
+    pytest.param(replying('{"fitness": 1.22}'), 1.22, id="fixed"),
+    pytest.param(
+        "import json, sys\n"
+        "req = json.loads(sys.stdin.readline())\n"
+        "print(json.dumps({'fitness': req['units'][0] + req['learning_rate'] + req['dropout']}))\n",
+        100 + 0.1 + 0.15,  # summed in the evaluator's order
+        id="request-is-decoded-architecture",
+    ),
+    pytest.param(
+        replying('{"fitness": 1.0}') + "; sys.stderr.buffer.write(b'\\xff')",
+        1.0,
+        id="undecodable-stderr",
+    ),
+    pytest.param(replying('{"fitness": NaN}'), "non-finite", id="nan"),
+    pytest.param("import sys; sys.exit(3)", "exited 3", id="nonzero-exit"),
+    pytest.param(replying("not json"), MALFORMED, id="not-json"),
+    pytest.param(replying('{"fitness": "3.5"}'), MALFORMED, id="string"),
+    pytest.param(replying('{"fitness": true}'), MALFORMED, id="bool"),
+    pytest.param(replying('{"fitness": ' + "1" * 401 + "}"), MALFORMED, id="past-float-range"),
+    pytest.param(replying('{"score": 1.0}'), MALFORMED, id="no-fitness-key"),
+    pytest.param("import sys; sys.stdin.readline()", MALFORMED, id="no-reply"),
+    pytest.param(
+        "import sys; sys.stdin.readline(); sys.stdout.buffer.write(b'{\"fitness\": 1.0}\\xff\\n')",
+        MALFORMED,
+        id="undecodable-reply",
+    ),
+    pytest.param(
+        "import sys; sys.stdin.readline(); print('[' * 200_000)", MALFORMED, id="deep-nesting"
+    ),
+]
+FAILING_REPLIES = [row for row in REPLIES if isinstance(row.values[1], str)]
 
 
 def run_nn(tmp_path, command, repeat=1, **parameters):

@@ -22,8 +22,7 @@ from cvoa import (
     Termination,
 )
 from cvoa.cli import iterations_to_optimum, load_config, main
-from conftest import evaluator_script, run_nn
-from test_nn import FAILING_REPLIES
+from conftest import FAILING_REPLIES, evaluator_script, run_nn
 
 BINARY_CONFIG = {
     "codec": {"kind": "binary", "bits": 10, "target": 15},
@@ -532,6 +531,7 @@ class TestEvaluationFailure:
         assert status == 1
         [line] = capsys.readouterr().err.splitlines()
         assert line.startswith("error: evaluation failed in run seed=1: ") and message in line
+        assert len(line) < 1000  # a reply or stderr is quoted to 500 characters
         rows = (out / "run_1" / "iterations.csv").read_text().splitlines()
         assert rows == ["Iteration,Deaths,Recovered,Infected,Fitness"]
 

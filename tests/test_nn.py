@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cvoa.nn
-from conftest import evaluator_script
+from conftest import REPLIES, REQUEST, evaluator_script, replying
 from cvoa import (
     DistanceMode,
     EvaluationError,
@@ -384,50 +384,6 @@ class TestSurrogate:
         assert net_search_space_size() == expected
 
 
-def replying(line):
-    """The body of an evaluator that reads its request and prints `line`."""
-    return f"import sys; sys.stdin.readline(); print({line!r})"
-
-
-# the one genotype each reply answers: units [100, 25], lr 0.1, dropout 0.15
-REQUEST = parse_net_text("{1,2,2}{3,0}")
-
-# the evaluator contract: an evaluator body, and the score it gives or the
-# message of the EvaluationError it raises
-REPLIES = [
-    pytest.param(replying('{"fitness": 1.22}'), 1.22, id="fixed"),
-    pytest.param(
-        "import json, sys\n"
-        "req = json.loads(sys.stdin.readline())\n"
-        "print(json.dumps({'fitness': req['units'][0] + req['learning_rate'] + req['dropout']}))\n",
-        100.25,
-        id="request-is-decoded-architecture",
-    ),
-    pytest.param(
-        replying('{"fitness": 1.0}') + "; sys.stderr.buffer.write(b'\\xff')",
-        1.0,
-        id="undecodable-stderr",
-    ),
-    pytest.param(replying('{"fitness": NaN}'), "non-finite", id="nan"),
-    pytest.param("import sys; sys.exit(3)", "exited 3", id="nonzero-exit"),
-    pytest.param(replying("not json"), "malformed", id="not-json"),
-    pytest.param(replying('{"fitness": "3.5"}'), "malformed", id="string"),
-    pytest.param(replying('{"fitness": true}'), "malformed", id="bool"),
-    pytest.param(replying('{"fitness": ' + "1" * 401 + "}"), "malformed", id="past-float-range"),
-    pytest.param(replying('{"score": 1.0}'), "malformed", id="no-fitness-key"),
-    pytest.param("import sys; sys.stdin.readline()", "malformed", id="no-reply"),
-    pytest.param(
-        "import sys; sys.stdin.readline(); sys.stdout.buffer.write(b'{\"fitness\": 1.0}\\xff\\n')",
-        "malformed",
-        id="undecodable-reply",
-    ),
-    pytest.param(
-        "import sys; sys.stdin.readline(); print('[' * 200_000)", "malformed", id="deep-nesting"
-    ),
-]
-FAILING_REPLIES = [row for row in REPLIES if isinstance(row.values[1], str)]
-
-
 class TestExternalEvaluator:
     @pytest.mark.parametrize("body, reply", REPLIES)
     def test_reply(self, tmp_path, body, reply):
@@ -438,7 +394,7 @@ class TestExternalEvaluator:
                 with pytest.raises(EvaluationError, match=reply):
                     score(REQUEST)
             else:
-                assert score(REQUEST) == pytest.approx(reply)
+                assert score(REQUEST) == reply
 
     @pytest.mark.parametrize("batch", [False, True], ids=["fitness", "fitness_all"])
     def test_timeout_is_error_and_reaps_the_evaluator(self, tmp_path, batch):
@@ -457,27 +413,6 @@ class TestExternalEvaluator:
         assert time.monotonic() - start < 5
         with pytest.raises(ProcessLookupError):
             os.kill(int(pid_path.read_text()), 0)
-
-    def test_no_evaluator_outlives_a_failed_batch(self, tmp_path):
-        pid_path = tmp_path / "pids"
-        command = evaluator_script(
-            tmp_path,
-            "import json, os, sys, time\n"
-            "if json.loads(sys.stdin.readline())['units'][0] == 25:\n"
-            "    sys.exit(2)\n"
-            f"with open({str(pid_path)!r}, 'a') as fh:\n"
-            "    fh.write(f'{os.getpid()}\\n')\n"
-            "time.sleep(1)\n"
-            "print('{\"fitness\": 1.0}')\n",
-        )
-        genotypes = [NetGenotype(0, 0, (c, 0)) for c in range(3)]
-        with pytest.raises(EvaluationError, match="exited 2"):
-            list(ExternalEvaluator(command).fitness_all(genotypes))
-        pids = [int(pid) for pid in pid_path.read_text().split()]
-        assert len(pids) == 2
-        for pid in pids:
-            with pytest.raises(ProcessLookupError):
-                os.kill(pid, 0)
 
     @pytest.mark.parametrize("timeout", [-1, 0, math.nan, "60", True])
     def test_timeout_that_is_no_positive_number_of_seconds_is_rejected(self, timeout):
@@ -532,11 +467,18 @@ class TestExternalEvaluator:
         assert evaluator.invocations == 6
 
     def test_fitness_all_raises_the_first_failure_in_order(self, tmp_path):
+        # the evaluators that succeed are still running when the others fail
+        pid_path = tmp_path / "pids"
         command = evaluator_script(
             tmp_path,
-            "import json, sys\n"
+            "import json, os, sys, time\n"
             "unit = json.loads(sys.stdin.readline())['units'][0]\n"
-            "sys.exit(unit // 25) if unit in (50, 75) else print(json.dumps({'fitness': 1.0}))\n",
+            "if unit in (50, 75):\n"
+            "    sys.exit(unit // 25)\n"
+            f"with open({str(pid_path)!r}, 'a') as fh:\n"
+            "    fh.write(f'{os.getpid()}\\n')\n"
+            "time.sleep(0.2)\n"
+            "print(json.dumps({'fitness': 1.0}))\n",
         )
         evaluator = ExternalEvaluator(command)
         genotypes = [NetGenotype(0, 0, (c, 0)) for c in range(4)]
@@ -545,6 +487,12 @@ class TestExternalEvaluator:
         with pytest.raises(EvaluationError, match="exited 2"):
             next(scores)
         assert evaluator.invocations == 4
+        # every process has finished on return
+        pids = [int(pid) for pid in pid_path.read_text().split()]
+        assert len(pids) == 2
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
 
 
 class TestNetCodec:
