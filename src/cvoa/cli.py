@@ -69,11 +69,11 @@ def _parse_parameters(raw: dict) -> EpidemicParameters:
 def load_config(path: Path) -> RunConfig:
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the path
         raise ConfigError(f"cannot read config {path}: {exc}")
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise ConfigError(f"config {path} is not valid JSON: {exc}")
     _require(isinstance(raw, dict), "top-level config must be an object")
     allowed = {"codec", "parameters", "pz_strategy", "repeat", "out"}
@@ -229,7 +229,7 @@ def _make_out_dir(out: Path) -> None:
     """Called after the config checks, before the first run."""
     try:
         out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
         raise ConfigError(f"cannot create output directory {out}: {exc}")
 
 

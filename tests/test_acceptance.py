@@ -39,38 +39,56 @@ def defaults(seed: int) -> MultiStrainConfig:
     )
 
 
-def campaign(configs, codec_for, stop=None) -> dict:
+class Budget:
+    """A test's stated runtime budget, counted from its creation."""
+
+    def __init__(self, seconds: float) -> None:
+        self.seconds = seconds
+        self.started = time.monotonic()
+
+    def check(self, pandemics: int) -> None:
+        elapsed = time.monotonic() - self.started
+        if elapsed >= self.seconds:
+            pytest.fail(f"runtime budget exceeded: {elapsed:.1f}s after {pandemics} pandemics")
+
+
+def campaign(configs, codec_for, stop=None, budget=None) -> dict:
     """One pandemic per config, scored by `codec_for(seed)` and stopped at
     fitness `stop`, if given: the aggregates that `cvoa run` writes to
-    summary.json."""
+    summary.json. A `budget` is checked after every pandemic, so a spent
+    one fails the test at once."""
     runs = []
     for config in configs:
         seed = config.parameters[0].seed
         codec = codec_for(seed)
         result = run_pandemic(config, codec, stop_fitness=stop)
         runs.append(run_summary(seed, result, codec, Objective.MINIMIZE))
+        if budget is not None:
+            budget.check(len(runs))
     return aggregate_summaries(runs, codec.search_space_size())
 
 
 @pytest.fixture(scope="module")
 def length_sweep():
-    """One 50-seed campaign per bit length, shared by the two trend criteria."""
-    started = time.monotonic()
+    """One 50-seed campaign per bit length, shared by the two trend
+    criteria, within one 10 min budget; a spent budget fails both."""
+    budget = Budget(600.0)
     stats = {}
     for bits in LENGTHS:
         codec = BinaryCodec(bits=bits, target=TARGET)
-        stats[bits] = campaign(map(defaults, SEEDS_50), lambda seed: codec, stop=0)
-    return stats, time.monotonic() - started
+        try:
+            configs = map(defaults, SEEDS_50)
+            stats[bits] = campaign(configs, lambda seed: codec, stop=0, budget=budget)
+        except pytest.fail.Exception as exc:
+            pytest.fail(f"the length sweep did not finish its {bits}-bit campaign: {exc}")
+    return stats
 
 
 def test_ten_bit_defaults_reach_optimum_reliably():
     """>= 95% of 50 seeded runs hit fitness 0 within 30 iterations, median <= 15, < 10 s."""
     codec = BinaryCodec(bits=10, target=TARGET)
-    started = time.monotonic()
-    stats = campaign(map(defaults, SEEDS_50), lambda seed: codec)
-    elapsed = time.monotonic() - started
+    stats = campaign(map(defaults, SEEDS_50), lambda seed: codec, budget=Budget(10.0))
     success_rate = stats["success_rate"]
-    assert elapsed < 10.0, f"runtime budget exceeded: {elapsed:.1f}s"
     assert stats["median_iterations_to_optimum"] <= 15
     assert success_rate >= 0.95, (
         f"optimum reached in {success_rate * 50:.0f}/50 runs ({success_rate:.0%})"
@@ -80,9 +98,7 @@ def test_ten_bit_defaults_reach_optimum_reliably():
 def test_mean_iterations_to_optimum_grows_weakly_with_length(length_sweep):
     """Mean iterations-to-optimum weakly increases over {10..50} bits; one
     inversion of at most 1 iteration tolerated; whole campaign < 10 min."""
-    stats, elapsed = length_sweep
-    assert elapsed < 600.0, f"runtime budget exceeded: {elapsed:.1f}s"
-    means = [stats[bits]["mean_iterations_to_optimum"] for bits in LENGTHS]
+    means = [length_sweep[bits]["mean_iterations_to_optimum"] for bits in LENGTHS]
     assert all(m is not None for m in means), f"some length never reached the optimum: {means}"
     inversions = [
         (bits, earlier - later)
@@ -95,8 +111,7 @@ def test_mean_iterations_to_optimum_grows_weakly_with_length(length_sweep):
 
 def test_evaluated_fraction_shrinks_strictly_with_length(length_sweep):
     """Evaluated share of the space strictly decreases with length; < 2% at 20 bits."""
-    stats, _ = length_sweep
-    fractions = [stats[bits]["mean_evaluated_fraction"] for bits in LENGTHS]
+    fractions = [length_sweep[bits]["mean_evaluated_fraction"] for bits in LENGTHS]
     assert all(
         earlier > later for earlier, later in zip(fractions, fractions[1:])
     ), f"fractions not strictly decreasing: {fractions}"

@@ -64,12 +64,21 @@ def assert_config_error(capsys, path, argv, text):
 
 
 class TestConfigErrors:
-    def test_missing_file(self, tmp_path, capsys):
-        assert_config_error(capsys, tmp_path / "nope.json", ["run"], "cannot read config")
+    @pytest.mark.parametrize(
+        "name, content",
+        [("nope.json", None), ("latin-1.json", b'{"out": "caf\xe9"}'), ("a\0b.json", None)],
+        ids=["missing", "not-utf-8", "nul-in-path"],
+    )
+    def test_missing_file(self, tmp_path, capsys, name, content):
+        path = tmp_path / name
+        if content is not None:
+            path.write_bytes(content)
+        assert_config_error(capsys, path, ["run"], "cannot read config")
 
-    def test_invalid_json(self, tmp_path, capsys):
+    @pytest.mark.parametrize("text", ["{not json", "[" * 200_000], ids=["not-json", "deep-nesting"])
+    def test_invalid_json(self, tmp_path, capsys, text):
         path = tmp_path / "broken.json"
-        path.write_text("{not json", encoding="utf-8")
+        path.write_text(text, encoding="utf-8")
         assert_config_error(capsys, path, ["run"], "not valid JSON")
 
     def test_unknown_top_level_key(self, tmp_path, capsys):
@@ -132,13 +141,19 @@ class TestConfigErrors:
         assert_config_error(capsys, path, argv, "strains=300 exceed the codec's 256 genotypes")
 
     @pytest.mark.parametrize("argv", [["run"], ["sweep", "--lengths", "10,12"]], ids=["run", "sweep"])
-    @pytest.mark.parametrize("under", [False, True], ids=["at-a-file", "under-a-file"])
-    def test_unusable_out_dir_rejected_before_any_run(self, tmp_path, capsys, argv, under):
-        blocker = tmp_path / "file"
-        blocker.write_text("", encoding="utf-8")
-        out = blocker / "x" if under else blocker
-        path = write_config(tmp_path)
-        line = usage_error(capsys, [*argv, "--config", str(path), "--out", str(out)])
+    @pytest.mark.parametrize(
+        "where, by_flag",
+        [("file", True), ("file/x", True), ("o\0x", True), ("o\0x", False)],
+        ids=["at-a-file", "under-a-file", "nul-in-out", "nul-in-config-out"],
+    )
+    def test_unusable_out_dir_rejected_before_any_run(self, tmp_path, capsys, argv, where, by_flag):
+        (tmp_path / "file").write_text("", encoding="utf-8")
+        out = tmp_path / where
+        if by_flag:
+            path, argv = write_config(tmp_path), [*argv, "--out", str(out)]
+        else:
+            path = write_config(tmp_path, out=str(out))
+        line = usage_error(capsys, [*argv, "--config", str(path)])
         assert line.startswith(f"error: cannot create output directory {out}: ")
 
     def test_run_directory_blocked_by_a_file_rejected_before_any_run(self, tmp_path, capsys):
@@ -688,7 +703,7 @@ class TestReadmeLibraryExample:
         assert termination in {str(t) for t in Termination}
 
     def test_every_later_library_block_runs(self):
-        # the ports of removed names among them, so a renamed name fails here
+        # each block states the current API, so a renamed name fails here
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
         section = re.search(r"\n## Library\n(.*?)\n## ", readme, re.S).group(1)
         blocks = re.findall(r"```python\n(.*?)```", section, re.S)
