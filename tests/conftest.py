@@ -1,18 +1,30 @@
 """Shared doubles: the engine probe, which states the ledger rules once and
-checks them on every brood; scripted external evaluators, the reply table
-that states their contract, and the `cvoa run` of an nn config they score;
-and a codec that fails on its k-th evaluation."""
+checks them on every brood; the check of a run against `reference.py`;
+scripted external evaluators, the reply table that states their contract,
+and the `cvoa run` of an nn config they score; and a codec that fails on
+its k-th evaluation."""
 
 import json
 import sys
 from itertools import count, islice
 from typing import Any, NamedTuple
+from unittest.mock import patch
 
 import pytest
 
 import cvoa.engine
 import cvoa.multistrain
-from cvoa import BinaryCodec, EvaluationError, parse_net_text
+import reference
+from cvoa import (
+    BinaryCodec,
+    EpidemicParameters,
+    EvaluationError,
+    MultiStrainConfig,
+    PzStrategy,
+    parse_net_text,
+    run_pandemic,
+    run_strain,
+)
 from cvoa.cli import main
 
 
@@ -84,6 +96,56 @@ def engine_probe(monkeypatch) -> EngineProbe:
     monkeypatch.setattr(cvoa.engine, "infect", probe.infect)
     monkeypatch.setattr(cvoa.multistrain, "SharedLedger", probe.ledger)
     return probe
+
+
+def uniform(strains=1, pz_strategy=PzStrategy.MAX_HAMMING_SPREAD, **fields):
+    """A config of `strains` strains that share every parameter but the seed."""
+    return MultiStrainConfig.uniform(EpidemicParameters(strains=strains, **fields), pz_strategy)
+
+
+class ScoredOnce:
+    """`codec`, failing when a genotype is scored a second time."""
+
+    def __init__(self, codec):
+        self.codec, self.scored = codec, set()
+
+    def __getattr__(self, name):
+        return getattr(self.codec, name)
+
+    def fitness(self, genotype):
+        assert genotype not in self.scored, f"{genotype!r} scored twice"
+        self.scored.add(genotype)
+        return self.codec.fitness(genotype)
+
+
+def same_as_reference(codec, config, stop=None):
+    """Check the pandemic of `config`, scored by `codec` and stopped at
+    `stop`, against the reference model: each genotype scored once, after
+    every strain step the same infected in order, dead, recovered, scored
+    genotypes in order, best, history row, termination and stream state,
+    and the same PandemicResult; for one strain without a goal, the same
+    result from `run_strain`."""
+    steps = []
+    step = cvoa.engine.Strain.step
+
+    def recording(strain):
+        step(strain)
+        shared = strain.shared
+        steps.append(
+            (strain.params.seed, list(strain.infected), set(shared.dead), set(shared.recovered),
+             list(shared.fitness_cache), strain.best, strain.history[-1],
+             strain.termination, strain.rng.getstate())
+        )
+
+    with patch.object(cvoa.engine.Strain, "step", recording):
+        result = run_pandemic(config, ScoredOnce(codec), stop_fitness=stop)
+    expected_steps, expected = reference.run(config.parameters, config.pz_strategy, codec, stop)
+    for i, (engine, model) in enumerate(zip(steps, expected_steps)):
+        assert engine == model, f"strain step {i + 1}"
+    assert len(steps) == len(expected_steps)
+    assert result == expected
+    if len(config.parameters) == 1 and stop is None:
+        assert run_strain(config.parameters[0], codec) == expected[1][0]
 
 
 def _fresh(directory, stem: str, suffix: str = ""):

@@ -3,13 +3,13 @@ iteration that README.md states and the lockstep driver of `run_pandemic`,
 with lists and sets and nothing cached or bound for speed. The codec's
 `replicate` and `fitness` and `seed_patient_zeros` are black boxes; every
 other rule is stated here. Its records are plain tuples and lists that
-equal the engine's field for field, with each termination as its name."""
+equal the engine's field for field."""
 
 import math
 from random import Random
 from types import SimpleNamespace
 
-from cvoa import DistanceMode, Objective
+from cvoa import DistanceMode, Objective, Termination
 from cvoa.multistrain import seed_patient_zeros
 
 
@@ -80,13 +80,12 @@ class Pandemic:
         self.recoveries += len(recovering)
         strain.infected = new_infected
         n = len(strain.history) + 1
-        strain.history.append(
-            (n, len(self.dead), self.recoveries, len(new_infected), strain.best[1], len(self.fitness))
-        )
+        strain.history.append((n, len(self.dead), self.recoveries, len(new_infected),
+                               strain.best[1], len(self.fitness)))
         if not new_infected:
-            strain.termination = "extinction"
+            strain.termination = Termination.EXTINCTION
         elif n == p.pandemic_duration:
-            strain.termination = "duration_reached"
+            strain.termination = Termination.DURATION_REACHED
         self.steps.append((p.seed, list(new_infected), set(self.dead), set(self.recovered),
                            list(self.fitness), strain.best, strain.history[-1],
                            strain.termination, rng.getstate()))
@@ -123,11 +122,11 @@ def run(parameters, pz_strategy, codec, stop_fitness=None):
                 if at_goal(strain.best[1]):
                     goal = True
                     # the goal outranks the end of the reaching strain's own step
-                    strain.termination = "goal_reached"
+                    strain.termination = Termination.GOAL_REACHED
                     break
     for strain in strains:
         if goal and strain.termination is None:
-            strain.termination = "goal_reached"
+            strain.termination = Termination.GOAL_REACHED
 
     # row i of the merged history: the counters of the latest rows, the
     # infected summed, the best carried over every row so far
@@ -139,8 +138,9 @@ def run(parameters, pz_strategy, codec, stop_fitness=None):
                 carried = row[4]
         _, deaths, recovered, infected, _, scored = zip(*rows)
         merged.append((i + 1, max(deaths), max(recovered), sum(infected), carried, max(scored)))
-    extinct = all(s.termination == "extinction" for s in strains)
-    termination = "goal_reached" if goal else "extinction" if extinct else "duration_reached"
+    extinct = all(s.termination is Termination.EXTINCTION for s in strains)
+    termination = (Termination.GOAL_REACHED if goal else Termination.EXTINCTION if extinct
+                   else Termination.DURATION_REACHED)
     return pandemic.steps, (
         best_of([s.best for s in strains]), [(s.best, s.history, s.termination) for s in strains],
         merged, initial_best, len(pandemic.fitness), len(pandemic.dead), pandemic.recoveries,

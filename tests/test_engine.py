@@ -13,11 +13,11 @@ import cvoa.engine
 from cvoa import (
     BinaryCodec,
     Disposition,
-    DistanceMode,
     EpidemicParameters,
     EvaluatedIndividual,
     EvaluationError,
     MultiStrainConfig,
+    NetCodec,
     Objective,
     PandemicResult,
     ParameterError,
@@ -30,43 +30,33 @@ from cvoa import (
     run_strain,
 )
 from cvoa.engine import Strain, superspreader_count
-from conftest import FailOnKth
+from cvoa.nn import generate_net_patient_zero
+from conftest import FailOnKth, same_as_reference, uniform
 
 FITNESS = attrgetter("fitness")
+B10, B20 = BinaryCodec(bits=10), BinaryCodec(bits=20)
 
 
 class RecordingCodec:
-    """BinaryCodec wrapper that counts fitness calls and records each
-    child's replicate mode and the child itself."""
+    """BinaryCodec wrapper that counts fitness calls and records each child."""
 
     def __init__(self, bits=10, target=15):
         self.inner = BinaryCodec(bits=bits, target=target)
         self.fitness_calls = Counter()
-        self.replicate_modes = []
         self.children = []
 
-    def generate_patient_zero(self, rng):
-        return self.inner.generate_patient_zero(rng)
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
 
     def replicate(self, parent, mode, count, traveler_rate, rng):
         # one entry per child, recorded as the child is drawn
         for child in self.inner.replicate(parent, mode, count, traveler_rate, rng):
-            self.replicate_modes.append(mode)
             self.children.append(child)
             yield child
 
     def fitness(self, genotype):
         self.fitness_calls[genotype] += 1
         return self.inner.fitness(genotype)
-
-    def distance(self, a, b):
-        return self.inner.distance(a, b)
-
-    def search_space_size(self):
-        return self.inner.search_space_size()
-
-    def text(self, genotype):
-        return self.inner.text(genotype)
 
 
 class BatchingCodec(RecordingCodec):
@@ -230,31 +220,19 @@ class TestRoutingRule:
 
 
 class TestInfect:
+    """Runs that reach each breeding rule, checked against the reference model."""
+
     def test_superspreader_uses_wide_range(self):
-        codec = RecordingCodec(bits=20)
-        params = EpidemicParameters(p_isolation=0.0)
-        for seed in range(20):
-            codec.replicate_modes.clear()
-            infect(routing_strain(params, codec, Random(seed)), 5, True)
-            assert 6 <= len(codec.replicate_modes) <= 15
+        same_as_reference(B20, uniform(p_isolation=0.0, pandemic_duration=1))
 
     def test_zero_width_ordinary_range_spreads_nothing(self):
-        codec = RecordingCodec()
-        strain = routing_strain(EpidemicParameters(ordinary_spread_range=(0, 0)), codec)
-        infect(strain, 5, False)
-        assert strain.new_infected.keys() == set()
-        assert codec.replicate_modes == []
+        same_as_reference(B10, uniform(ordinary_spread_range=(0, 0), p_superspreader=0.0, seed=3))
 
     def test_forced_travel_uses_traveler_mode_for_whole_brood(self):
-        codec = RecordingCodec(bits=20)
-        infect(routing_strain(EpidemicParameters(p_travel=1.0), codec), 5, True)
-        assert codec.replicate_modes
-        assert all(mode is DistanceMode.TRAVELER for mode in codec.replicate_modes)
+        same_as_reference(B20, uniform(p_travel=1.0, pandemic_duration=2))
 
     def test_no_travel_stays_ordinary(self):
-        codec = RecordingCodec(bits=20)
-        infect(routing_strain(EpidemicParameters(p_travel=0.0), codec), 5, True)
-        assert all(mode is DistanceMode.ORDINARY for mode in codec.replicate_modes)
+        same_as_reference(B20, uniform(p_travel=0.0, pandemic_duration=2))
 
     def test_added_genotypes_land_in_new_infected(self, engine_probe):
         strain = routing_strain(EpidemicParameters(p_isolation=0.0), RecordingCodec(), Random(1))
@@ -267,29 +245,8 @@ class TestInfect:
 
     @pytest.mark.parametrize("wide", [True, False])
     def test_draws_travel_then_count_then_each_candidate(self, wide):
-        # replayed on a clone of the stream: a draw added, dropped or
-        # reordered leaves the two streams, or the broods, apart
-        codec = BinaryCodec(bits=20)
-        params = EpidemicParameters(p_travel=0.5)
-        for seed in range(20):
-            rng = Random(seed)
-            clone = Random()
-            clone.setstate(rng.getstate())
-            strain = routing_strain(params, codec, rng)
-            infect(strain, 5, wide)
-
-            traveling = clone.random() < params.p_travel
-            lo, hi = params.superspreader_spread_range if wide else params.ordinary_spread_range
-            count = clone.randint(lo, hi)
-            mode = DistanceMode.TRAVELER if traveling else DistanceMode.ORDINARY
-            replay = routing_strain(params, codec, clone)
-            for _ in range(count):
-                # one child at a time, each routed before the next is drawn
-                [candidate] = codec.replicate(5, mode, 1, params.traveler_rate, clone)
-                new_infection(replay, candidate)
-            assert rng.getstate() == clone.getstate()
-            assert list(strain.new_infected) == list(replay.new_infected)
-            assert list(strain.isolated_now) == list(replay.isolated_now)
+        config = uniform(p_travel=0.5, p_superspreader=float(wide), pandemic_duration=3)
+        same_as_reference(B20, config)  # every spreader wide, or none
 
 
 class TestSuperspreaders:
@@ -303,116 +260,35 @@ class TestSuperspreaders:
         assert superspreader_count(1.0, 7) == 7
 
     def test_lone_patient_zero_is_the_fittest_and_spreads_wide(self):
-        codec = RecordingCodec(bits=20)
-        params = EpidemicParameters(p_die=0.0, pandemic_duration=1)
-        for seed in range(20):
-            codec.replicate_modes.clear()
-            run_strain(params.with_seed(seed), codec)
-            assert 6 <= len(codec.replicate_modes) <= 15
+        same_as_reference(B20, uniform(p_die=0.0, pandemic_duration=1))
 
-    def test_fittest_spreaders_take_the_wide_range(self, engine_probe):
-        for objective, sign in ((Objective.MINIMIZE, 1), (Objective.MAXIMIZE, -1)):
-            first = len(engine_probe.broods)
-            params = EpidemicParameters(
-                p_die=0.0, p_isolation=0.0, pandemic_duration=2, objective=objective, seed=1
-            )
-            run_strain(params, BinaryCodec(bits=20))
-            second = engine_probe.broods[first + 1 :]  # iteration 2's spreaders, in spread order
-            wide = [sign * b.fitness for b in second if b.wide]
-            narrow = [sign * b.fitness for b in second if not b.wide]
-            assert len(wide) == superspreader_count(0.1, len(second))
-            # fittest first, ties in discovery order: the infected's own order
-            fitness = {b.spreader: sign * b.fitness for b in second}
-            spreaders = [b.spreader for b in second]
-            assert spreaders == sorted(second[0].infected, key=fitness.__getitem__)
-            assert max(wide) <= min(narrow)
-        assert engine_probe.violations == []
-
-
-class BroodCodec:
-    """Codec whose spreaders breed the fixed brood `broods` names for them
-    (none for a parent it does not name), scored by the genotype itself;
-    `parents` records each spreader in the order it bred."""
-
-    def __init__(self, broods):
-        self.broods = broods
-        self.parents = []
-
-    def replicate(self, parent, mode, count, traveler_rate, rng):
-        self.parents.append(parent)
-        return iter(self.broods.get(parent, ()))
-
-    def fitness(self, genotype):
-        return genotype
-
-
-def brood_strain(params, broods):
-    """A Strain whose patient zero 0 is scored and infected, on a fresh ledger."""
-    codec = BroodCodec(broods)
-    shared = SharedLedger()
-    patient_zero = EvaluatedIndividual(0, shared.evaluate(codec, 0))
-    return Strain(params, codec, Random(0), shared, patient_zero)
-
-
-@pytest.fixture
-def die_calls(monkeypatch):
-    """The population each die call receives, in call order. Strain.step
-    calls die twice: first for its spreaders, whom this die spares so that
-    a step at p_die 1 still spreads, then for its isolates, which it
-    passes to the real die."""
-    calls = []
-    original = cvoa.engine.die
-
-    def recording(infected, params, rng):
-        infected = list(infected)
-        calls.append(infected)
-        return set() if len(calls) % 2 else original(infected, params, rng)
-
-    monkeypatch.setattr(cvoa.engine, "die", recording)
-    return calls
+    def test_fittest_spreaders_take_the_wide_range(self):
+        for objective in Objective:
+            config = uniform(p_die=0.0, p_isolation=0.0, pandemic_duration=2, seed=1,
+                             objective=objective)
+            same_as_reference(B20, config)
 
 
 class TestStepFates:
     """The end of Strain.step: which isolates take a death draw, and who
-    recovers."""
+    recovers, in runs checked against the reference model."""
 
-    def test_every_isolate_dies_at_total_mortality(self, die_calls):
-        strain = brood_strain(EpidemicParameters(p_isolation=1.0, p_die=1.0), {0: [1, 2, 3, 4, 5]})
-        strain.step()
-        assert die_calls == [[0], [1, 2, 3, 4, 5]]
-        assert strain.shared.dead == {1, 2, 3, 4, 5}
-        # only the spreader recovers
-        assert strain.shared.recovered == {0}
-        assert strain.shared.counts() == (5, 1)
+    def test_every_isolate_dies_at_total_mortality(self):
+        # p_die 0.9 leaves spreaders alive to breed isolates
+        same_as_reference(B10, uniform(p_isolation=1.0, p_die=0.9, seed=7))
 
     def test_surviving_isolates_count_as_recovered(self):
-        strain = brood_strain(EpidemicParameters(p_isolation=1.0, p_die=0.0), {0: [1, 2, 3, 4, 5]})
-        strain.step()
-        assert strain.shared.dead == set()
-        assert strain.shared.recovered == {0, 1, 2, 3, 4, 5}
-        assert strain.shared.counts() == (0, 6)
+        same_as_reference(B10, uniform(p_isolation=1.0, p_die=0.0, pandemic_duration=1))
 
-    def test_reinfected_isolate_is_not_buried_and_spreads_next_iteration(self, die_calls):
-        # 7 is isolated, then met again and reinfected in the same iteration
-        params = EpidemicParameters(p_isolation=1.0, p_reinfection=1.0, p_die=1.0)
-        strain = brood_strain(params, {0: [7, 7]})
-        strain.step()
-        assert die_calls == [[0], []]
-        assert 7 not in strain.shared.dead
-        assert list(strain.infected) == [7]
-        strain.step()
-        assert strain.codec.parents == [0, 7]
+    def test_reinfected_isolate_is_not_buried_and_spreads_next_iteration(self):
+        config = uniform(p_isolation=1.0, p_reinfection=1.0, p_die=0.5, seed=1)
+        same_as_reference(BinaryCodec(bits=8), config)
 
-    def test_spreader_isolated_by_its_own_strain_takes_no_second_death_draw(self, die_calls):
-        # a self-hit: a candidate equal to one of the strain's own spreaders
-        # is routed as fresh, so it may be isolated; it took its death draw
-        # as a spreader, so the step neither draws for it again nor buries it
-        strain = brood_strain(EpidemicParameters(p_isolation=1.0, p_die=1.0), {0: [0]})
-        strain.step()
-        assert die_calls == [[0], []]
-        assert 0 not in strain.shared.dead
-        assert strain.shared.recovered == {0}
-        assert strain.shared.counts() == (0, 1)
+    def test_spreader_isolated_by_its_own_strain_takes_no_second_death_draw(self):
+        # a traveler at traveler_rate 0 is its parent: a self-hit, routed as fresh
+        config = uniform(p_travel=1.0, traveler_rate=0, p_isolation=1.0, p_reinfection=0.0,
+                         p_die=0.0, pandemic_duration=1)
+        same_as_reference(NetCodec(generate_net_patient_zero(Random(0))), config)
 
 
 class TestSelectBest:
@@ -457,19 +333,15 @@ class TieCodec:
     def __init__(self, brood, objective):
         self.brood = list(brood)
         self.sign = 1 if objective is Objective.MINIMIZE else -1
-        self.spread = 0
 
     def generate_patient_zero(self, rng):
         return 10
 
     def replicate(self, parent, mode, count, traveler_rate, rng):
-        for _ in range(count):
-            child = self.brood[self.spread % len(self.brood)]
-            self.spread += 1
-            yield child
+        return iter(self.brood[:count])
 
     def fitness(self, genotype):
-        return self.sign * (0.0 if genotype in self.brood else 1.0)
+        return 0.0 if genotype in self.brood else self.sign * 1.0
 
     def search_space_size(self):
         return 1 + len(self.brood)
@@ -479,36 +351,18 @@ class TestIterationBest:
     @pytest.mark.parametrize("objective", list(Objective))
     @pytest.mark.parametrize("brood", [(7, 3), (3, 7)])
     def test_fitness_tie_goes_to_the_first_discovered(self, objective, brood):
-        params = EpidemicParameters(
-            p_die=0.0,
-            p_isolation=0.0,
-            p_travel=0.0,
-            ordinary_spread_range=(2, 2),
-            superspreader_spread_range=(2, 2),
-            pandemic_duration=1,
-            objective=objective,
-        )
-        codec = TieCodec(brood, objective)
-        result = run_strain(params, codec)
-        assert codec.spread == 2
-        first = brood[0]
-        assert result.best == EvaluatedIndividual(first, codec.fitness(first))
+        ranges = dict(ordinary_spread_range=(2, 2), superspreader_spread_range=(2, 2))
+        config = uniform(p_die=0.0, p_isolation=0.0, p_travel=0.0, pandemic_duration=1,
+                         objective=objective, **ranges)
+        same_as_reference(TieCodec(brood, objective), config)
 
 
 class TestRunStrain:
     def test_total_mortality_ends_after_one_iteration(self):
-        codec = BinaryCodec()
-        result = run_strain(EpidemicParameters(p_die=1.0), codec)
-        assert result.termination is Termination.EXTINCTION
-        assert len(result.history) == 1
-        assert result.history[0].deaths_total == 1
-        assert result.history[0].infected_count == 0
+        same_as_reference(B10, uniform(p_die=1.0))
 
-    def test_total_mortality_buries_patient_zero(self, engine_probe):
-        result = run_strain(EpidemicParameters(p_die=1.0), BinaryCodec())
-        [shared] = engine_probe.ledgers
-        assert shared.dead == {result.best.genotype}
-        assert engine_probe.violations == []
+    def test_total_mortality_buries_patient_zero(self):
+        same_as_reference(B20, uniform(p_die=1.0, seed=1))
 
     @pytest.mark.parametrize(
         "invalid",
@@ -521,49 +375,25 @@ class TestRunStrain:
         assert not codec.fitness_calls
 
     def test_universal_isolation_goes_extinct_immediately(self):
-        codec = BinaryCodec()
-        params = EpidemicParameters(p_isolation=1.0, p_reinfection=0.0, p_die=0.0)
-        for seed in range(10):
-            result = run_strain(params.with_seed(seed), codec)
-            assert result.termination is Termination.EXTINCTION
-            assert len(result.history) <= 2
+        same_as_reference(B10, uniform(p_isolation=1.0, p_reinfection=0.0, p_die=0.0))
 
     def test_fixed_seed_reproduces_everything(self):
-        params = EpidemicParameters(seed=5)
-        codec = BinaryCodec(bits=20)
-        assert run_strain(params, codec) == run_strain(params, codec)
+        same_as_reference(B20, uniform(seed=6))
 
     def test_history_counters_monotone(self):
-        result = run_strain(EpidemicParameters(seed=3), BinaryCodec(bits=20))
-        for earlier, later in zip(result.history, result.history[1:]):
-            assert later.deaths_total >= earlier.deaths_total
-            assert later.recovered_total >= earlier.recovered_total
-            assert later.best_fitness <= earlier.best_fitness
-            assert later.evaluations_total >= earlier.evaluations_total
+        same_as_reference(B20, uniform(seed=3))
 
     def test_recovered_total_never_falls_on_reinfection(self):
-        for seed in (0, 7, 40):
-            result = run_strain(EpidemicParameters(seed=seed), BinaryCodec(bits=20))
-            recovered = [row.recovered_total for row in result.history]
-            assert recovered == sorted(recovered), f"seed {seed}: {recovered}"
+        same_as_reference(B20, uniform(seed=40))
 
     def test_best_matches_minimum_of_trace(self):
-        result = run_strain(EpidemicParameters(seed=3), BinaryCodec(bits=20))
-        assert result.best.fitness == result.history[-1].best_fitness
+        same_as_reference(B20, uniform(seed=2))
 
     def test_extinction_iff_no_infected_remain(self):
-        for seed in range(8):
-            result = run_strain(EpidemicParameters(seed=seed), BinaryCodec(bits=20))
-            if result.termination is Termination.EXTINCTION:
-                assert result.history[-1].infected_count == 0
-            else:
-                assert len(result.history) == 30
+        same_as_reference(B20, uniform(seed=5))
 
     def test_each_genotype_evaluated_at_most_once(self):
-        codec = RecordingCodec(bits=20)
-        run_strain(EpidemicParameters(seed=4), codec)
-        assert codec.fitness_calls
-        assert max(codec.fitness_calls.values()) == 1
+        same_as_reference(B20, uniform(seed=4))
 
     def test_dead_and_recovered_never_overlap(self, engine_probe):
         run_strain(EpidemicParameters(seed=6), BinaryCodec(bits=20))
@@ -580,13 +410,7 @@ class TestRunStrain:
         assert engine_probe.violations == []
 
     def test_stop_fitness_halts_at_goal(self):
-        result = run_pandemic(
-            MultiStrainConfig.uniform(EpidemicParameters(seed=0, strains=1)),
-            BinaryCodec(bits=10),
-            stop_fitness=0,
-        )
-        assert result.best.fitness == 0
-        assert result.history[-1].best_fitness == 0
+        same_as_reference(B10, uniform(seed=0), stop=0)
 
     def test_evaluation_error_carries_partial_history(self):
         params = EpidemicParameters(p_isolation=0.0, p_die=0.0, seed=9)
@@ -605,11 +429,7 @@ class TestRunStrain:
         assert (partial.best, partial.strains, partial.history) == (None, [], [])
 
     def test_duration_bounds_iteration_count(self):
-        result = run_strain(
-            EpidemicParameters(pandemic_duration=7, p_isolation=0.0, seed=10),
-            BinaryCodec(bits=20),
-        )
-        assert len(result.history) <= 7
+        same_as_reference(B20, uniform(pandemic_duration=7, p_isolation=0.0, seed=0))
 
 
 class TestSharedLedger:

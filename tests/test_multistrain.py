@@ -26,13 +26,13 @@ from cvoa import (
     PzStrategy,
     Termination,
     run_pandemic,
-    run_strain,
     seed_patient_zeros,
 )
 from cvoa.cli import build_codec
 from cvoa.nn import generate_net_patient_zero
-from conftest import FailOnKth
+from conftest import FailOnKth, same_as_reference, uniform
 
+B20 = BinaryCodec(bits=20)
 SRC = str(Path(cvoa.engine.__file__).resolve().parent.parent)
 
 
@@ -192,32 +192,17 @@ class TestMultiStrainConfig:
 
 
 class TestRunPandemic:
+    """Pandemics that reach each rule of the lockstep driver, checked
+    against the reference model."""
+
     def test_single_strain_path_equals_run_strain(self):
-        codec = BinaryCodec(bits=20)
-        for seed in (1, 2, 3):
-            pandemic = run_pandemic(
-                MultiStrainConfig.uniform(EpidemicParameters(seed=seed, strains=1)), codec
-            )
-            standalone = run_strain(EpidemicParameters(seed=seed), codec)
-            assert pandemic.strains[0] == standalone
-            assert pandemic.history == standalone.history
-            assert pandemic.best == standalone.best
+        same_as_reference(B20, uniform(seed=1))
 
     def test_single_strain_trace_equals_run_strain_where_recovered_used_to_fall(self):
-        codec = BinaryCodec(bits=20, target=15)
-        for seed in (7, 40, 81):
-            pandemic = run_pandemic(
-                MultiStrainConfig.uniform(EpidemicParameters(seed=seed, strains=1)), codec
-            )
-            standalone = run_strain(EpidemicParameters(seed=seed), codec)
-            assert pandemic.history == standalone.history, f"seed {seed}"
+        same_as_reference(B20, uniform(seed=7))
 
     def test_five_strain_binary_run_is_reproducible(self):
-        config = MultiStrainConfig.uniform(EpidemicParameters(seed=1, strains=5))
-        codec = BinaryCodec(bits=20, target=15)
-        first = run_pandemic(config, codec)
-        for _ in range(2):
-            assert run_pandemic(config, codec) == first
+        same_as_reference(B20, uniform(5, seed=1))
 
     def test_binary_genotypes_are_plain_ints(self, engine_probe):
         # the codec owns the length: every genotype the engine scores is an int
@@ -230,146 +215,53 @@ class TestRunPandemic:
         assert engine_probe.violations == []
 
     def test_five_strain_surrogate_run_is_reproducible(self):
-        target = generate_net_patient_zero(Random((6 * 2654435761) % 2**64))
-        codec = NetCodec(target=target)
-        config = MultiStrainConfig.uniform(
-            EpidemicParameters(seed=6, strains=5), pz_strategy=PzStrategy.RANDOM
-        )
-        first = run_pandemic(config, codec)
-        for _ in range(2):
-            assert run_pandemic(config, codec) == first
+        codec = NetCodec(generate_net_patient_zero(Random(6 * 2654435761)))
+        same_as_reference(codec, uniform(5, PzStrategy.RANDOM, seed=6, pandemic_duration=8))
 
     def test_single_strain_path_is_deterministic(self):
-        codec = BinaryCodec(bits=20)
-        config = MultiStrainConfig.uniform(EpidemicParameters(seed=11, strains=1))
-        a = run_pandemic(config, codec)
-        b = run_pandemic(config, codec)
-        assert a.history == b.history
-        assert a.best == b.best
+        same_as_reference(B20, uniform(seed=11))
 
     def test_distinct_per_strain_parameters_complete(self):
-        strains = tuple(
-            EpidemicParameters(p_die=p_die, seed=seed)
-            for seed, p_die in enumerate((0.01, 0.03, 0.05, 0.07, 0.09))
-        )
-        config = MultiStrainConfig(parameters=strains, pz_strategy=PzStrategy.MAX_HAMMING_SPREAD)
-        result = run_pandemic(config, BinaryCodec(bits=20))
-        assert len(result.strains) == 5
-        strain_bests = [s.best.fitness for s in result.strains if s.best is not None]
-        assert result.best.fitness == min(strain_bests)
-        assert all(result.best.fitness <= f for f in strain_bests)
+        p_dies = (0.01, 0.03, 0.05, 0.07, 0.09)
+        strains = tuple(EpidemicParameters(p_die=p, seed=seed) for seed, p in enumerate(p_dies))
+        same_as_reference(B20, MultiStrainConfig(strains))
 
     def test_merged_history_sums_infected_counts(self):
-        config = MultiStrainConfig.uniform(EpidemicParameters(seed=2, strains=5))
-        result = run_pandemic(config, BinaryCodec(bits=20))
-        for i, row in enumerate(result.history):
-            expected = sum(
-                s.history[i].infected_count for s in result.strains if len(s.history) > i
-            )
-            assert row.infected_count == expected
-            assert row.iteration == i + 1
+        same_as_reference(B20, uniform(5, seed=2))
 
     def test_merged_history_counters_monotone(self):
-        config = MultiStrainConfig.uniform(EpidemicParameters(seed=4, strains=5))
-        result = run_pandemic(config, BinaryCodec(bits=20))
-        for earlier, later in zip(result.history, result.history[1:]):
-            assert later.deaths_total >= earlier.deaths_total
-            assert later.recovered_total >= earlier.recovered_total
-            assert later.best_fitness <= earlier.best_fitness
+        same_as_reference(B20, uniform(5, seed=4))
 
     def test_initial_best_no_better_than_final(self):
-        config = MultiStrainConfig.uniform(EpidemicParameters(seed=6, strains=5))
-        result = run_pandemic(config, BinaryCodec(bits=20))
-        assert result.initial_best >= result.best.fitness
+        same_as_reference(B20, uniform(5, seed=12))
 
     def test_totals_come_from_the_shared_ledger(self):
-        config = MultiStrainConfig.uniform(EpidemicParameters(seed=8, strains=5))
-        result = run_pandemic(config, BinaryCodec(bits=20))
-        assert result.evaluations_total >= result.history[-1].evaluations_total
-        assert result.dead_total >= 0
-        assert result.recovered_total > 0
+        same_as_reference(B20, uniform(5, seed=8))
 
     def test_termination_aggregation(self):
-        # a short pandemic cannot go extinct everywhere; a long one usually does
-        short = run_pandemic(
-            MultiStrainConfig.uniform(
-                EpidemicParameters(seed=1, strains=5, pandemic_duration=2, p_die=0.0,
-                                   p_isolation=0.0)
-            ),
-            BinaryCodec(bits=20),
-        )
-        assert short.termination is Termination.DURATION_REACHED
-        long = run_pandemic(
-            MultiStrainConfig.uniform(
-                EpidemicParameters(seed=1, strains=5, p_isolation=1.0, p_reinfection=0.0)
-            ),
-            BinaryCodec(bits=20),
-        )
-        assert long.termination is Termination.EXTINCTION
+        # a short pandemic cannot go extinct everywhere; one that isolates everyone does
+        same_as_reference(B20, uniform(5, seed=1, pandemic_duration=2, p_die=0.0, p_isolation=0.0))
+        same_as_reference(B20, uniform(5, seed=1, p_isolation=1.0, p_reinfection=0.0))
 
     def test_stop_fitness_halts_every_strain_in_the_goal_round(self):
-        codec = BinaryCodec(bits=20)
-        for seed in range(1, 9):
-            result = run_pandemic(
-                MultiStrainConfig.uniform(EpidemicParameters(seed=seed, strains=5)),
-                codec,
-                stop_fitness=0,
-            )
-            assert result.history[-1].best_fitness == 0
-            lengths = [len(s.history) for s in result.strains]
-            first = next(i for i, s in enumerate(result.strains) if s.best.fitness == 0)
-            assert lengths[first] == max(lengths)
-            # later strains did not step in the round that reached the goal
-            assert all(n < lengths[first] for n in lengths[first + 1 :])
+        # 20 bits, seed 1: strain 2 reaches 0 in iteration 7 of 30
+        same_as_reference(B20, uniform(5, seed=1), stop=0)
 
     def test_goal_stop_reports_goal_reached(self):
-        # 20 bits, seed 1: strain 2 reaches 0 in iteration 7 of 30
-        result = run_pandemic(
-            MultiStrainConfig.uniform(EpidemicParameters(seed=1, strains=5)),
-            BinaryCodec(bits=20),
-            stop_fitness=0,
-        )
-        assert len(result.history) == 7
-        assert result.termination is Termination.GOAL_REACHED
-        assert [s.termination for s in result.strains] == [Termination.GOAL_REACHED] * 5
+        same_as_reference(B20, uniform(5, seed=3), stop=0)
 
     def test_strain_extinct_before_the_goal_keeps_extinction(self):
         # 20 bits, seed 8: strain 4 dies out in iteration 1, the goal comes in 6
-        result = run_pandemic(
-            MultiStrainConfig.uniform(EpidemicParameters(seed=8, strains=5)),
-            BinaryCodec(bits=20),
-            stop_fitness=0,
-        )
-        assert result.termination is Termination.GOAL_REACHED
-        assert [len(s.history) for s in result.strains] == [6, 6, 6, 5, 1]
-        assert [s.termination for s in result.strains] == [Termination.GOAL_REACHED] * 4 + [
-            Termination.EXTINCTION
-        ]
+        same_as_reference(B20, uniform(5, seed=8), stop=0)
 
     def test_goal_in_the_last_iteration_outranks_the_duration(self):
         # 20 bits, seed 1: strains 0 and 1 end by duration in round 7 before
         # strain 2 reaches 0 in its own seventh and last step
-        result = run_pandemic(
-            MultiStrainConfig.uniform(EpidemicParameters(seed=1, strains=5, pandemic_duration=7)),
-            BinaryCodec(bits=20),
-            stop_fitness=0,
-        )
-        assert len(result.history) == 7
-        assert result.termination is Termination.GOAL_REACHED
-        assert [s.termination for s in result.strains] == [Termination.DURATION_REACHED] * 2 + [
-            Termination.GOAL_REACHED
-        ] * 3
+        same_as_reference(B20, uniform(5, seed=1, pandemic_duration=7), stop=0)
 
     def test_patient_zero_at_the_goal_reports_goal_reached(self):
         # every 10-bit genotype scores below 2**20, so each patient zero is at the goal
-        result = run_pandemic(
-            MultiStrainConfig.uniform(EpidemicParameters(seed=1, strains=3)),
-            BinaryCodec(bits=10),
-            stop_fitness=2**20,
-        )
-        assert result.history == []
-        assert result.termination is Termination.GOAL_REACHED
-        assert [s.termination for s in result.strains] == [Termination.GOAL_REACHED] * 3
+        same_as_reference(BinaryCodec(bits=10), uniform(3, seed=1), stop=2**20)
 
     def test_nan_stop_fitness_rejected_before_any_draw(self, monkeypatch):
         def no_draw(*args):
@@ -381,23 +273,12 @@ class TestRunPandemic:
             run_pandemic(config, BinaryCodec(bits=20), stop_fitness=float("nan"))
 
     def test_infinite_stop_fitness_keeps_its_meaning(self):
-        config = MultiStrainConfig.uniform(EpidemicParameters(seed=1, strains=3))
-        codec = BinaryCodec(bits=20)
         # every fitness is at least as good as +inf under minimize, none as -inf
-        at_once = run_pandemic(config, codec, stop_fitness=float("inf"))
-        assert at_once.history == []
-        assert at_once.termination is Termination.GOAL_REACHED
-        assert run_pandemic(config, codec, stop_fitness=float("-inf")) == run_pandemic(config, codec)
+        for stop in (float("inf"), float("-inf")):
+            same_as_reference(B20, uniform(3, seed=1), stop=stop)
 
     def test_goal_never_reached_keeps_the_old_terminations(self):
-        result = run_pandemic(
-            MultiStrainConfig.uniform(EpidemicParameters(seed=1, strains=5, pandemic_duration=2)),
-            BinaryCodec(bits=20),
-            stop_fitness=0,
-        )
-        assert result.best.fitness > 0
-        assert result.termination is Termination.DURATION_REACHED
-        assert Termination.GOAL_REACHED not in {s.termination for s in result.strains}
+        same_as_reference(B20, uniform(5, seed=1, pandemic_duration=2), stop=0)
 
     def test_dead_genotypes_stay_out_of_circulation_under_contention(self, engine_probe):
         # tiny space + many strains forces heavy ledger contention

@@ -1,54 +1,18 @@
 """The engine against `reference.py`, a plain model of the iteration and
 of the lockstep driver: the same state after every strain step and the
-same PandemicResult, over the whole validated parameter range."""
+same PandemicResult, over the whole validated parameter range. The
+hand-picked cases of each rule run the same check under their own names
+in test_engine.py and test_multistrain.py."""
 
+from math import inf
 from random import Random
-from unittest.mock import patch
 
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import reference
-from cvoa import (
-    BinaryCodec,
-    EpidemicParameters,
-    MultiStrainConfig,
-    NetCodec,
-    Objective,
-    PzStrategy,
-    Termination,
-    run_pandemic,
-    run_strain,
-)
-from cvoa.engine import Strain
+from cvoa import BinaryCodec, EpidemicParameters, MultiStrainConfig, NetCodec, Objective, PzStrategy
 from cvoa.nn import generate_net_patient_zero
-
-
-def plain(value):
-    """`value` with each Termination as its name and each record as a plain tuple."""
-    if isinstance(value, Termination):
-        return value.value
-    if isinstance(value, list):
-        return [plain(v) for v in value]
-    if isinstance(value, tuple):
-        return tuple(plain(v) for v in value)
-    return value
-
-
-class ScoredOnce:
-    """`codec`, failing when a genotype is scored a second time."""
-
-    def __init__(self, codec):
-        self.codec = codec
-        self.scored = set()
-
-    def __getattr__(self, name):
-        return getattr(self.codec, name)
-
-    def fitness(self, genotype):
-        assert genotype not in self.scored, f"{genotype!r} scored twice"
-        self.scored.add(genotype)
-        return self.codec.fitness(genotype)
+from conftest import same_as_reference
 
 
 @st.composite
@@ -90,109 +54,12 @@ def configs(draw):
     return MultiStrainConfig(parameters, draw(st.sampled_from(PzStrategy)))
 
 
-# the goals drawn: none (most often), the codec's optimum, one every genotype
-# meets, and the infinities
-STOPS = [None, None, "optimum", "everyone", float("inf"), float("-inf")]
-
-
-def goal(stop, codec, objective):
-    if stop == "optimum":
-        return codec.optimum_fitness()
-    if stop == "everyone":
-        # every score of both codecs is an int in [0, 2**64)
-        return 2**64 if objective is Objective.MINIMIZE else 0
-    return stop
-
-
-def uniform(strains=1, pz_strategy=PzStrategy.MAX_HAMMING_SPREAD, **fields):
-    return MultiStrainConfig.uniform(EpidemicParameters(strains=strains, **fields), pz_strategy)
-
-
-B10, B20 = BinaryCodec(bits=10), BinaryCodec(bits=20)
-NET = NetCodec(generate_net_patient_zero(Random(0)))
-TIE = dict(p_die=0.0, p_isolation=0.0, p_travel=0.0, ordinary_spread_range=(2, 2),
-           superspreader_spread_range=(2, 2), pandemic_duration=1)
-
-
 @settings(max_examples=300, deadline=None)
-@given(codecs(), configs(), st.sampled_from(STOPS))
-# routing and breeding: a super-spreader breeds from the wide range, a zero-width range
-# breeds nothing, a brood travels whole at p_travel 1 and never at 0, and the travel
-# draw comes before the count draw, then each child's draws
-@example(B20, uniform(p_isolation=0.0, pandemic_duration=1), None)
-@example(B10, uniform(ordinary_spread_range=(0, 0), p_superspreader=0.0, seed=3), None)
-@example(B20, uniform(p_travel=1.0, pandemic_duration=2), None)
-@example(B20, uniform(p_travel=0.0, pandemic_duration=2), None)
-@example(B20, uniform(p_travel=0.5, pandemic_duration=3), None)
-# a lone patient zero is the fittest and spreads wide; the fittest spread wide,
-# under either objective
-@example(B20, uniform(p_die=0.0, pandemic_duration=1), None)
-@example(B20, uniform(p_die=0.0, p_isolation=0.0, pandemic_duration=2, seed=1), None)
-@example(B20, uniform(p_die=0.0, p_isolation=0.0, pandemic_duration=2, seed=1,
-                      objective=Objective.MAXIMIZE), None)
-# the step's fates: isolates take a death draw, survivors count as recovered, an
-# isolate reinfected in its own step is spared, and so is a spreader that its own
-# strain isolated (a traveler with traveler_rate 0 can be its parent)
-@example(B10, uniform(p_isolation=1.0, p_die=0.9, seed=7), None)
-@example(B10, uniform(p_isolation=1.0, p_die=0.0, pandemic_duration=1), None)
-@example(BinaryCodec(bits=8), uniform(p_isolation=1.0, p_reinfection=1.0, p_die=0.5, seed=1), None)
-@example(NET, uniform(p_travel=1.0, traveler_rate=0, p_isolation=1.0, p_reinfection=0.0, p_die=0.0,
-                      pandemic_duration=1), None)
-# an iteration's best is the first of its tied genotypes, under either objective
-@example(BinaryCodec(bits=8, target=176), uniform(**TIE), None)
-@example(BinaryCodec(bits=8, target=224), uniform(**TIE, objective=Objective.MAXIMIZE), None)
-# whole single-strain runs: total mortality, universal isolation, the default
-# parameters on several seeds, and a stop at the optimum
-@example(B10, uniform(p_die=1.0), None)
-@example(B10, uniform(p_isolation=1.0, p_reinfection=0.0, p_die=0.0), None)
-@example(B20, uniform(seed=1), None)
-@example(B20, uniform(seed=3), None)
-@example(B20, uniform(seed=4), None)
-@example(B20, uniform(seed=5), None)
-@example(B20, uniform(seed=7), None)
-@example(B20, uniform(seed=11), None)
-@example(B10, uniform(seed=0), 0)
-# whole 3- and 5-strain pandemics: per-strain parameters, the merged history and
-# totals, the terminations, and a goal met at once, never, in the last
-# iteration, after a strain died out, or set at either infinity
-@example(NetCodec(generate_net_patient_zero(Random(6 * 2654435761))),
-         uniform(5, PzStrategy.RANDOM, seed=6, pandemic_duration=8), None)
-@example(B20, MultiStrainConfig(tuple(EpidemicParameters(p_die=p_die, seed=seed) for seed, p_die
-                                      in enumerate((0.01, 0.03, 0.05, 0.07, 0.09)))), None)
-@example(B20, uniform(5, seed=1), None)
-@example(B20, uniform(5, seed=2), None)
-@example(B20, uniform(5, seed=4), None)
-@example(B20, uniform(5, seed=8), None)
-@example(B20, uniform(5, seed=1, pandemic_duration=2, p_die=0.0, p_isolation=0.0), None)
-@example(B20, uniform(5, seed=1, p_isolation=1.0, p_reinfection=0.0), None)
-@example(B20, uniform(5, seed=1), 0)
-@example(B20, uniform(5, seed=8), 0)
-@example(B20, uniform(5, seed=1, pandemic_duration=7), 0)
-@example(B20, uniform(5, seed=1, pandemic_duration=2), 0)
-@example(B10, uniform(3, seed=1), 2**20)
-@example(B20, uniform(3, seed=1), float("inf"))
-@example(B20, uniform(3, seed=1), float("-inf"))
+# the goal: none (most often), the codec's optimum, one every genotype meets, or an infinity
+@given(codecs(), configs(), st.sampled_from([None, None, "optimum", "everyone", inf, -inf]))
 def test_engine_steps_as_the_reference_does(codec, config, stop):
-    stop = goal(stop, codec, config.parameters[0].objective)
-    steps = []
-    step = Strain.step
-
-    def recording(strain):
-        step(strain)
-        shared = strain.shared
-        steps.append(
-            (strain.params.seed, list(strain.infected), set(shared.dead), set(shared.recovered),
-             list(shared.fitness_cache), strain.best, strain.history[-1],
-             plain(strain.termination), strain.rng.getstate())
-        )
-
-    with patch.object(Strain, "step", recording):
-        result = run_pandemic(config, ScoredOnce(codec), stop_fitness=stop)
-    expected_steps, expected = reference.run(config.parameters, config.pz_strategy, codec, stop)
-    for i, (engine, model) in enumerate(zip(steps, expected_steps)):
-        assert engine == model, f"strain step {i + 1}"
-    assert len(steps) == len(expected_steps)
-    assert plain(result) == expected
-    if len(config.parameters) == 1 and stop is None:
-        # run_strain is the one-strain pandemic's strain
-        assert plain(run_strain(config.parameters[0], codec)) == expected[1][0]
+    if stop == "optimum":
+        stop = codec.optimum_fitness()
+    elif stop == "everyone":  # every score of both codecs is an int in [0, 2**64)
+        stop = 2**64 if config.parameters[0].objective is Objective.MINIMIZE else 0
+    same_as_reference(codec, config, stop)
