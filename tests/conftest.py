@@ -1,11 +1,12 @@
 """Shared doubles: the engine probe, which states the ledger rules once and
 checks them on every brood; the check of a run against `reference.py`;
-scripted external evaluators, the reply table that states their contract,
-and the `cvoa run` of an nn config they score; and a codec that fails on
-its k-th evaluation."""
+the scoring double, which counts scores and can fail a score or stop at a
+deadline; scripted external evaluators, the reply table that states their
+contract, and the `cvoa run` of an nn config they score."""
 
 import json
 import sys
+import time
 from itertools import count, islice
 from typing import Any, NamedTuple
 from unittest.mock import patch
@@ -103,18 +104,33 @@ def uniform(strains=1, pz_strategy=PzStrategy.MAX_HAMMING_SPREAD, **fields):
     return MultiStrainConfig.uniform(EpidemicParameters(strains=strains, **fields), pz_strategy)
 
 
-class ScoredOnce:
-    """`codec`, failing when a genotype is scored a second time."""
+class BudgetSpent(Exception):
+    """A score asked for past a deadline. Not an EvaluationError, so
+    run_pandemic lets it through."""
 
-    def __init__(self, codec):
-        self.codec, self.scored = codec, set()
+
+class Scored:
+    """`codec`, a 20-bit BinaryCodec by default, scored only through
+    `fitness`, which counts its calls in `scores`: the `fail_at`-th score
+    raises EvaluationError, and one past `deadline`, a `time.monotonic()`
+    reading, raises BudgetSpent. A run that scored no genotype twice made
+    `evaluations_total` scores; counting them costs no memory per genotype."""
+
+    def __init__(self, codec=None, *, fail_at=None, deadline=None):
+        self.codec = BinaryCodec(bits=20) if codec is None else codec
+        if hasattr(self.codec, "fitness_all"):
+            raise TypeError(f"{self.codec!r}: a fitness_all hook would bypass the double")
+        self.fail_at, self.deadline, self.scores = fail_at, deadline, 0
 
     def __getattr__(self, name):
         return getattr(self.codec, name)
 
     def fitness(self, genotype):
-        assert genotype not in self.scored, f"{genotype!r} scored twice"
-        self.scored.add(genotype)
+        if self.deadline is not None and time.monotonic() >= self.deadline:
+            raise BudgetSpent
+        self.scores += 1
+        if self.scores == self.fail_at:
+            raise EvaluationError(f"synthetic failure at evaluation {self.fail_at}")
         return self.codec.fitness(genotype)
 
 
@@ -137,8 +153,10 @@ def same_as_reference(codec, config, stop=None):
              strain.termination, strain.rng.getstate())
         )
 
+    scored = Scored(codec)
     with patch.object(cvoa.engine.Strain, "step", recording):
-        result = run_pandemic(config, ScoredOnce(codec), stop_fitness=stop)
+        result = run_pandemic(config, scored, stop_fitness=stop)
+    assert scored.scores == result.evaluations_total, "a genotype was scored twice"
     expected_steps, expected = reference.run(config.parameters, config.pz_strategy, codec, stop)
     for i, (engine, model) in enumerate(zip(steps, expected_steps)):
         assert engine == model, f"strain step {i + 1}"
@@ -222,20 +240,3 @@ def run_nn(tmp_path, command, repeat=1, **parameters):
     path.write_text(json.dumps(config), encoding="utf-8")
     return main(["run", "--config", str(path)]), run / "out"
 
-
-class FailOnKth:
-    """A 20-bit BinaryCodec whose k-th fitness evaluation raises."""
-
-    def __init__(self, k):
-        self.inner = BinaryCodec(bits=20)
-        self.k = k
-        self.calls = 0
-
-    def __getattr__(self, name):
-        return getattr(self.inner, name)
-
-    def fitness(self, genotype):
-        self.calls += 1
-        if self.calls == self.k:
-            raise EvaluationError(f"synthetic failure at evaluation {self.k}")
-        return self.inner.fitness(genotype)

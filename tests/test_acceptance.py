@@ -6,6 +6,7 @@ to the outcome. Each test prints one pass/fail line under pytest -v.
 """
 
 import time
+from contextlib import suppress
 from pathlib import Path
 from random import Random
 
@@ -23,6 +24,7 @@ from cvoa import (
 )
 from cvoa.cli import aggregate_summaries, build_codec, main, run_summary
 from cvoa.nn import NetGenotype, decode, parse_net_text, resize_layers, surrogate_fitness
+from conftest import BudgetSpent, Scored
 
 SEEDS_50 = range(1, 51)
 SEEDS_20 = range(1, 21)
@@ -42,17 +44,26 @@ def defaults(seed: int) -> MultiStrainConfig:
 def campaign(configs, codec_for, stop=None, deadline=None) -> dict:
     """One pandemic per config, scored by `codec_for(seed)` and stopped at
     fitness `stop`, if given: the aggregates that `cvoa run` writes to
-    summary.json. A `deadline`, a `time.monotonic()` reading, is checked
-    after every pandemic, so a spent budget fails the test at once."""
+    summary.json. A `deadline`, a `time.monotonic()` reading, is checked at
+    every score and after every pandemic: a spent budget fails the test."""
     runs = []
-    for config in configs:
-        seed = config.parameters[0].seed
-        codec = codec_for(seed)
-        result = run_pandemic(config, codec, stop_fitness=stop)
-        runs.append(run_summary(seed, result, codec, Objective.MINIMIZE))
-        if deadline is not None and time.monotonic() >= deadline:
-            pytest.fail(f"runtime budget exceeded: campaign unfinished after {len(runs)} pandemics")
-    return aggregate_summaries(runs, codec.search_space_size())
+    with suppress(BudgetSpent):  # failed below, so no failure holds the stopped pandemic
+        for config in configs:
+            seed = config.parameters[0].seed
+            codec = codec_for(seed)
+            result = run_pandemic(config, Scored(codec, deadline=deadline), stop_fitness=stop)
+            runs.append(run_summary(seed, result, codec, Objective.MINIMIZE))
+            if deadline is not None and time.monotonic() >= deadline:
+                raise BudgetSpent
+        return aggregate_summaries(runs, codec.search_space_size())
+    pytest.fail(f"runtime budget exceeded: campaign unfinished after {len(runs)} pandemics")
+
+
+def test_spent_budget_fails_inside_the_pandemic():
+    """A campaign past its deadline fails at its first score, the patient-zero batch."""
+    codec = BinaryCodec(bits=40, target=TARGET)
+    with pytest.raises(pytest.fail.Exception, match="unfinished after 0 pandemics"):
+        campaign([defaults(1)], lambda _: codec, deadline=time.monotonic())
 
 
 @pytest.fixture(scope="module")

@@ -1,7 +1,6 @@
 """Single-strain loop: phases, dispositions, bookkeeping, determinism."""
 
 import math
-from collections import Counter
 from operator import attrgetter
 from random import Random
 
@@ -31,18 +30,17 @@ from cvoa import (
 )
 from cvoa.engine import Strain, superspreader_count
 from cvoa.nn import generate_net_patient_zero
-from conftest import FailOnKth, same_as_reference, uniform
+from conftest import Scored, same_as_reference, uniform
 
 FITNESS = attrgetter("fitness")
 B10, B20 = BinaryCodec(bits=10), BinaryCodec(bits=20)
 
 
 class RecordingCodec:
-    """BinaryCodec wrapper that counts fitness calls and records each child."""
+    """BinaryCodec wrapper that records each child."""
 
     def __init__(self, bits=10, target=15):
         self.inner = BinaryCodec(bits=bits, target=target)
-        self.fitness_calls = Counter()
         self.children = []
 
     def __getattr__(self, name):
@@ -54,14 +52,11 @@ class RecordingCodec:
             self.children.append(child)
             yield child
 
-    def fitness(self, genotype):
-        self.fitness_calls[genotype] += 1
-        return self.inner.fitness(genotype)
-
 
 class BatchingCodec(RecordingCodec):
     """RecordingCodec with a fitness_all hook that scores a whole batch
-    first, then yields the scores in order and raises at a failing one."""
+    first, then yields the scores in order and raises at a failing one.
+    A score through `fitness`, one by one, fails the test."""
 
     def __init__(self, failing=(), scores=None):
         super().__init__()
@@ -81,6 +76,9 @@ class BatchingCodec(RecordingCodec):
             if isinstance(outcome, EvaluationError):
                 raise outcome
             yield outcome
+
+    def fitness(self, genotype):
+        raise AssertionError(f"{genotype!r} scored one by one, past the batch hook")
 
 
 def routing_strain(params=EpidemicParameters(), codec=None, rng=None):
@@ -369,10 +367,10 @@ class TestRunStrain:
         [{"ordinary_spread_range": (5, 2)}, {"p_die": 2.0}, {"pandemic_duration": -1}],
     )
     def test_invalid_parameters_rejected_before_any_evaluation(self, invalid):
-        codec = RecordingCodec()
+        codec = Scored()
         with pytest.raises(ParameterError):
             run_strain(EpidemicParameters(**invalid), codec)
-        assert not codec.fitness_calls
+        assert not codec.scores
 
     def test_universal_isolation_goes_extinct_immediately(self):
         same_as_reference(B10, uniform(p_isolation=1.0, p_reinfection=0.0, p_die=0.0))
@@ -415,7 +413,7 @@ class TestRunStrain:
     def test_evaluation_error_carries_partial_history(self):
         params = EpidemicParameters(p_isolation=0.0, p_die=0.0, seed=9)
         with pytest.raises(EvaluationError) as err:
-            run_strain(params, FailOnKth(11))
+            run_strain(params, Scored(fail_at=11))
         partial = err.value.partial
         assert partial.termination is None
         assert partial.best is not None
@@ -423,7 +421,7 @@ class TestRunStrain:
 
     def test_patient_zero_failure_carries_an_empty_partial(self):
         with pytest.raises(EvaluationError) as err:
-            run_strain(EpidemicParameters(seed=9), FailOnKth(1))
+            run_strain(EpidemicParameters(seed=9), Scored(fail_at=1))
         partial = err.value.partial
         assert isinstance(partial, PandemicResult)
         assert (partial.best, partial.strains, partial.history) == (None, [], [])
@@ -449,10 +447,10 @@ class TestSharedLedger:
 
     def test_evaluate_memoizes(self):
         shared = SharedLedger()
-        codec = RecordingCodec()
+        codec = Scored()
         g = 3
         assert shared.evaluate(codec, g) == shared.evaluate(codec, g)
-        assert codec.fitness_calls[g] == 1
+        assert codec.scores == 1
         assert shared.evaluations_total() == 1
 
     def test_recoveries_are_counted_not_membership(self):
@@ -468,14 +466,13 @@ class TestSharedLedger:
         shared = SharedLedger()
         codec = BatchingCodec()
         a, b, c = 1, 2, 3
+        # a direct evaluate miss is a batch of one through the hook
         shared.evaluate(codec, b)
         values = shared.evaluate_all(codec, [c, b, a, c])
         assert values == [codec.inner.fitness(g) for g in (c, b, a, c)]
         assert codec.batches == [[b], [c, a]]
         assert shared.evaluate_all(codec, [a, c]) == [values[2], values[0]]
         assert codec.batches == [[b], [c, a]]
-        # a direct evaluate miss is a batch of one through the hook
-        assert codec.fitness_calls == Counter()
 
     def test_evaluate_all_caches_the_scores_before_a_failure(self):
         a, b, c, d = 1, 2, 3, 4
@@ -511,8 +508,6 @@ class TestSharedLedger:
             shared.evaluate_all(codec, [a, b])
         paired = [a, b][:returned]
         assert shared.fitness_cache == {g: codec.inner.fitness(g) for g in paired}
-        # no genotype the batch missed is scored one by one instead
-        assert codec.fitness_calls == Counter()
 
     def test_non_finite_fitness_raises_and_is_not_cached(self):
         class BadCodec(RecordingCodec):

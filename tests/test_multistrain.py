@@ -30,7 +30,7 @@ from cvoa import (
 )
 from cvoa.cli import build_codec
 from cvoa.nn import generate_net_patient_zero
-from conftest import FailOnKth, same_as_reference, uniform
+from conftest import Scored, same_as_reference, uniform
 
 B20 = BinaryCodec(bits=20)
 SRC = str(Path(cvoa.engine.__file__).resolve().parent.parent)
@@ -405,7 +405,7 @@ class TestGenotypeContract:
 
 def failed_pandemic(params, k):
     with pytest.raises(EvaluationError) as err:
-        run_pandemic(MultiStrainConfig.uniform(params), FailOnKth(k))
+        run_pandemic(MultiStrainConfig.uniform(params), Scored(fail_at=k))
     return err.value.partial
 
 
