@@ -1,20 +1,18 @@
-"""Shared doubles: the engine probe, which states the ledger rules once and
-checks them on every brood; the check of a run against `reference.py`;
-the scoring double, which counts scores and can fail a score or stop at a
-deadline; scripted external evaluators, the reply table that states their
-contract, and the `cvoa run` of an nn config they score."""
+"""Shared doubles: the check of a run against the reference model
+(`reference.py`) after every strain step, the tests' one watch on the
+ledger rules; the scoring double, which counts scores and can fail a
+score or stop at a deadline; scripted external evaluators, the reply table
+that states their contract, and the `cvoa run` of an nn config they score."""
 
 import json
 import sys
 import time
-from itertools import count, islice
-from typing import Any, NamedTuple
+from itertools import count
 from unittest.mock import patch
 
 import pytest
 
 import cvoa.engine
-import cvoa.multistrain
 import reference
 from cvoa import (
     BinaryCodec,
@@ -27,76 +25,6 @@ from cvoa import (
     run_strain,
 )
 from cvoa.cli import main
-
-
-class Brood(NamedTuple):
-    strain: Any
-    spreader: Any
-    wide: bool
-    fitness: Any  # the spreader's cached fitness, None if never scored
-    infected: list  # the step's infected, in the step's order
-    admitted: list  # the brood's additions to new_infected, in order
-    deaths: int  # the ledger's dead when the brood bred
-
-
-def _added(population: dict, before: int) -> list:
-    """The keys added to an insertion-ordered dict since it held `before`."""
-    return list(islice(reversed(population), len(population) - before))[::-1]
-
-
-class EngineProbe:
-    """Every SharedLedger and brood of a test's runs, and each breach of the
-    ledger rules: a dead spreader or infected genotype (the infected checked
-    once per step); a dead genotype that a brood admits or isolates, the one
-    way into new_infected or isolated_now, since no brood buries and no
-    strain steps inside another's step; and dead and recovered overlapping
-    (the whole ledger checked once per step and when `violations` is read,
-    a brood's isolates, all that it adds to recovered, after the brood)."""
-
-    def __init__(self, infect) -> None:
-        self._infect = infect
-        self.ledgers: list = []
-        self.broods: list[Brood] = []
-        self._violations: list[tuple] = []
-        self._steps: dict = {}  # strain -> (its step's new_infected, its step's infected)
-
-    def ledger(self) -> cvoa.engine.SharedLedger:
-        """Stands in for SharedLedger() in cvoa.multistrain."""
-        self.ledgers.append(cvoa.engine.SharedLedger())
-        return self.ledgers[-1]
-
-    @property
-    def violations(self) -> list[tuple]:
-        ledgers = [s for s in self.ledgers if not s.dead.isdisjoint(s.recovered)]
-        return self._violations + [("dead and recovered overlap", s) for s in ledgers]
-
-    def infect(self, strain, spreader, wide: bool) -> None:
-        shared, dead, breach = strain.shared, strain.shared.dead, self._violations.append
-        step = self._steps.get(strain)
-        if step is None or step[0] is not strain.new_infected:  # the step's first brood
-            step = self._steps[strain] = (strain.new_infected, list(strain.infected))
-            if not dead.isdisjoint(step[1]):
-                breach(("infected genotype is dead", strain))
-            if not dead.isdisjoint(shared.recovered):
-                breach(("dead and recovered overlap", strain))
-        if spreader in dead:
-            breach(("spreader is dead", spreader))
-        admitted, isolated = len(strain.new_infected), len(strain.isolated_now)
-        self._infect(strain, spreader, wide)
-        admissions = _added(strain.new_infected, admitted)
-        if not dead.isdisjoint(admissions + _added(strain.isolated_now, isolated)):
-            breach(("brood admitted or isolated a dead genotype", spreader))
-        fitness = shared.fitness_cache.get(spreader)
-        self.broods.append(Brood(strain, spreader, wide, fitness, step[1], admissions, len(dead)))
-
-
-@pytest.fixture
-def engine_probe(monkeypatch) -> EngineProbe:
-    """The tests' one patch of cvoa.engine.infect and cvoa.multistrain.SharedLedger."""
-    probe = EngineProbe(cvoa.engine.infect)
-    monkeypatch.setattr(cvoa.engine, "infect", probe.infect)
-    monkeypatch.setattr(cvoa.multistrain, "SharedLedger", probe.ledger)
-    return probe
 
 
 def uniform(strains=1, pz_strategy=PzStrategy.MAX_HAMMING_SPREAD, **fields):
@@ -136,11 +64,12 @@ class Scored:
 
 def same_as_reference(codec, config, stop=None):
     """Check the pandemic of `config`, scored by `codec` and stopped at
-    `stop`, against the reference model: each genotype scored once, after
-    every strain step the same infected in order, dead, recovered, scored
-    genotypes in order, best, history row, termination and stream state,
-    and the same PandemicResult; for one strain without a goal, the same
-    result from `run_strain`."""
+    `stop`, against the reference model, and return its PandemicResult.
+    Checked: each genotype scored once; after every strain step, dead and
+    recovered disjoint, and the same infected in order, dead, recovered,
+    scored genotypes in order, best, history row, termination and stream
+    state; the same PandemicResult; for one strain without a goal, the
+    same result from `run_strain`."""
     steps = []
     step = cvoa.engine.Strain.step
 
@@ -159,11 +88,20 @@ def same_as_reference(codec, config, stop=None):
     assert scored.scores == result.evaluations_total, "a genotype was scored twice"
     expected_steps, expected = reference.run(config.parameters, config.pz_strategy, codec, stop)
     for i, (engine, model) in enumerate(zip(steps, expected_steps)):
+        _, _, dead, recovered, *_ = engine
+        assert dead.isdisjoint(recovered), f"strain step {i + 1}: dead and recovered overlap"
         assert engine == model, f"strain step {i + 1}"
     assert len(steps) == len(expected_steps)
     assert result == expected
     if len(config.parameters) == 1 and stop is None:
         assert run_strain(config.parameters[0], codec) == expected[1][0]
+    return result
+
+
+def stepped_with_deaths(*results) -> bool:
+    """Whether a strain of one of `results` stepped with the dead in its
+    ledger: a history row before the last counts a death."""
+    return any(row.deaths_total for result in results for row in result.history[:-1])
 
 
 def _fresh(directory, stem: str, suffix: str = ""):
@@ -205,8 +143,18 @@ REPLIES = [
         1.0,
         id="undecodable-stderr",
     ),
+    pytest.param(
+        replying("epoch 1/1 loss 0.3") + "; print('{\"fitness\": 2.5}'); print()",
+        2.5,
+        id="progress-line-before-reply",
+    ),
     pytest.param(replying('{"fitness": NaN}'), "non-finite", id="nan"),
     pytest.param("import sys; sys.exit(3)", "exited 3", id="nonzero-exit"),
+    pytest.param(
+        "import sys; sys.stdin.readline(); sys.stderr.write('x' * 5000); sys.exit(3)",
+        "exited 3: x",
+        id="long-stderr",
+    ),
     pytest.param(replying("not json"), MALFORMED, id="not-json"),
     pytest.param(replying('{"fitness": "3.5"}'), MALFORMED, id="string"),
     pytest.param(replying('{"fitness": true}'), MALFORMED, id="bool"),

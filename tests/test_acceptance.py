@@ -5,8 +5,9 @@ paired and surrogate studies, seed 1 for the demo run) and are never tuned
 to the outcome. Each test prints one pass/fail line under pytest -v.
 """
 
+import gc
 import time
-from contextlib import suppress
+import weakref
 from pathlib import Path
 from random import Random
 
@@ -24,7 +25,7 @@ from cvoa import (
 )
 from cvoa.cli import aggregate_summaries, build_codec, main, run_summary
 from cvoa.nn import NetGenotype, decode, parse_net_text, resize_layers, surrogate_fitness
-from conftest import BudgetSpent, Scored
+from conftest import BudgetSpent, Scored, same_as_reference, stepped_with_deaths, uniform
 
 SEEDS_50 = range(1, 51)
 SEEDS_20 = range(1, 21)
@@ -45,9 +46,10 @@ def campaign(configs, codec_for, stop=None, deadline=None) -> dict:
     """One pandemic per config, scored by `codec_for(seed)` and stopped at
     fitness `stop`, if given: the aggregates that `cvoa run` writes to
     summary.json. A `deadline`, a `time.monotonic()` reading, is checked at
-    every score and after every pandemic: a spent budget fails the test."""
+    every score and after every pandemic: a spent budget fails the test, and
+    so does a MemoryError."""
     runs = []
-    with suppress(BudgetSpent):  # failed below, so no failure holds the stopped pandemic
+    try:
         for config in configs:
             seed = config.parameters[0].seed
             codec = codec_for(seed)
@@ -56,7 +58,13 @@ def campaign(configs, codec_for, stop=None, deadline=None) -> dict:
             if deadline is not None and time.monotonic() >= deadline:
                 raise BudgetSpent
         return aggregate_summaries(runs, codec.search_space_size())
-    pytest.fail(f"runtime budget exceeded: campaign unfinished after {len(runs)} pandemics")
+    except BudgetSpent:
+        failure = "runtime budget exceeded"
+    except MemoryError:
+        failure = "out of memory"
+    # failed outside the handler: a failure that held the error would keep
+    # the stopped pandemic's frames, and all its memory, alive into the next test
+    pytest.fail(f"{failure}: campaign unfinished after {len(runs)} pandemics")
 
 
 def test_spent_budget_fails_inside_the_pandemic():
@@ -64,6 +72,44 @@ def test_spent_budget_fails_inside_the_pandemic():
     codec = BinaryCodec(bits=40, target=TARGET)
     with pytest.raises(pytest.fail.Exception, match="unfinished after 0 pandemics"):
         campaign([defaults(1)], lambda _: codec, deadline=time.monotonic())
+
+
+class Starving:
+    """A 20-bit BinaryCodec whose `k`-th score raises MemoryError, and a
+    weakref to the stream of each brood it breeds."""
+
+    def __init__(self, k):
+        self.codec, self.k, self.scores, self.streams = BinaryCodec(bits=20), k, 0, []
+
+    def __getattr__(self, name):
+        return getattr(self.codec, name)
+
+    def replicate(self, parent, mode, count, traveler_rate, rng):
+        self.streams.append(weakref.ref(rng))
+        return self.codec.replicate(parent, mode, count, traveler_rate, rng)
+
+    def fitness(self, genotype):
+        self.scores += 1
+        if self.scores == self.k:
+            raise MemoryError
+        return self.codec.fitness(genotype)
+
+
+def test_memory_error_fails_the_campaign_and_frees_its_pandemic():
+    """A campaign out of memory fails with its own message, and the failure,
+    which pytest keeps past the test, holds nothing of the stopped pandemic:
+    its strains are freed at once, without the cycle collector."""
+    codec = Starving(600)  # 20 bits, seed 1: the 600th of 1,258 scores
+    message = "out of memory: campaign unfinished after 0 pandemics"
+    gc.disable()
+    try:
+        # `failure` stays bound through the check, as pytest keeps a failed test's error
+        with pytest.raises(pytest.fail.Exception, match=message) as failure:
+            campaign([defaults(1)], lambda _: codec)
+        alive = [ref for ref in codec.streams if ref() is not None]
+    finally:
+        gc.enable()
+    assert codec.streams and not alive, f"{len(alive)} of {len(codec.streams)} streams alive"
 
 
 @pytest.fixture(scope="module")
@@ -143,10 +189,10 @@ def test_fixed_seed_single_strain_csv_is_byte_identical(tmp_path):
     assert first == second
 
 
-def test_instrumented_run_upholds_ledger_invariants(engine_probe):
+def test_instrumented_run_upholds_ledger_invariants():
     """A whole run, 29 iterations to extinction, with a monotone best and
-    every brood checked by the engine probe's ledger rules."""
-    result = run_strain(EpidemicParameters(seed=0), BinaryCodec(bits=30, target=TARGET))
+    every strain step checked against the reference model's ledger rules."""
+    result = same_as_reference(BinaryCodec(bits=30, target=TARGET), uniform(seed=0))
     # a fixed-seed trajectory fact, like the pins in test_multistrain.py: a
     # deliberate change to the search re-pins it, never the seed or parameters
     assert (len(result.history), result.termination) == (29, Termination.EXTINCTION), (
@@ -154,9 +200,7 @@ def test_instrumented_run_upholds_ledger_invariants(engine_probe):
     )
     best_trace = [row.best_fitness for row in result.history]
     assert best_trace == sorted(best_trace, reverse=True), "best fitness not monotone"
-    assert engine_probe.broods, "the probe saw no brood"
-    violations = engine_probe.violations
-    assert violations == [], f"{len(violations)} ledger violations: {violations[:5]}"
+    assert stepped_with_deaths(result), "no strain stepped with the dead in its ledger"
 
 
 def test_resize_and_decode_match_worked_examples():

@@ -5,10 +5,9 @@ from operator import attrgetter
 from random import Random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-import cvoa.engine
 from cvoa import (
     BinaryCodec,
     Disposition,
@@ -30,7 +29,7 @@ from cvoa import (
 )
 from cvoa.engine import Strain, superspreader_count
 from cvoa.nn import generate_net_patient_zero
-from conftest import Scored, same_as_reference, uniform
+from conftest import Scored, same_as_reference, stepped_with_deaths, uniform
 
 FITNESS = attrgetter("fitness")
 B10, B20 = BinaryCodec(bits=10), BinaryCodec(bits=20)
@@ -117,48 +116,6 @@ class TestDie:
         assert die(population, EpidemicParameters(p_die=0.3), rng) == expected
 
 
-class TestNewInfection:
-    def test_dead_candidate_ignored(self):
-        strain = routing_strain(EpidemicParameters(p_isolation=0.0, p_reinfection=1.0))
-        strain.shared.dead.add(7)
-        assert new_infection(strain, 7) is Disposition.IGNORED
-        assert 7 not in strain.new_infected
-
-    def test_fresh_candidate_admitted_without_isolation(self):
-        strain = routing_strain(EpidemicParameters(p_isolation=0.0))
-        assert new_infection(strain, 7) is Disposition.ADDED_TO_NEW_INFECTED
-        assert 7 in strain.new_infected
-
-    def test_fresh_candidate_always_isolated_at_one(self):
-        strain = routing_strain(EpidemicParameters(p_isolation=1.0))
-        assert new_infection(strain, 7) is Disposition.ISOLATED
-        assert 7 in strain.shared.recovered
-        assert 7 in strain.isolated_now
-        assert 7 not in strain.new_infected
-
-    def test_recovered_candidate_reinfected_at_one(self):
-        strain = routing_strain(EpidemicParameters(p_reinfection=1.0))
-        strain.shared.recovered.add(7)
-        assert new_infection(strain, 7) is Disposition.REINFECTED
-        assert 7 not in strain.shared.recovered
-        assert 7 in strain.new_infected
-
-    def test_duplicate_candidate_gets_no_second_isolation_draw(self):
-        strain = routing_strain(EpidemicParameters(p_isolation=0.0))
-        assert new_infection(strain, 7) is Disposition.ADDED_TO_NEW_INFECTED
-        strain.params = EpidemicParameters(p_isolation=1.0)
-        assert new_infection(strain, 7) is Disposition.IGNORED
-        assert 7 in strain.new_infected
-        assert 7 not in strain.shared.recovered
-        assert 7 not in strain.isolated_now
-
-    def test_recovered_candidate_ignored_without_reinfection(self):
-        strain = routing_strain(EpidemicParameters(p_reinfection=0.0))
-        strain.shared.recovered.add(7)
-        assert new_infection(strain, 7) is Disposition.IGNORED
-        assert 7 in strain.shared.recovered
-
-
 # the population moves each disposition makes, as
 # (joins new_infected, joins recovered and isolated_now, leaves recovered)
 MOVES = {
@@ -167,6 +124,12 @@ MOVES = {
     Disposition.REINFECTED: (True, False, True),
     Disposition.IGNORED: (False, False, False),
 }
+
+
+def case(dead=(), recovered=(), candidates=(7,), p_isolation=0.0, p_reinfection=0.0):
+    """An example of the routing property, on seed 0."""
+    return example(dead=set(dead), recovered=set(recovered), candidates=list(candidates),
+                   p_isolation=p_isolation, p_reinfection=p_reinfection, seed=0)
 
 
 class TestRoutingRule:
@@ -180,6 +143,12 @@ class TestRoutingRule:
         p_reinfection=st.floats(0.0, 1.0),
         seed=st.integers(0, 2**32 - 1),
     )
+    @case(dead={7}, p_reinfection=1.0)  # dead: ignored, with no draw
+    @case()  # fresh: admitted at p_isolation 0
+    @case(p_isolation=1.0)  # fresh: isolated at p_isolation 1
+    @case(candidates=[7, 7])  # admitted, then ignored with no second draw
+    @case(recovered={7}, p_reinfection=1.0)  # recovered: reinfected at p_reinfection 1
+    @case(recovered={7})  # recovered: ignored at p_reinfection 0
     def test_each_candidate_takes_the_draws_and_moves_its_state_says(
         self, dead, recovered, candidates, p_isolation, p_reinfection, seed
     ):
@@ -232,14 +201,12 @@ class TestInfect:
     def test_no_travel_stays_ordinary(self):
         same_as_reference(B20, uniform(p_travel=0.0, pandemic_duration=2))
 
-    def test_added_genotypes_land_in_new_infected(self, engine_probe):
+    def test_added_genotypes_land_in_new_infected(self):
         strain = routing_strain(EpidemicParameters(p_isolation=0.0), RecordingCodec(), Random(1))
-        cvoa.engine.infect(strain, 5, True)
-        [brood] = engine_probe.broods
+        infect(strain, 5, True)
         # p_isolation 0 on an empty ledger: every new child is admitted, once, as bred
-        assert brood.admitted == list(dict.fromkeys(strain.codec.children))
-        assert brood.admitted and list(strain.new_infected) == brood.admitted
-        assert engine_probe.violations == []
+        admitted = list(dict.fromkeys(strain.codec.children))
+        assert admitted and list(strain.new_infected) == admitted
 
     @pytest.mark.parametrize("wide", [True, False])
     def test_draws_travel_then_count_then_each_candidate(self, wide):
@@ -393,19 +360,12 @@ class TestRunStrain:
     def test_each_genotype_evaluated_at_most_once(self):
         same_as_reference(B20, uniform(seed=4))
 
-    def test_dead_and_recovered_never_overlap(self, engine_probe):
-        run_strain(EpidemicParameters(seed=6), BinaryCodec(bits=20))
-        [shared] = engine_probe.ledgers
-        assert shared.dead and not (shared.dead & shared.recovered)
-        assert engine_probe.violations == []
+    def test_dead_and_recovered_never_overlap(self):
+        assert same_as_reference(B20, uniform(seed=6)).dead_total
 
-    def test_dead_members_never_reenter_circulation(self, engine_probe):
-        for seed in range(5):
-            run_strain(EpidemicParameters(seed=seed), BinaryCodec(bits=20))
-        assert any(shared.dead for shared in engine_probe.ledgers)
-        # the probe checked broods bred with deaths in the ledger
-        assert any(brood.deaths for brood in engine_probe.broods)
-        assert engine_probe.violations == []
+    def test_dead_members_never_reenter_circulation(self):
+        runs = (same_as_reference(B20, uniform(seed=seed)) for seed in range(5))
+        assert stepped_with_deaths(*runs)
 
     def test_stop_fitness_halts_at_goal(self):
         same_as_reference(B10, uniform(seed=0), stop=0)

@@ -30,7 +30,7 @@ from cvoa import (
 )
 from cvoa.cli import build_codec
 from cvoa.nn import generate_net_patient_zero
-from conftest import Scored, same_as_reference, uniform
+from conftest import Scored, same_as_reference, stepped_with_deaths, uniform
 
 B20 = BinaryCodec(bits=20)
 SRC = str(Path(cvoa.engine.__file__).resolve().parent.parent)
@@ -204,15 +204,14 @@ class TestRunPandemic:
     def test_five_strain_binary_run_is_reproducible(self):
         same_as_reference(B20, uniform(5, seed=1))
 
-    def test_binary_genotypes_are_plain_ints(self, engine_probe):
+    def test_binary_genotypes_are_plain_ints(self):
         # the codec owns the length: every genotype the engine scores is an int
-        config = MultiStrainConfig.uniform(EpidemicParameters(seed=1, strains=5))
-        result = run_pandemic(config, BinaryCodec(bits=20, target=15))
-        [shared] = engine_probe.ledgers
-        genotypes = [*shared.fitness_cache, result.best.genotype]
-        assert len(genotypes) > 5
-        assert all(type(g) is int and 0 <= g < 2**20 for g in genotypes)
-        assert engine_probe.violations == []
+        class IntsOnly(BinaryCodec):
+            def fitness(self, genotype):
+                assert type(genotype) is int and 0 <= genotype < 2**self.bits, genotype
+                return super().fitness(genotype)
+
+        assert same_as_reference(IntsOnly(bits=20), uniform(5, seed=1)).evaluations_total > 5
 
     def test_five_strain_surrogate_run_is_reproducible(self):
         codec = NetCodec(generate_net_patient_zero(Random(6 * 2654435761)))
@@ -280,36 +279,24 @@ class TestRunPandemic:
     def test_goal_never_reached_keeps_the_old_terminations(self):
         same_as_reference(B20, uniform(5, seed=1, pandemic_duration=2), stop=0)
 
-    def test_dead_genotypes_stay_out_of_circulation_under_contention(self, engine_probe):
+    def test_dead_genotypes_stay_out_of_circulation_under_contention(self):
         # tiny space + many strains forces heavy ledger contention
         codec = BinaryCodec(bits=8, target=15)
-        for seed in range(3):
-            config = MultiStrainConfig.uniform(
-                EpidemicParameters(seed=seed, strains=8, p_die=0.2)
-            )
-            result = run_pandemic(config, codec)
-            assert len(result.strains) == 8
-        # the probe checked broods bred with deaths in the ledger
-        assert any(brood.deaths for brood in engine_probe.broods)
-        assert engine_probe.violations == []
+        runs = (same_as_reference(codec, uniform(8, seed=seed, p_die=0.2)) for seed in range(3))
+        assert stepped_with_deaths(*runs)
 
-    def test_no_strain_spreads_a_genotype_another_strain_buried(self, engine_probe):
-        for seed in range(1, 11):
-            run_pandemic(
-                MultiStrainConfig.uniform(EpidemicParameters(seed=seed, strains=5)),
-                BinaryCodec(bits=10),
-            )
-        assert engine_probe.broods
-        assert engine_probe.violations == []
+    def test_no_strain_spreads_a_genotype_another_strain_buried(self):
+        codec = BinaryCodec(bits=10)
+        runs = (same_as_reference(codec, uniform(5, seed=seed)) for seed in range(1, 11))
+        assert stepped_with_deaths(*runs)
 
-    def test_net_codec_runs_uphold_the_ledger_rules(self, engine_probe):
+    def test_net_codec_runs_uphold_the_ledger_rules(self):
         # hidden targets derived from the seed, as the acceptance surrogate study derives them
+        results = []
         for seed in range(1, 4):
             codec = build_codec({"kind": "nn", "surrogate_target": "random"}, seed)
-            config = MultiStrainConfig.uniform(EpidemicParameters(seed=seed, strains=5))
-            run_pandemic(config, codec, stop_fitness=0)
-        assert any(brood.deaths for brood in engine_probe.broods)
-        assert engine_probe.violations == []
+            results.append(same_as_reference(codec, uniform(5, seed=seed), stop=0))
+        assert stepped_with_deaths(*results)
 
     def test_evaluation_error_cancels_and_reports_partials(self):
         # 20 bits, seed 1: the 600th of the pandemic's 1,258 evaluations fails

@@ -55,6 +55,8 @@ def test_all_violations_reported_together():
 def test_spread_ranges_must_be_ordered():
     with pytest.raises(ParameterError, match="ordinary_spread_range"):
         EpidemicParameters(ordinary_spread_range=(5, 2))
+    with pytest.raises(ParameterError, match="ordinary_spread_range.low"):
+        EpidemicParameters(ordinary_spread_range=(-1, 5))
     with pytest.raises(ParameterError, match="superspreader_spread_range"):
         EpidemicParameters(superspreader_spread_range=(15, 6))
 
