@@ -5,7 +5,7 @@ from operator import attrgetter
 from random import Random
 
 import pytest
-from hypothesis import example, given
+from hypothesis import given
 from hypothesis import strategies as st
 
 from cvoa import (
@@ -126,10 +126,67 @@ MOVES = {
 }
 
 
-def case(dead=(), recovered=(), candidates=(7,), p_isolation=0.0, p_reinfection=0.0):
-    """An example of the routing property, on seed 0."""
-    return example(dead=set(dead), recovered=set(recovered), candidates=list(candidates),
-                   p_isolation=p_isolation, p_reinfection=p_reinfection, seed=0)
+def check_routing(dead=(), recovered=(), candidates=(7,), p_isolation=0.0,
+                  p_reinfection=0.0, seed=0):
+    """Route each candidate in turn; check its disposition, its draws (by
+    stream state) and the population moves its state says."""
+    dead, recovered = set(dead), set(recovered)
+    params = EpidemicParameters(p_isolation=p_isolation, p_reinfection=p_reinfection)
+    strain = routing_strain(params, rng=Random(seed))
+    strain.shared.dead |= dead
+    strain.shared.recovered |= recovered - dead  # the ledger keeps them disjoint
+    clone = Random(seed)
+    for candidate in candidates:
+        new_infected = list(strain.new_infected)
+        isolated_now = list(strain.isolated_now)
+        recovered_now = set(strain.shared.recovered)
+        if candidate in dead or candidate in new_infected:
+            expected = Disposition.IGNORED  # and no draw
+        elif candidate in recovered_now:
+            reinfected = clone.random() < p_reinfection
+            expected = Disposition.REINFECTED if reinfected else Disposition.IGNORED
+        else:
+            admitted = clone.random() > p_isolation
+            expected = Disposition.ADDED_TO_NEW_INFECTED if admitted else Disposition.ISOLATED
+
+        assert new_infection(strain, candidate) is expected
+        assert strain.rng.getstate() == clone.getstate()
+        joins_infected, isolated, leaves_recovered = MOVES[expected]
+        if joins_infected:
+            new_infected.append(candidate)
+        if isolated:
+            recovered_now.add(candidate)
+            isolated_now.append(candidate)
+        if leaves_recovered:
+            recovered_now.remove(candidate)
+        assert list(strain.new_infected) == new_infected
+        assert list(strain.isolated_now) == isolated_now
+        assert strain.shared.recovered == recovered_now
+        assert strain.shared.dead == dead
+    return strain
+
+
+class TestNewInfection:
+    """Each disposition, on one candidate, through the routing rule's check."""
+
+    def test_dead_candidate_ignored(self):
+        assert 7 not in check_routing(dead={7}, p_reinfection=1.0).new_infected
+
+    def test_fresh_candidate_admitted_without_isolation(self):
+        assert list(check_routing().new_infected) == [7]
+
+    def test_fresh_candidate_always_isolated_at_one(self):
+        assert list(check_routing(p_isolation=1.0).isolated_now) == [7]
+
+    def test_recovered_candidate_reinfected_at_one(self):
+        assert list(check_routing(recovered={7}, p_reinfection=1.0).new_infected) == [7]
+
+    def test_duplicate_candidate_gets_no_second_isolation_draw(self):
+        # a second draw would move the stream past the clone's one draw
+        assert list(check_routing(candidates=[7, 7]).new_infected) == [7]
+
+    def test_recovered_candidate_ignored_without_reinfection(self):
+        assert check_routing(recovered={7}).shared.recovered == {7}
 
 
 class TestRoutingRule:
@@ -143,47 +200,10 @@ class TestRoutingRule:
         p_reinfection=st.floats(0.0, 1.0),
         seed=st.integers(0, 2**32 - 1),
     )
-    @case(dead={7}, p_reinfection=1.0)  # dead: ignored, with no draw
-    @case()  # fresh: admitted at p_isolation 0
-    @case(p_isolation=1.0)  # fresh: isolated at p_isolation 1
-    @case(candidates=[7, 7])  # admitted, then ignored with no second draw
-    @case(recovered={7}, p_reinfection=1.0)  # recovered: reinfected at p_reinfection 1
-    @case(recovered={7})  # recovered: ignored at p_reinfection 0
     def test_each_candidate_takes_the_draws_and_moves_its_state_says(
         self, dead, recovered, candidates, p_isolation, p_reinfection, seed
     ):
-        params = EpidemicParameters(p_isolation=p_isolation, p_reinfection=p_reinfection)
-        strain = routing_strain(params, rng=Random(seed))
-        strain.shared.dead |= dead
-        strain.shared.recovered |= recovered - dead  # the ledger keeps them disjoint
-        clone = Random(seed)
-        for candidate in candidates:
-            new_infected = list(strain.new_infected)
-            isolated_now = list(strain.isolated_now)
-            recovered_now = set(strain.shared.recovered)
-            if candidate in dead or candidate in new_infected:
-                expected = Disposition.IGNORED  # and no draw
-            elif candidate in recovered_now:
-                reinfected = clone.random() < p_reinfection
-                expected = Disposition.REINFECTED if reinfected else Disposition.IGNORED
-            else:
-                admitted = clone.random() > p_isolation
-                expected = Disposition.ADDED_TO_NEW_INFECTED if admitted else Disposition.ISOLATED
-
-            assert new_infection(strain, candidate) is expected
-            assert strain.rng.getstate() == clone.getstate()
-            joins_infected, isolated, leaves_recovered = MOVES[expected]
-            if joins_infected:
-                new_infected.append(candidate)
-            if isolated:
-                recovered_now.add(candidate)
-                isolated_now.append(candidate)
-            if leaves_recovered:
-                recovered_now.remove(candidate)
-            assert list(strain.new_infected) == new_infected
-            assert list(strain.isolated_now) == isolated_now
-            assert strain.shared.recovered == recovered_now
-            assert strain.shared.dead == dead
+        check_routing(dead, recovered, candidates, p_isolation, p_reinfection, seed)
 
 
 class TestInfect:
