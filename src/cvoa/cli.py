@@ -7,9 +7,12 @@ across several bit lengths and tabulates mean iterations-to-optimum and
 the evaluated fraction of each search space.
 
 Exit status: 0 on success, 1 when a fitness evaluation fails (the partial
-iteration trace is still flushed), 2 for config or usage errors (an
-unusable output directory or output file path among them), all found
-before the first run.
+iteration trace is still flushed), 2 for config or usage errors, all found
+before the first run. After the config and its codec are read, both
+commands make the same checks in one order: every strain's seed over the
+repeats, room for each strain's patient zero in each codec (a sweep names
+the length), the output directory, `run`'s run directories, and no
+directory where an output file goes.
 """
 
 from __future__ import annotations
@@ -142,12 +145,6 @@ def build_codec(spec: Any, seed: int) -> Codec:
     return NetCodec(target=target)
 
 
-def _require_room(codec: Codec, strains: int) -> None:
-    # each strain starts from its own patient zero
-    size = codec.search_space_size()
-    _require(strains <= size, f"strains={strains} exceed the codec's {size} genotypes")
-
-
 def write_iterations_csv(path: Path, result: PandemicResult) -> None:
     with path.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -174,7 +171,7 @@ def iterations_to_optimum(result: PandemicResult, codec: Codec, objective: Objec
     optimum = codec.optimum_fitness()
     if optimum is None or objective is not Objective.MINIMIZE:
         return None
-    if result.initial_best is not None and result.initial_best <= optimum:
+    if result.initial_best <= optimum:
         return 0
     for record in result.history:
         if record.best_fitness <= optimum:
@@ -188,9 +185,9 @@ def run_summary(
     return {
         "seed": seed,
         "iterations_to_optimum": iterations_to_optimum(result, codec, objective),
-        "best_fitness": result.best.fitness if result.best is not None else None,
+        "best_fitness": result.best.fitness,
         "evaluations_total": result.evaluations_total,
-        "termination": result.termination.value if result.termination is not None else None,
+        "termination": result.termination.value,
     }
 
 
@@ -204,18 +201,23 @@ def aggregate_summaries(runs: list[dict], space_size: int) -> dict:
         # always floats: mean and median return an int when exact
         "mean_iterations_to_optimum": float(statistics.mean(reached)) if reached else None,
         "median_iterations_to_optimum": float(statistics.median(reached)) if reached else None,
-        "success_rate": len(reached) / len(runs) if runs else 0.0,
-        "mean_evaluated_fraction": statistics.mean(fractions) if fractions else None,
+        "success_rate": len(reached) / len(runs),
+        "mean_evaluated_fraction": statistics.mean(fractions),
     }
 
 
-def _repeat_configs(config: RunConfig) -> list[MultiStrainConfig]:
-    """One pandemic config per repeat (seeds seed, seed + 1, ...), built
-    before the first run, so that any strain's seed outside [0, 2**64)
-    is a ConfigError before any output."""
+def _checked_plan(
+    config: RunConfig, codec: Codec, lengths: list[int] | None = None
+) -> tuple[list[MultiStrainConfig], list[Codec]]:
+    """Every check that `run` (no `lengths`) and `sweep` make before their
+    first run, in one order: each strain's seed over the repeats; room for a
+    patient zero per strain in each codec, the configured one or one per
+    length (`length N: ` before the message); the output directory; for
+    `run`, each run directory; each output file. Returns one pandemic
+    config per repeat (seeds seed, seed + 1, ...) and the codecs to run."""
     params = config.parameters
     try:
-        return [
+        pandemics = [
             MultiStrainConfig.uniform(params.with_seed(params.seed + r), config.pz_strategy)
             for r in range(config.repeat)
         ]
@@ -223,20 +225,36 @@ def _repeat_configs(config: RunConfig) -> list[MultiStrainConfig]:
         raise ConfigError(
             f"seed {params.seed} with repeat={config.repeat} and strains={params.strains}: {exc}"
         )
-
-
-def _make_out_dir(out: Path) -> None:
-    """Called after the config checks, before the first run."""
+    codecs: list[Codec] = []
+    for length in lengths or [None]:
+        label = "" if length is None else f"length {length}: "
+        try:
+            sized = codec if length is None else codec._replace(bits=length)
+            size = sized.search_space_size()  # each strain starts from its own patient zero
+            _require(
+                params.strains <= size, f"strains={params.strains} exceed the codec's {size} genotypes"
+            )
+        except ValueError as exc:
+            raise ConfigError(f"{label}{exc}")
+        codecs.append(sized)
     try:
-        out.mkdir(parents=True, exist_ok=True)
+        config.out.mkdir(parents=True, exist_ok=True)
     except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
-        raise ConfigError(f"cannot create output directory {out}: {exc}")
-
-
-def _require_file_paths(paths: list[Path]) -> None:
-    """No directory stands where an output file goes; checked before the first run."""
-    for path in paths:
+        raise ConfigError(f"cannot create output directory {config.out}: {exc}")
+    if lengths is None:
+        run_dirs = [config.out / f"run_{params.seed + r}" for r in range(config.repeat)]
+        for run_dir in run_dirs:
+            _require(
+                run_dir.is_dir() or not os.path.lexists(run_dir),
+                f"cannot create run directory {run_dir}: a file is in its place",
+            )
+        files = [d / name for d in run_dirs for name in ("iterations.csv", "best.txt")]
+        files.append(config.out / "summary.json")
+    else:
+        files = [config.out / "sweep.csv"]
+    for path in files:
         _require(not path.is_dir(), f"cannot write {path}: a directory is in its place")
+    return pandemics, codecs
 
 
 def cmd_run(config: RunConfig) -> int:
@@ -244,35 +262,22 @@ def cmd_run(config: RunConfig) -> int:
     with status 1, after the summary of the runs that finished."""
     params = config.parameters
     codec = build_codec(config.codec_spec, params.seed)
-    _require_room(codec, params.strains)
-    pandemics = _repeat_configs(config)
-    run_dirs = [config.out / f"run_{pandemic.parameters[0].seed}" for pandemic in pandemics]
-    _make_out_dir(config.out)
-    for run_dir in run_dirs:
-        _require(
-            run_dir.is_dir() or not os.path.lexists(run_dir),
-            f"cannot create run directory {run_dir}: a file is in its place",
-        )
-    _require_file_paths(
-        [d / name for d in run_dirs for name in ("iterations.csv", "best.txt")]
-        + [config.out / "summary.json"]
-    )
+    pandemics, _ = _checked_plan(config, codec)
     runs: list[dict] = []
     status = 0
-    for pandemic, run_dir in zip(pandemics, run_dirs):
+    for pandemic in pandemics:
         seed = pandemic.parameters[0].seed
+        run_dir = config.out / f"run_{seed}"
         run_dir.mkdir(parents=True, exist_ok=True)
         try:
             result = run_pandemic(pandemic, codec)
         except EvaluationError as exc:
-            if isinstance(exc.partial, PandemicResult):
-                write_iterations_csv(run_dir / "iterations.csv", exc.partial)
+            write_iterations_csv(run_dir / "iterations.csv", exc.partial)
             print(f"error: evaluation failed in run seed={seed}: {exc}", file=sys.stderr)
             status = 1
             break
         write_iterations_csv(run_dir / "iterations.csv", result)
-        if result.best is not None:
-            (run_dir / "best.txt").write_text(codec.text(result.best.genotype) + "\n", encoding="utf-8")
+        (run_dir / "best.txt").write_text(codec.text(result.best.genotype) + "\n", encoding="utf-8")
         summary = run_summary(seed, result, codec, params.objective)
         runs.append(summary)
         print(
@@ -302,19 +307,7 @@ def cmd_sweep(config: RunConfig, lengths: list[int]) -> int:
         params.objective is Objective.MINIMIZE,
         "sweep requires objective minimize: it stops each run at the codec's minimum",
     )
-    pandemics = _repeat_configs(config)
-    # every length is checked before the first run, so a bad one writes nothing
-    codecs: list[BinaryCodec] = []
-    for length in lengths:
-        try:
-            codec = configured._replace(bits=length)
-            _require_room(codec, params.strains)
-        except ValueError as exc:
-            raise ConfigError(f"length {length}: {exc}")
-        codecs.append(codec)
-    _make_out_dir(config.out)
-    sweep_path = config.out / "sweep.csv"
-    _require_file_paths([sweep_path])
+    pandemics, codecs = _checked_plan(config, configured, lengths)
     rows: list[tuple[int, float | None, float]] = []
     for length, codec in zip(lengths, codecs):
         optimum = codec.optimum_fitness()
@@ -330,6 +323,7 @@ def cmd_sweep(config: RunConfig, lengths: list[int]) -> int:
             f"length {length}: mean_iterations_to_optimum={rows[-1][1]} "
             f"mean_evaluated_fraction={rows[-1][2]}"
         )
+    sweep_path = config.out / "sweep.csv"
     with sweep_path.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(("Length", "MeanIterationsToOptimum", "MeanEvaluatedFraction"))

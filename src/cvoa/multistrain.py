@@ -86,26 +86,40 @@ class PandemicResult(NamedTuple):
 
 
 def seed_patient_zeros(n: int, codec: Codec, strategy: PzStrategy, rng: Random) -> list:
-    """n starting genotypes; MAX_HAMMING_SPREAD greedily maximizes the
-    minimum pairwise codec distance over a pool of 50*n random draws: each
-    pick is the first pool member farthest from all earlier picks."""
+    """n distinct starting genotypes, found among the first 50*n draws, or a
+    ValueError. RANDOM keeps each draw not drawn before until it has n.
+    MAX_HAMMING_SPREAD draws all 50*n and greedily maximizes the minimum
+    pairwise codec distance: each pick is the first pool member farthest
+    from all earlier picks, never one already picked."""
     if n < 1:
         raise ValueError(f"need at least one patient zero, got {n}")
     if n > codec.search_space_size():
         raise ValueError(f"{n} patient zeros exceed search space size")
+    draws = 50 * n
     if strategy is PzStrategy.RANDOM or n == 1:
-        # a repeated draw is redrawn, so each strain starts from its own
         drawn: dict = {}
-        while len(drawn) < n:
+        for _ in range(draws):
             drawn[codec.generate_patient_zero(rng)] = None
-        return list(drawn)
-    pool = [codec.generate_patient_zero(rng) for _ in range(50 * n)]
+            if len(drawn) == n:
+                return list(drawn)
+        distinct = len(drawn)
+    else:
+        pool = [codec.generate_patient_zero(rng) for _ in range(draws)]
+        distinct = len(set(pool))
+    if distinct < n:
+        raise ValueError(
+            f"{n} patient zeros need {n} distinct genotypes, "
+            f"but the first {draws} draws gave {distinct}"
+        )
     chosen = [pool[rng.randrange(len(pool))]]
-    # each pool member's distance to its nearest pick so far
+    # each pool member's distance to its nearest pick so far; a pick's
+    # copies rank below every other member
     nearest = [float("inf")] * len(pool)
     while len(chosen) < n:
         last = chosen[-1]
-        nearest = [min(d, codec.distance(c, last)) for d, c in zip(nearest, pool)]
+        nearest = [
+            -1 if c == last else min(d, codec.distance(c, last)) for d, c in zip(nearest, pool)
+        ]
         # max() keeps the first of equal distances: the earliest in the pool
         chosen.append(pool[max(range(len(pool)), key=nearest.__getitem__)])
     return chosen

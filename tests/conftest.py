@@ -68,8 +68,10 @@ def same_as_reference(codec, config, stop=None):
     Checked: each genotype scored once; after every strain step, dead and
     recovered disjoint, and the same infected in order, dead, recovered,
     scored genotypes in order, best, history row, termination and stream
-    state; the same PandemicResult; for one strain without a goal, the
-    same result from `run_strain`."""
+    state; the same PandemicResult, finished: a best, an initial best and a
+    termination, and a termination for each strain, which the CLI reads
+    without a check; for one strain without a goal, the same result from
+    `run_strain`."""
     steps = []
     step = cvoa.engine.Strain.step
 
@@ -93,6 +95,8 @@ def same_as_reference(codec, config, stop=None):
         assert engine == model, f"strain step {i + 1}"
     assert len(steps) == len(expected_steps)
     assert result == expected
+    assert None not in (result.best, result.initial_best, result.termination)
+    assert None not in [strain.termination for strain in result.strains]
     if len(config.parameters) == 1 and stop is None:
         assert run_strain(config.parameters[0], codec) == expected[1][0]
     return result

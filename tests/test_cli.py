@@ -140,6 +140,21 @@ class TestConfigErrors:
         path = write_config(tmp_path, {"codec": {"bits": 8}, "parameters": {"strains": 300}})
         assert_config_error(capsys, path, argv, "strains=300 exceed the codec's 256 genotypes")
 
+    def test_run_and_sweep_check_in_one_order(self, tmp_path, capsys):
+        # a seed fan-out past 2**64 and more strains than genotypes: the seed comes first
+        path = write_config(
+            tmp_path,
+            codec={"kind": "binary", "bits": 8},
+            parameters={"seed": 2**64 - 2, "strains": 300},
+            repeat=3,
+        )
+        message = (
+            "error: seed 18446744073709551614 with repeat=3 and strains=300: "
+            "seed must be a 64-bit unsigned integer, got 18446744073710551617"
+        )
+        for argv in (["run"], ["sweep", "--lengths", "8"]):
+            assert_config_error(capsys, path, argv, message)
+
     @pytest.mark.parametrize("argv", [["run"], ["sweep", "--lengths", "10,12"]], ids=["run", "sweep"])
     @pytest.mark.parametrize(
         "where, by_flag",
@@ -488,6 +503,13 @@ class TestSweep:
             tables.append(lines)
         assert tables[0] == tables[1]
         assert checked == ([10] * 5 + [20] * 5) * 2
+
+    def test_repeated_length_gives_a_row_each(self, tmp_path):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, {"out": str(out)})
+        assert main(["sweep", "--config", str(path), "--lengths", "10,10"]) == 0
+        [_, first, second] = (out / "sweep.csv").read_text().splitlines()
+        assert first.startswith("10,") and first == second
 
     def test_sweep_rejects_nn_config(self, tmp_path, capsys):
         path = write_config(tmp_path, codec={"kind": "nn", "surrogate_target": "random"})

@@ -39,20 +39,28 @@ SRC = str(Path(cvoa.engine.__file__).resolve().parent.parent)
 def reference_seed_patient_zeros(n, codec, strategy, rng):
     """seed_patient_zeros as first written: every round recomputes each pool
     member's distance to every pick. The incremental version must agree.
-    RANDOM keeps each draw not already picked, until it has n."""
+    Both strategies need n distinct genotypes among the first 50 * n draws,
+    and raise a ValueError without them. RANDOM keeps each draw not already
+    picked, until it has n; the spread never picks a genotype twice."""
     if strategy is PzStrategy.RANDOM or n == 1:
         chosen = []
-        while len(chosen) < n:
+        for _ in range(50 * n):
             candidate = codec.generate_patient_zero(rng)
             if candidate not in chosen:
                 chosen.append(candidate)
-        return chosen
+            if len(chosen) == n:
+                return chosen
+        raise ValueError(f"the first {50 * n} draws gave {len(chosen)}")
     pool = [codec.generate_patient_zero(rng) for _ in range(50 * n)]
+    if len(set(pool)) < n:
+        raise ValueError(f"the first {50 * n} draws gave {len(set(pool))}")
     chosen = [pool[rng.randrange(len(pool))]]
     while len(chosen) < n:
         best_candidate = None
         best_distance = -1
         for candidate in pool:
+            if candidate in chosen:
+                continue
             d = min(codec.distance(candidate, picked) for picked in chosen)
             if d > best_distance:
                 best_candidate = candidate
@@ -61,11 +69,52 @@ def reference_seed_patient_zeros(n, codec, strategy, rng):
     return chosen
 
 
+class MostlyZero(BinaryCodec):
+    """A binary codec whose patient-zero draw is 0 ninety-nine times in a hundred."""
+
+    __slots__ = ()
+
+    def generate_patient_zero(self, rng):
+        return 0 if rng.random() < 0.99 else super().generate_patient_zero(rng)
+
+
+class FlatDistance(BinaryCodec):
+    """A binary codec whose distance tells no two genotypes apart."""
+
+    __slots__ = ()
+
+    def distance(self, a, b):
+        return 0
+
+
+# seed_patient_zeros of 3 under the strategy named in argv[1], from a codec
+# that draws only the genotypes 0 and 1
+TWO_GENOTYPE_DRAWS = f"""
+import sys
+sys.path.insert(0, {SRC!r})
+from random import Random
+from cvoa import BinaryCodec, PzStrategy, seed_patient_zeros
+
+class TwoGenotypes(BinaryCodec):
+    __slots__ = ()
+
+    def generate_patient_zero(self, rng):
+        return rng.getrandbits(1)
+
+try:
+    print(seed_patient_zeros(3, TwoGenotypes(bits=10), PzStrategy(sys.argv[1]), Random(0)))
+except ValueError as exc:
+    print(f"ValueError: {{exc}}")
+"""
+
+
 class TestSeedPatientZeros:
     @given(
         st.one_of(
             st.integers(min_value=8, max_value=24).map(lambda bits: BinaryCodec(bits=bits)),
             st.just(NetCodec(target=generate_net_patient_zero(Random(0)))),
+            # every pool member ties, copies of a pick too
+            st.just(FlatDistance(bits=10)),
         ),
         st.integers(min_value=1, max_value=6),
         st.sampled_from(PzStrategy),
@@ -122,6 +171,37 @@ class TestSeedPatientZeros:
             stream = [codec.generate_patient_zero(draws) for _ in range(30)]
             expected = list(dict.fromkeys(stream))[:5]
             assert seed_patient_zeros(5, codec, PzStrategy.RANDOM, Random(seed)) == expected
+
+    @pytest.mark.parametrize("strategy", PzStrategy)
+    def test_patient_zeros_are_distinct_or_refused(self, strategy):
+        # 116 of these seeds draw fewer than 3 distinct genotypes in their first 150 draws
+        codec = MostlyZero(bits=10)
+        refused = 0
+        for seed in range(200):
+            draws = Random(seed)
+            distinct = len({codec.generate_patient_zero(draws) for _ in range(150)})
+            if distinct < 3:
+                refused += 1
+                with pytest.raises(ValueError, match=f"the first 150 draws gave {distinct}$"):
+                    seed_patient_zeros(3, codec, strategy, Random(seed))
+            else:
+                assert len(set(seed_patient_zeros(3, codec, strategy, Random(seed)))) == 3
+        assert 0 < refused < 200
+
+    @pytest.mark.parametrize("strategy", PzStrategy)
+    def test_too_few_drawable_genotypes_refused(self, strategy):
+        # in a subprocess, so that a draw loop that never ends fails on the timeout
+        proc = subprocess.run(
+            [sys.executable, "-c", TWO_GENOTYPE_DRAWS, strategy.value],
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=60,
+        )
+        assert proc.stdout == (
+            "ValueError: 3 patient zeros need 3 distinct genotypes, "
+            "but the first 150 draws gave 2\n"
+        )
 
     def test_more_zeros_than_genotypes_rejected(self):
         codec = BinaryCodec(bits=8)
