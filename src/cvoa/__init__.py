@@ -47,7 +47,6 @@ _NN_NAMES = frozenset({
     "parse_net_text",
     "replicate_net",
     "resize_layers",
-    "surrogate_fitness",
 })
 
 

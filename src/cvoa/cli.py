@@ -22,6 +22,7 @@ import csv
 import json
 import os
 import sys
+from itertools import chain
 from pathlib import Path
 from random import Random
 from typing import Any, NamedTuple
@@ -121,8 +122,7 @@ def build_codec(spec: Any, seed: int) -> Codec:
             raise ConfigError(str(exc))
     _require(len(fields) == 1, "nn codec needs exactly one of surrogate_target / evaluator")
     # loaded here, not at import, so a binary run never loads the nn codec
-    from .nn import ExternalEvaluator, ExternalNetCodec, NetCodec
-    from .nn import generate_net_patient_zero, parse_net_text
+    from .nn import ExternalEvaluator, ExternalNetCodec, NetCodec, parse_net_text
 
     if "evaluator" in fields:
         try:
@@ -136,7 +136,7 @@ def build_codec(spec: Any, seed: int) -> Codec:
         f"codec.surrogate_target must be a string, got {target_text!r}",
     )
     if target_text == "random":
-        target = generate_net_patient_zero(Random((seed * _TARGET_SEED_MIX) % 2**64))
+        target = NetCodec.generate_patient_zero(Random((seed * _TARGET_SEED_MIX) % 2**64))
     else:
         try:
             target = parse_net_text(target_text)
@@ -206,21 +206,19 @@ def aggregate_summaries(runs: list[dict], space_size: int) -> dict:
     }
 
 
-def _checked_plan(
-    config: RunConfig, codec: Codec, lengths: list[int] | None = None
-) -> tuple[list[MultiStrainConfig], list[Codec]]:
+def _checked_plan(config: RunConfig, codec: Codec, lengths: list[int] | None = None) -> list[Codec]:
     """Every check that `run` (no `lengths`) and `sweep` make before their
     first run, in one order: each strain's seed over the repeats; room for a
     patient zero per strain in each codec, the configured one or one per
     length (`length N: ` before the message); the output directory; for
-    `run`, each run directory; each output file. Returns one pandemic
-    config per repeat (seeds seed, seed + 1, ...) and the codecs to run."""
+    `run`, each run directory; each output file. Returns the codecs to run;
+    each run builds its own pandemic config when it starts."""
     params = config.parameters
+    seeds = range(params.seed, params.seed + config.repeat)
     try:
-        pandemics = [
-            MultiStrainConfig.uniform(params.with_seed(params.seed + r), config.pz_strategy)
-            for r in range(config.repeat)
-        ]
+        # seeds grow with the repeat and the strain, so these two bound every seed
+        for seed in (seeds[0], seeds[-1]):
+            MultiStrainConfig.uniform(params.with_seed(seed), config.pz_strategy)
     except ParameterError as exc:
         raise ConfigError(
             f"seed {params.seed} with repeat={config.repeat} and strains={params.strains}: {exc}"
@@ -242,19 +240,22 @@ def _checked_plan(
     except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
         raise ConfigError(f"cannot create output directory {config.out}: {exc}")
     if lengths is None:
-        run_dirs = [config.out / f"run_{params.seed + r}" for r in range(config.repeat)]
-        for run_dir in run_dirs:
+        for seed in seeds:
+            run_dir = config.out / f"run_{seed}"
             _require(
                 run_dir.is_dir() or not os.path.lexists(run_dir),
                 f"cannot create run directory {run_dir}: a file is in its place",
             )
-        files = [d / name for d in run_dirs for name in ("iterations.csv", "best.txt")]
-        files.append(config.out / "summary.json")
+        names = ("iterations.csv", "best.txt")
+        files = chain(
+            (config.out / f"run_{seed}" / name for seed in seeds for name in names),
+            [config.out / "summary.json"],
+        )
     else:
         files = [config.out / "sweep.csv"]
     for path in files:
         _require(not path.is_dir(), f"cannot write {path}: a directory is in its place")
-    return pandemics, codecs
+    return codecs
 
 
 def cmd_run(config: RunConfig) -> int:
@@ -262,11 +263,11 @@ def cmd_run(config: RunConfig) -> int:
     with status 1, after the summary of the runs that finished."""
     params = config.parameters
     codec = build_codec(config.codec_spec, params.seed)
-    pandemics, _ = _checked_plan(config, codec)
+    _checked_plan(config, codec)
     runs: list[dict] = []
     status = 0
-    for pandemic in pandemics:
-        seed = pandemic.parameters[0].seed
+    for seed in range(params.seed, params.seed + config.repeat):
+        pandemic = MultiStrainConfig.uniform(params.with_seed(seed), config.pz_strategy)
         run_dir = config.out / f"run_{seed}"
         run_dir.mkdir(parents=True, exist_ok=True)
         try:
@@ -307,14 +308,15 @@ def cmd_sweep(config: RunConfig, lengths: list[int]) -> int:
         params.objective is Objective.MINIMIZE,
         "sweep requires objective minimize: it stops each run at the codec's minimum",
     )
-    pandemics, codecs = _checked_plan(config, configured, lengths)
+    codecs = _checked_plan(config, configured, lengths)
     rows: list[tuple[int, float | None, float]] = []
     for length, codec in zip(lengths, codecs):
         optimum = codec.optimum_fitness()
         runs: list[dict] = []
-        for pandemic in pandemics:
+        for seed in range(params.seed, params.seed + config.repeat):
+            pandemic = MultiStrainConfig.uniform(params.with_seed(seed), config.pz_strategy)
             result = run_pandemic(pandemic, codec, stop_fitness=optimum)
-            runs.append(run_summary(pandemic.parameters[0].seed, result, codec, params.objective))
+            runs.append(run_summary(seed, result, codec, params.objective))
         aggregates = aggregate_summaries(runs, codec.search_space_size())
         rows.append(
             (length, aggregates["mean_iterations_to_optimum"], aggregates["mean_evaluated_fraction"])

@@ -113,15 +113,6 @@ def decode(g: NetGenotype) -> ArchitectureSpec:
     )
 
 
-def generate_net_patient_zero(rng: Random) -> NetGenotype:
-    layer_count = rng.randint(MIN_LAYERS, MAX_LAYERS)
-    return NetGenotype(
-        lr_code=rng.randint(0, len(LR_TABLE) - 1),
-        drop_code=rng.randint(0, len(DROP_TABLE) - 1),
-        layer_codes=tuple(rng.randint(0, LAYER_CODE_MAX) for _ in range(layer_count)),
-    )
-
-
 def mutate_position(value: int, low: int, high: int, rng: Random) -> int:
     """Nudge value by -2, -1, +1 or +2 (quartiles of one draw), clamped."""
     p = rng.random()
@@ -202,33 +193,6 @@ def replicate_net(
         values[pos] = _step_toward(values[pos], goal.get(pos), 0, _POSITION_MAX[pos], rng)
     lr, drop, *layers = values
     return NetGenotype(lr, drop, tuple(layers))
-
-
-def surrogate_fitness(g: NetGenotype, target: NetGenotype) -> int:
-    """Weighted mismatch distance; 0 iff the genotypes are equal."""
-    total = abs(g.lr_code - target.lr_code)
-    total += abs(g.drop_code - target.drop_code)
-    count_gap = abs(len(g.layer_codes) - len(target.layer_codes))
-    total += 2 * count_gap
-    for a, b in zip(g.layer_codes, target.layer_codes):
-        total += abs(a - b)
-    total += MISSING_LAYER_PENALTY * count_gap
-    return total
-
-
-def net_distance(a: NetGenotype, b: NetGenotype) -> int:
-    """Element-wise mismatch count after front alignment, for PZ spreading."""
-    d = int(a.lr_code != b.lr_code) + int(a.drop_code != b.drop_code)
-    for x, y in zip(a.layer_codes, b.layer_codes):
-        d += int(x != y)
-    return d + abs(len(a.layer_codes) - len(b.layer_codes))
-
-
-def net_search_space_size() -> int:
-    layer_shapes = sum(
-        (LAYER_CODE_MAX + 1) ** count for count in range(MIN_LAYERS, MAX_LAYERS + 1)
-    )
-    return len(LR_TABLE) * len(DROP_TABLE) * layer_shapes
 
 
 class ExternalEvaluator:
@@ -322,14 +286,29 @@ class _NetSpace:
 
     __slots__ = ()
 
-    def generate_patient_zero(self, rng: Random) -> NetGenotype:
-        return generate_net_patient_zero(rng)
+    @staticmethod
+    def generate_patient_zero(rng: Random) -> NetGenotype:
+        layer_count = rng.randint(MIN_LAYERS, MAX_LAYERS)
+        return NetGenotype(
+            lr_code=rng.randint(0, len(LR_TABLE) - 1),
+            drop_code=rng.randint(0, len(DROP_TABLE) - 1),
+            layer_codes=tuple(rng.randint(0, LAYER_CODE_MAX) for _ in range(layer_count)),
+        )
 
-    def distance(self, a: NetGenotype, b: NetGenotype) -> int:
-        return net_distance(a, b)
+    @staticmethod
+    def distance(a: NetGenotype, b: NetGenotype) -> int:
+        """Element-wise mismatch count after front alignment, for PZ spreading."""
+        d = int(a.lr_code != b.lr_code) + int(a.drop_code != b.drop_code)
+        for x, y in zip(a.layer_codes, b.layer_codes):
+            d += int(x != y)
+        return d + abs(len(a.layer_codes) - len(b.layer_codes))
 
-    def search_space_size(self) -> int:
-        return net_search_space_size()
+    @staticmethod
+    def search_space_size() -> int:
+        layer_shapes = sum(
+            (LAYER_CODE_MAX + 1) ** count for count in range(MIN_LAYERS, MAX_LAYERS + 1)
+        )
+        return len(LR_TABLE) * len(DROP_TABLE) * layer_shapes
 
     def text(self, genotype: NetGenotype) -> str:
         return genotype.text()
@@ -361,7 +340,16 @@ class NetCodec(Validated, _NetSpace, _NetCodecFields):
             yield replicate_net(parent, mode, traveler_rate, rng, toward=target)
 
     def fitness(self, genotype: NetGenotype) -> int:
-        return surrogate_fitness(genotype, self.target)
+        """Weighted mismatch distance to the target; 0 iff they are equal."""
+        target = self.target
+        total = abs(genotype.lr_code - target.lr_code)
+        total += abs(genotype.drop_code - target.drop_code)
+        count_gap = abs(len(genotype.layer_codes) - len(target.layer_codes))
+        total += 2 * count_gap
+        for a, b in zip(genotype.layer_codes, target.layer_codes):
+            total += abs(a - b)
+        total += MISSING_LAYER_PENALTY * count_gap
+        return total
 
     def optimum_fitness(self) -> int:
         return 0

@@ -24,7 +24,7 @@ from cvoa import (
     run_strain,
 )
 from cvoa.cli import aggregate_summaries, build_codec, main, run_summary
-from cvoa.nn import NetGenotype, decode, parse_net_text, resize_layers, surrogate_fitness
+from cvoa.nn import NetCodec, NetGenotype, decode, parse_net_text, resize_layers
 from conftest import BudgetSpent, Scored, same_as_reference, stepped_with_deaths, uniform
 
 SEEDS_50 = range(1, 51)
@@ -230,6 +230,7 @@ def test_surrogate_search_finds_hidden_targets_and_oracle_confirms_unique_zero()
     assert stats["success_rate"] >= 0.80, f"hidden target found in only {wins:.0f}/20 runs"
 
     target = parse_net_text("{3,5,2}{7,2}")
+    oracle = NetCodec(target)
     zeros = []
     cases = 0
     for lr in range(6):
@@ -238,7 +239,7 @@ def test_surrogate_search_finds_hidden_targets_and_oracle_confirms_unique_zero()
                 for c2 in range(12):
                     g = NetGenotype(lr, drop, (c1, c2))
                     cases += 1
-                    value = surrogate_fitness(g, target)
+                    value = oracle.fitness(g)
                     assert value >= 0
                     if value == 0:
                         zeros.append(g)

@@ -23,7 +23,6 @@ from cvoa import (
     traveler_flip_count,
 )
 from cvoa.binary import _E_TRAVELER, BitGenotype, _bias_strength, _nth_set_bit, bit_brood
-from cvoa.nn import generate_net_patient_zero
 
 
 def hamming(a: int, b: int) -> int:
@@ -344,7 +343,7 @@ codecs = st.one_of(
         lambda n: st.builds(BinaryCodec, st.just(n), st.integers(min_value=0, max_value=2**n - 1))
     ),
     st.integers(min_value=0, max_value=2**32).map(
-        lambda seed: NetCodec(target=generate_net_patient_zero(Random(seed)))
+        lambda seed: NetCodec(target=NetCodec.generate_patient_zero(Random(seed)))
     ),
     # no target, so replication is unguided; the evaluator never runs here
     st.just(ExternalNetCodec(ExternalEvaluator(["python3"]))),

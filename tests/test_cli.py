@@ -180,6 +180,20 @@ class TestConfigErrors:
         assert line.startswith(f"error: cannot create run directory {out / 'run_2'}: ")
         assert sorted(p.name for p in out.iterdir()) == ["run_2"]
 
+    def test_middle_run_directory_blocked_by_a_file_rejected_before_any_run(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def no_run(*args, **kwargs):
+            raise AssertionError("run_pandemic called before every run directory was checked")
+
+        monkeypatch.setattr(cvoa.cli, "run_pandemic", no_run)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "run_2").write_text("", encoding="utf-8")
+        path = write_config(tmp_path, {"out": str(out), "repeat": 3})
+        line = usage_error(capsys, ["run", "--config", str(path)])
+        assert line.startswith(f"error: cannot create run directory {out / 'run_2'}: ")
+
     @pytest.mark.parametrize(
         "blocked", ["summary.json", "run_2/iterations.csv", "run_2/best.txt", "sweep.csv"]
     )
@@ -533,6 +547,30 @@ class TestSweep:
             (tmp_path / name).mkdir()
             path = write_config(tmp_path / name, codec=codec)
             assert_config_error(capsys, path, ["sweep", "--lengths", lengths], bad)
+
+    def test_seeds_checked_from_two_configs_before_the_first_run(self, tmp_path, monkeypatch):
+        # seeds grow with the repeat and the strain: the first and last
+        # repeats' configs bound them all, so the checks build only those
+        built = []
+        uniform = MultiStrainConfig.uniform
+
+        def counted(params, *args, **kwargs):
+            built.append(params.seed)
+            return uniform(params, *args, **kwargs)
+
+        class FirstRun(Exception):
+            pass
+
+        def first_run(*args, **kwargs):
+            raise FirstRun
+
+        monkeypatch.setattr(MultiStrainConfig, "uniform", staticmethod(counted))
+        monkeypatch.setattr(cvoa.cli, "run_pandemic", first_run)
+        path = write_config(tmp_path, repeat=10_000)
+        with pytest.raises(FirstRun):
+            main(["sweep", "--config", str(path), "--lengths", "10", "--out", str(tmp_path / "out")])
+        # the checks' two configs, then the first run's own
+        assert built == [1, 10_000, 1]
 
     def test_malformed_lengths_rejected(self, tmp_path, capsys):
         path = write_config(tmp_path)

@@ -28,7 +28,6 @@ from cvoa import (
     run_strain,
 )
 from cvoa.engine import Strain, superspreader_count
-from cvoa.nn import generate_net_patient_zero
 from conftest import Scored, same_as_reference, stepped_with_deaths, uniform
 
 FITNESS = attrgetter("fitness")
@@ -273,7 +272,7 @@ class TestStepFates:
         # a traveler at traveler_rate 0 is its parent: a self-hit, routed as fresh
         config = uniform(p_travel=1.0, traveler_rate=0, p_isolation=1.0, p_reinfection=0.0,
                          p_die=0.0, pandemic_duration=1)
-        same_as_reference(NetCodec(generate_net_patient_zero(Random(0))), config)
+        same_as_reference(NetCodec(NetCodec.generate_patient_zero(Random(0))), config)
 
 
 class TestSelectBest:

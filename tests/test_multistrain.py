@@ -29,7 +29,6 @@ from cvoa import (
     seed_patient_zeros,
 )
 from cvoa.cli import build_codec
-from cvoa.nn import generate_net_patient_zero
 from conftest import Scored, same_as_reference, stepped_with_deaths, uniform
 
 B20 = BinaryCodec(bits=20)
@@ -112,7 +111,7 @@ class TestSeedPatientZeros:
     @given(
         st.one_of(
             st.integers(min_value=8, max_value=24).map(lambda bits: BinaryCodec(bits=bits)),
-            st.just(NetCodec(target=generate_net_patient_zero(Random(0)))),
+            st.just(NetCodec(target=NetCodec.generate_patient_zero(Random(0)))),
             # every pool member ties, copies of a pick too
             st.just(FlatDistance(bits=10)),
         ),
@@ -294,7 +293,7 @@ class TestRunPandemic:
         assert same_as_reference(IntsOnly(bits=20), uniform(5, seed=1)).evaluations_total > 5
 
     def test_five_strain_surrogate_run_is_reproducible(self):
-        codec = NetCodec(generate_net_patient_zero(Random(6 * 2654435761)))
+        codec = build_codec({"kind": "nn", "surrogate_target": "random"}, 6)
         same_as_reference(codec, uniform(5, PzStrategy.RANDOM, seed=6, pandemic_duration=8))
 
     def test_single_strain_path_is_deterministic(self):
@@ -639,7 +638,7 @@ def test_outcome_grid_is_pinned():
                 result = run_pandemic(MultiStrainConfig.uniform(params), codec, stop_fitness=stop)
                 digest.update(repr(result).encode())
     for seed in range(1, 11):
-        codec = NetCodec(target=generate_net_patient_zero(Random((seed * 2654435761) % 2**64)))
+        codec = build_codec({"kind": "nn", "surrogate_target": "random"}, seed)
         for pz_strategy in PzStrategy:
             params = EpidemicParameters(seed=seed, strains=3, pandemic_duration=10)
             result = run_pandemic(MultiStrainConfig.uniform(params, pz_strategy), codec)

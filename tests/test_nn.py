@@ -25,7 +25,6 @@ from cvoa import (
     parse_net_text,
     replicate_net,
     resize_layers,
-    surrogate_fitness,
 )
 from cvoa.nn import (
     DROP_TABLE,
@@ -33,9 +32,6 @@ from cvoa.nn import (
     MAX_LAYERS,
     MIN_LAYERS,
     decode,
-    generate_net_patient_zero,
-    net_distance,
-    net_search_space_size,
 )
 
 
@@ -127,7 +123,7 @@ class TestPatientZero:
     def test_invariants_hold(self):
         rng = Random(0)
         for _ in range(1000):
-            g = generate_net_patient_zero(rng)
+            g = NetCodec.generate_patient_zero(rng)
             assert 2 <= len(g.layer_codes) <= 11
 
     def test_layer_count_uniform(self):
@@ -135,7 +131,7 @@ class TestPatientZero:
         draws = 10_000
         counts = {}
         for _ in range(draws):
-            g = generate_net_patient_zero(rng)
+            g = NetCodec.generate_patient_zero(rng)
             counts[len(g.layer_codes)] = counts.get(len(g.layer_codes), 0) + 1
         for value in range(2, 12):
             assert abs(counts.get(value, 0) / draws - 0.1) < 0.02
@@ -143,7 +139,7 @@ class TestPatientZero:
     def test_lr_code_uniform(self):
         rng = Random(2)
         draws = 10_000
-        zero = sum(generate_net_patient_zero(rng).lr_code == 0 for _ in range(draws))
+        zero = sum(NetCodec.generate_patient_zero(rng).lr_code == 0 for _ in range(draws))
         assert abs(zero / draws - 1 / 6) < 0.02
 
 
@@ -298,7 +294,7 @@ class TestReplicate:
 
     def test_long_mutation_chain_preserves_invariants(self):
         rng = Random(9)
-        g = generate_net_patient_zero(rng)
+        g = NetCodec.generate_patient_zero(rng)
         for step in range(100_000):
             mode = DistanceMode.TRAVELER if step % 3 == 0 else DistanceMode.ORDINARY
             g = replicate_net(g, mode, -1 if step % 5 == 0 else 3, rng)
@@ -320,8 +316,8 @@ class TestReplicate:
     def test_every_child_passes_the_range_check(self, seed, move, guided):
         # the engine builds genotypes unchecked, so both builders must stay in range
         rng = Random(seed)
-        toward = generate_net_patient_zero(rng) if guided else None
-        g = generate_net_patient_zero(rng)
+        toward = NetCodec.generate_patient_zero(rng) if guided else None
+        g = NetCodec.generate_patient_zero(rng)
         g.__post_init__()
         mode, rate = move
         for _ in range(50):
@@ -337,8 +333,8 @@ class TestReplicate:
         stream state after each chain."""
         digest = hashlib.sha256()
         for seed in range(1, 41):
-            parent = generate_net_patient_zero(Random(seed))
-            target = generate_net_patient_zero(Random(seed + 10_000))
+            parent = NetCodec.generate_patient_zero(Random(seed))
+            target = NetCodec.generate_patient_zero(Random(seed + 10_000))
             rng = Random(seed + 1_000)
             for toward in (None, target):
                 for mode in DistanceMode:
@@ -357,31 +353,45 @@ class TestReplicate:
 class TestSurrogate:
     def test_equal_genotypes_score_zero(self):
         g = parse_net_text("{4,0,8}{9,7,2,7,2,7,10,7}")
-        assert surrogate_fitness(g, g) == 0
+        assert NetCodec(g).fitness(g) == 0
 
     def test_single_lr_step(self):
         target = parse_net_text("{4,0,2}{9,7}")
         g = parse_net_text("{3,0,2}{9,7}")
-        assert surrogate_fitness(g, target) == 1
+        assert NetCodec(target).fitness(g) == 1
 
     def test_worked_length_mismatch_case(self):
         target = parse_net_text("{4,0,8}{9,7,2,7,2,7,10,7}")
         g = parse_net_text("{4,0,2}{9,7}")
-        assert surrogate_fitness(g, target) == 2 * 6 + 6 * 12
+        assert NetCodec(target).fitness(g) == 2 * 6 + 6 * 12
 
     @given(net_genotypes, net_genotypes)
     @settings(max_examples=200)
     def test_symmetric_and_nonnegative(self, a, b):
-        assert surrogate_fitness(a, b) == surrogate_fitness(b, a) >= 0
+        assert NetCodec(b).fitness(a) == NetCodec(a).fitness(b) >= 0
+
+    @given(net_genotypes, net_genotypes, st.sampled_from(["equal", "one-layer-gap", "drawn"]))
+    @settings(max_examples=300)
+    def test_distance_and_fitness_are_zero_exactly_at_equality(self, a, b, relation):
+        # genotypes of every layer count; equal pairs, and pairs that differ
+        # only by one trailing layer, are rare among independent draws
+        if relation == "equal":
+            b = NetGenotype(*a)
+        elif relation == "one-layer-gap":
+            codes = a.layer_codes[:-1] if len(a.layer_codes) == MAX_LAYERS else a.layer_codes + (0,)
+            b = NetGenotype(a.lr_code, a.drop_code, codes)
+        assert NetCodec.distance(a, b) == NetCodec.distance(b, a)
+        assert (NetCodec.distance(a, b) == 0) == (a == b)
+        assert (NetCodec(b).fitness(a) == 0) == (a == b)
 
     def test_distance_counts_mismatches_and_length_gap(self):
         a = parse_net_text("{4,0,2}{9,7}")
         b = parse_net_text("{4,1,3}{9,8,2}")
-        assert net_distance(a, b) == 0 + 1 + (0 + 1) + 1
+        assert NetCodec.distance(a, b) == 0 + 1 + (0 + 1) + 1
 
     def test_search_space_cardinality(self):
         expected = 6 * 9 * sum(12**count for count in range(2, 12))
-        assert net_search_space_size() == expected
+        assert NetCodec.search_space_size() == expected
 
 
 class TestExternalEvaluator:
@@ -513,7 +523,7 @@ class TestNetCodec:
     def test_replicate_preserves_invariants(self):
         codec = NetCodec(target=parse_net_text("{4,0,8}{9,7,2,7,2,7,10,7}"))
         rng = Random(10)
-        g = generate_net_patient_zero(rng)
+        g = NetCodec.generate_patient_zero(rng)
         for _ in range(2000):
             [g] = codec.replicate(g, DistanceMode.ORDINARY, 1, 3, rng)
             assert_in_range(g)
@@ -533,7 +543,7 @@ class TestNetCodec:
 
         scores = SharedLedger().evaluate_all(Recording(codec.target), genotypes)
         assert scored == genotypes
-        assert scores == [surrogate_fitness(g, codec.target) for g in genotypes]
+        assert scores == [codec.fitness(g) for g in genotypes]
 
     def test_text_round_trips_through_parser(self):
         codec = NetCodec(target=NetGenotype(1, 2, (3, 4)))

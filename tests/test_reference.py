@@ -11,14 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cvoa import BinaryCodec, EpidemicParameters, MultiStrainConfig, NetCodec, Objective, PzStrategy
-from cvoa.nn import generate_net_patient_zero
 from conftest import same_as_reference
 
 
 @st.composite
 def codecs(draw):
     if draw(st.booleans()):
-        return NetCodec(generate_net_patient_zero(Random(draw(st.integers(0, 2**32)))))
+        return NetCodec(NetCodec.generate_patient_zero(Random(draw(st.integers(0, 2**32)))))
     bits = draw(st.integers(8, 12))
     return BinaryCodec(bits, draw(st.integers(0, 2**bits - 1)))
 
