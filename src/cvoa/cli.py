@@ -347,19 +347,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cvoa", description="Epidemic-propagation optimizer runner"
     )
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--config", required=True, type=Path, help="JSON run configuration")
+    shared.add_argument("--seed", type=int, default=None, help="override the base seed")
+    shared.add_argument("--out", type=Path, default=None, help="override the output directory")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    run = sub.add_parser("run", help="execute seeded pandemics from a config")
-    run.add_argument("--config", required=True, type=Path, help="JSON run configuration")
-    run.add_argument("--seed", type=int, default=None, help="override the base seed")
-    run.add_argument("--out", type=Path, default=None, help="override the output directory")
-
-    sweep = sub.add_parser("sweep", help="benchmark several bit lengths")
-    sweep.add_argument("--config", required=True, type=Path, help="JSON run configuration")
+    sub.add_parser("run", parents=[shared], help="execute seeded pandemics from a config")
+    sweep = sub.add_parser("sweep", parents=[shared], help="benchmark several bit lengths")
     sweep.add_argument("--lengths", required=True, help="comma-separated bit lengths")
-    sweep.add_argument("--seed", type=int, default=None, help="override the base seed")
-    sweep.add_argument("--out", type=Path, default=None, help="override the output directory")
-
     return parser
 
 

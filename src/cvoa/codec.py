@@ -77,7 +77,8 @@ class Codec(Protocol):
         ...
 
     def search_space_size(self) -> int:
-        """Cardinality of the genotype space (for evaluated-fraction stats)."""
+        """Cardinality of the genotype space. run_pandemic never calls it;
+        the CLI reads it for its room check and evaluated-fraction stats."""
         ...
 
     def text(self, genotype: Any) -> str:

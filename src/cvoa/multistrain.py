@@ -93,8 +93,6 @@ def seed_patient_zeros(n: int, codec: Codec, strategy: PzStrategy, rng: Random) 
     from all earlier picks, never one already picked."""
     if n < 1:
         raise ValueError(f"need at least one patient zero, got {n}")
-    if n > codec.search_space_size():
-        raise ValueError(f"{n} patient zeros exceed search space size")
     draws = 50 * n
     if strategy is PzStrategy.RANDOM or n == 1:
         drawn: dict = {}

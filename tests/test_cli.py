@@ -99,6 +99,8 @@ class TestConfigErrors:
             ({"codec": {"bogus": 1}}, "unknown codec field(s) for kind binary: bogus"),
             ({"repeat": True}, "repeat"),
             ({"out": 5}, "out"),
+            ({"parameters": {"objective": "sideways"}}, "objective must be minimize or maximize"),
+            ({"pz_strategy": "spread"}, "pz_strategy must be random or max_hamming_spread"),
         ],
         ids=[
             "p_travel",
@@ -113,6 +115,8 @@ class TestConfigErrors:
             "codec-unknown-field",
             "repeat-bool",
             "out-number",
+            "objective-unknown",
+            "pz-strategy-unknown",
         ],
     )
     def test_bad_parameter_value(self, tmp_path, capsys, overrides, message):
@@ -487,6 +491,41 @@ class TestFlagOverrides:
         assert main(["run", "--config", str(path), "--out", str(elsewhere)]) == 0
         assert (elsewhere / "summary.json").exists()
         assert not (tmp_path / "ignored").exists()
+
+
+class TestArgumentParser:
+    """argparse reads the flags: both subcommands take --config, --seed and
+    --out, and sweep also takes --lengths."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["run"], ["sweep", "--config", "CONFIG"], ["run", "--config", "CONFIG", "--seed", "x"]],
+        ids=["run-without-config", "sweep-without-lengths", "run-seed-not-an-integer"],
+    )
+    def test_usage_error_exits_2_after_the_usage_lines(self, tmp_path, capsys, argv):
+        path = str(write_config(tmp_path))
+        argv = [path if word == "CONFIG" else word for word in argv]
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        *usage, error = captured.err.splitlines()
+        assert usage[0].startswith(f"usage: cvoa {argv[0]} ")
+        assert error.startswith(f"cvoa {argv[0]}: error: ")
+
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("run", ["--config", "--seed", "--out"]),
+            ("sweep", ["--config", "--seed", "--out", "--lengths"]),
+        ],
+    )
+    def test_help_lists_the_flags(self, capsys, command, flags):
+        with pytest.raises(SystemExit) as info:
+            main([command, "--help"])
+        assert info.value.code == 0
+        assert re.findall(r"^  (--[a-z]+)", capsys.readouterr().out, re.MULTILINE) == flags
 
 
 class TestSweep:

@@ -327,9 +327,6 @@ class TieCodec:
     def fitness(self, genotype):
         return 0.0 if genotype in self.brood else self.sign * 1.0
 
-    def search_space_size(self):
-        return 1 + len(self.brood)
-
 
 class TestIterationBest:
     @pytest.mark.parametrize("objective", list(Objective))

@@ -203,9 +203,17 @@ class TestSeedPatientZeros:
         )
 
     def test_more_zeros_than_genotypes_rejected(self):
+        # the draw rule alone refuses them: no draw finds a 257th of 256 genotypes
         codec = BinaryCodec(bits=8)
-        with pytest.raises(ValueError):
-            seed_patient_zeros(257, codec, PzStrategy.RANDOM, Random(0))
+        message = "^257 patient zeros need 257 distinct genotypes, but the first 12850 draws gave 256$"
+        for strategy in PzStrategy:
+            with pytest.raises(ValueError, match=message):
+                seed_patient_zeros(257, codec, strategy, Random(0))
+
+    @pytest.mark.parametrize("strategy", PzStrategy)
+    def test_no_patient_zeros_rejected(self, strategy):
+        with pytest.raises(ValueError, match="^need at least one patient zero, got 0$"):
+            seed_patient_zeros(0, BinaryCodec(bits=8), strategy, Random(0))
 
     def test_count_and_validity(self):
         codec = BinaryCodec(bits=10)
@@ -416,9 +424,6 @@ class ViewCodec:
     def distance(self, a, b):
         return self.inner.distance(self.from_view(a), self.from_view(b))
 
-    def search_space_size(self):
-        return self.inner.search_space_size()
-
     def text(self, genotype):
         return self.inner.text(self.from_view(genotype))
 
@@ -522,8 +527,25 @@ class TestPartialResults:
         assert [s.termination for s in alone.strains] == [None]
 
 
-# (bits, seed) -> (evaluations_total, best text, iterations, last history row,
-# sha256 prefix of repr() of the (deaths, recovered, infected, best) rows)
+def trajectory(codec, config, stop=None):
+    """A fixed-seed pandemic's fingerprint: (evaluations_total, best text,
+    iterations, last history row, sha256 prefix of repr() of the (deaths,
+    recovered, infected, best) rows)."""
+    result = run_pandemic(config, codec, stop_fitness=stop)
+    rows = [
+        (r.deaths_total, r.recovered_total, r.infected_count, r.best_fitness)
+        for r in result.history
+    ]
+    return (
+        result.evaluations_total,
+        codec.text(result.best.genotype),
+        len(rows),
+        rows[-1],
+        hashlib.sha256(repr(rows).encode()).hexdigest()[:16],
+    )
+
+
+# (bits, seed) -> the trajectory() of a 1-strain run
 SINGLE_STRAIN_PINS = {
     (10, 1): (6, "0000001101", 3, (3, 3, 0, 4), "10f27422fb6dee1d"),
     (10, 2): (59, "0000001111", 12, (9, 53, 0, 0), "741ba8a9c52b7986"),
@@ -542,28 +564,15 @@ def test_single_strain_trajectory_is_pinned(bits, seed):
     """A change meant to keep the search as it is must keep these runs
     exactly. A deliberate change to the search (such as removing the
     target-aware mutation) re-pins them and says so in CHANGES.md."""
-    codec = BinaryCodec(bits=bits)
-    params = EpidemicParameters(seed=seed, strains=1)
-    result = run_pandemic(MultiStrainConfig.uniform(params), codec)
-    rows = [
-        (r.deaths_total, r.recovered_total, r.infected_count, r.best_fitness)
-        for r in result.history
-    ]
-    observed = (
-        result.evaluations_total,
-        codec.text(result.best.genotype),
-        len(rows),
-        rows[-1],
-        hashlib.sha256(repr(rows).encode()).hexdigest()[:16],
-    )
+    observed = trajectory(BinaryCodec(bits=bits), uniform(seed=seed))
     assert observed == SINGLE_STRAIN_PINS[(bits, seed)], (
         f"the fixed-seed single-strain run at {bits} bits, seed {seed} changed; "
         "if the search was changed on purpose, re-pin and declare it in CHANGES.md"
     )
 
 
-# (bits, seed, objective) -> the same fields as SINGLE_STRAIN_PINS, for
-# 5 strains: minimize stops at the optimum, maximize runs 12 iterations
+# (bits, seed, objective) -> the trajectory() of a 5-strain run: minimize
+# stops at the optimum, maximize runs 12 iterations
 MULTI_STRAIN_PINS = {
     (10, 1, "minimize"): (74, "0000001111", 3, (1, 57, 8, 0), "28d61fb315adf386"),
     (10, 2, "minimize"): (13, "0000001111", 1, (0, 4, 6, 0), "42ed9709d7c197b8"),
@@ -597,24 +606,10 @@ def test_multi_strain_trajectory_is_pinned(bits, seed, objective):
     objectives, so that a drift in the lockstep or maximize paths shows."""
     codec = BinaryCodec(bits=bits)
     if objective == "minimize":
-        params = EpidemicParameters(seed=seed, strains=5)
-        result = run_pandemic(MultiStrainConfig.uniform(params), codec, stop_fitness=0)
+        observed = trajectory(codec, uniform(5, seed=seed), stop=0)
     else:
-        params = EpidemicParameters(
-            seed=seed, strains=5, objective=Objective(objective), pandemic_duration=12
-        )
-        result = run_pandemic(MultiStrainConfig.uniform(params), codec)
-    rows = [
-        (r.deaths_total, r.recovered_total, r.infected_count, r.best_fitness)
-        for r in result.history
-    ]
-    observed = (
-        result.evaluations_total,
-        codec.text(result.best.genotype),
-        len(rows),
-        rows[-1],
-        hashlib.sha256(repr(rows).encode()).hexdigest()[:16],
-    )
+        config = uniform(5, seed=seed, objective=Objective(objective), pandemic_duration=12)
+        observed = trajectory(codec, config)
     assert observed == MULTI_STRAIN_PINS[(bits, seed, objective)], (
         f"the fixed-seed 5-strain run at {bits} bits, seed {seed}, {objective} changed; "
         "if the search was changed on purpose, re-pin and declare it in CHANGES.md"
@@ -632,16 +627,13 @@ def test_outcome_grid_is_pinned():
         codec = BinaryCodec(bits=bits)
         for objective, stop in ((Objective.MINIMIZE, 0), (Objective.MAXIMIZE, None)):
             for seed in range(1, 11):
-                params = EpidemicParameters(
-                    seed=seed, strains=5, pandemic_duration=12, objective=objective
-                )
-                result = run_pandemic(MultiStrainConfig.uniform(params), codec, stop_fitness=stop)
+                config = uniform(5, seed=seed, pandemic_duration=12, objective=objective)
+                result = run_pandemic(config, codec, stop_fitness=stop)
                 digest.update(repr(result).encode())
     for seed in range(1, 11):
         codec = build_codec({"kind": "nn", "surrogate_target": "random"}, seed)
         for pz_strategy in PzStrategy:
-            params = EpidemicParameters(seed=seed, strains=3, pandemic_duration=10)
-            result = run_pandemic(MultiStrainConfig.uniform(params, pz_strategy), codec)
+            result = run_pandemic(uniform(3, pz_strategy, seed=seed, pandemic_duration=10), codec)
             digest.update(repr(result).encode())
     assert digest.hexdigest()[:16] == "eab0ea3b78ead130", (
         "a fixed-seed pandemic in the grid changed; if the search was changed "

@@ -70,6 +70,11 @@ CASES = {
         {"target": NetGenotype(1, 2, [3, 4])},
         "layer_codes must be a tuple, got [3, 4]",
     ),
+    "target layer code in text form": (
+        NetCodec(target=TARGET),
+        {"target": NetGenotype(1, 2, (3, "4"))},
+        "layer code must be an integer, got '4'",
+    ),
     "fractional target lr_code": (
         NetCodec(target=TARGET),
         {"target": NetGenotype(1.0, 2, (3, 4))},
