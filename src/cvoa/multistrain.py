@@ -59,6 +59,8 @@ class MultiStrainConfig(Validated, _MultiStrainConfigFields):
         if len(set(objectives)) != 1:
             # one pandemic picks one best, so its strains must rank alike
             raise ValueError(f"strains must share one objective, got {objectives}")
+        if not isinstance(self.pz_strategy, PzStrategy):
+            raise ValueError(f"pz_strategy must be a PzStrategy, got {self.pz_strategy!r}")
 
     @classmethod
     def uniform(

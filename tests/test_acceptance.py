@@ -16,7 +16,6 @@ import pytest
 from cvoa import (
     BinaryCodec,
     EpidemicParameters,
-    MultiStrainConfig,
     Objective,
     PzStrategy,
     Termination,
@@ -32,14 +31,6 @@ SEEDS_20 = range(1, 21)
 LENGTHS = (10, 20, 30, 40, 50)
 TARGET = 15
 DURATION = 30
-
-
-def defaults(seed: int) -> MultiStrainConfig:
-    """The suggested disease statistics: five strains, spread-apart PZs."""
-    return MultiStrainConfig.uniform(
-        EpidemicParameters(seed=seed, strains=5),
-        pz_strategy=PzStrategy.MAX_HAMMING_SPREAD,
-    )
 
 
 def campaign(configs, codec_for, stop=None, deadline=None) -> dict:
@@ -71,7 +62,7 @@ def test_spent_budget_fails_inside_the_pandemic():
     """A campaign past its deadline fails at its first score, the patient-zero batch."""
     codec = BinaryCodec(bits=40, target=TARGET)
     with pytest.raises(pytest.fail.Exception, match="unfinished after 0 pandemics"):
-        campaign([defaults(1)], lambda _: codec, deadline=time.monotonic())
+        campaign([uniform(5, seed=1)], lambda _: codec, deadline=time.monotonic())
 
 
 class Starving:
@@ -105,7 +96,7 @@ def test_memory_error_fails_the_campaign_and_frees_its_pandemic():
     try:
         # `failure` stays bound through the check, as pytest keeps a failed test's error
         with pytest.raises(pytest.fail.Exception, match=message) as failure:
-            campaign([defaults(1)], lambda _: codec)
+            campaign([uniform(5, seed=1)], lambda _: codec)
         alive = [ref for ref in codec.streams if ref() is not None]
     finally:
         gc.enable()
@@ -120,7 +111,8 @@ def length_sweep():
     stats = {}
     for bits in LENGTHS:
         codec = BinaryCodec(bits=bits, target=TARGET)
-        stats[bits] = campaign(map(defaults, SEEDS_50), lambda _: codec, stop=0, deadline=deadline)
+        configs = (uniform(5, seed=seed) for seed in SEEDS_50)
+        stats[bits] = campaign(configs, lambda _: codec, stop=0, deadline=deadline)
     return stats
 
 
@@ -128,7 +120,8 @@ def test_ten_bit_defaults_reach_optimum_reliably():
     """>= 95% of 50 seeded runs hit fitness 0 within 30 iterations, median <= 15, < 10 s."""
     codec = BinaryCodec(bits=10, target=TARGET)
     deadline = time.monotonic() + 10.0
-    stats = campaign(map(defaults, SEEDS_50), lambda seed: codec, deadline=deadline)
+    configs = (uniform(5, seed=seed) for seed in SEEDS_50)
+    stats = campaign(configs, lambda seed: codec, deadline=deadline)
     success_rate = stats["success_rate"]
     assert stats["median_iterations_to_optimum"] <= 15
     assert success_rate >= 0.95, (
@@ -162,7 +155,7 @@ def test_evaluated_fraction_shrinks_strictly_with_length(length_sweep):
 def test_twenty_bit_outbreak_shape_and_mortality_band():
     """Seed-1 default 20-bit run: infected counts rise then decay to 0 before
     iteration 30; terminal dead/(dead+recovered) within [0.03, 0.08]."""
-    result = run_pandemic(defaults(1), BinaryCodec(bits=20, target=TARGET))
+    result = run_pandemic(uniform(5, seed=1), BinaryCodec(bits=20, target=TARGET))
     counts = [row.infected_count for row in result.history]
     peak = max(counts)
     peak_at = counts.index(peak)
@@ -219,10 +212,7 @@ def test_surrogate_search_finds_hidden_targets_and_oracle_confirms_unique_zero()
     exhaustive two-layer subspace (7776 genotypes) has exactly one zero."""
     # stopped at the goal: strains run in lockstep, so each run is the same up to it
     stats = campaign(
-        (
-            MultiStrainConfig.uniform(EpidemicParameters(seed=seed, strains=5), PzStrategy.RANDOM)
-            for seed in SEEDS_20
-        ),
+        (uniform(5, PzStrategy.RANDOM, seed=seed) for seed in SEEDS_20),
         lambda seed: build_codec({"kind": "nn", "surrogate_target": "random"}, seed),
         stop=0,
     )
@@ -252,18 +242,13 @@ def test_multi_strain_degenerate_equality_and_median_speedup():
     five strains reach the optimum no later (median over 20 paired seeds, 30-bit)."""
     codec = BinaryCodec(bits=30, target=TARGET)
     for seed in (1, 2, 3):
-        pandemic = run_pandemic(
-            MultiStrainConfig.uniform(EpidemicParameters(seed=seed, strains=1)), codec
-        )
+        pandemic = run_pandemic(uniform(seed=seed), codec)
         standalone = run_strain(EpidemicParameters(seed=seed), codec)
         assert pandemic.best == standalone.best
         assert pandemic.history == standalone.history
 
     def paired(strains: int) -> dict:
-        configs = (
-            MultiStrainConfig.uniform(EpidemicParameters(seed=seed, strains=strains))
-            for seed in SEEDS_20
-        )
+        configs = (uniform(strains, seed=seed) for seed in SEEDS_20)
         return campaign(configs, lambda seed: codec, stop=0)
 
     five, one = paired(5), paired(1)

@@ -14,7 +14,6 @@ from cvoa import (
     EpidemicParameters,
     EvaluatedIndividual,
     EvaluationError,
-    MultiStrainConfig,
     NetCodec,
     Objective,
     PandemicResult,
@@ -501,8 +500,7 @@ class TestSharedLedger:
             def fitness(self, genotype):
                 return 10**400 + genotype
 
-        config = MultiStrainConfig.uniform(EpidemicParameters(seed=1, strains=2, pandemic_duration=5))
-        result = run_pandemic(config, HugeCodec(bits=10))
+        result = run_pandemic(uniform(2, seed=1, pandemic_duration=5), HugeCodec(bits=10))
         assert len(result.history) == 5
         assert result.termination is Termination.DURATION_REACHED
         assert result.best.fitness == 10**400 + result.best.genotype

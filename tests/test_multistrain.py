@@ -236,41 +236,6 @@ class TestMultiStrainConfig:
         uniform = MultiStrainConfig.uniform(EpidemicParameters(seed=1, strains=5))
         assert by_hand.pz_strategy is uniform.pz_strategy is PzStrategy.MAX_HAMMING_SPREAD
 
-    def test_duplicate_seeds_rejected(self):
-        with pytest.raises(ValueError):
-            MultiStrainConfig(parameters=(EpidemicParameters(seed=1), EpidemicParameters(seed=1)))
-
-    def test_mixed_objectives_rejected(self):
-        # the pandemic's best is picked under one objective and each strain
-        # ranks its spreaders under its own, so a mix has no single answer
-        strains = (
-            EpidemicParameters(seed=1),
-            EpidemicParameters(seed=2, objective=Objective.MAXIMIZE),
-        )
-        with pytest.raises(ValueError, match="objective"):
-            MultiStrainConfig(parameters=strains)
-
-    def test_empty_config_rejected(self):
-        with pytest.raises(ValueError):
-            MultiStrainConfig(parameters=())
-
-    def test_uniform_validates_parameters(self):
-        from cvoa import ParameterError
-
-        with pytest.raises(ParameterError):
-            MultiStrainConfig.uniform(EpidemicParameters(p_die=2.0, strains=2))
-
-    def test_each_strain_validated_at_construction(self):
-        from cvoa import ParameterError
-
-        with pytest.raises(ParameterError, match="p_die"):
-            MultiStrainConfig(parameters=(EpidemicParameters(seed=1, p_die=2.0),))
-
-    def test_each_strain_must_be_epidemic_parameters(self):
-        # a plain tuple of the same fields never passed the record's check
-        with pytest.raises(ValueError, match="EpidemicParameters"):
-            MultiStrainConfig(parameters=(tuple(EpidemicParameters(seed=1)),))
-
     def test_uniform_validates_each_fanned_out_seed(self):
         from cvoa import ParameterError
 
@@ -354,9 +319,8 @@ class TestRunPandemic:
             raise AssertionError("patient zeros drawn")
 
         monkeypatch.setattr(cvoa.multistrain, "seed_patient_zeros", no_draw)
-        config = MultiStrainConfig.uniform(EpidemicParameters(seed=1, strains=3))
         with pytest.raises(ValueError, match="NaN"):
-            run_pandemic(config, BinaryCodec(bits=20), stop_fitness=float("nan"))
+            run_pandemic(uniform(3, seed=1), BinaryCodec(bits=20), stop_fitness=float("nan"))
 
     def test_infinite_stop_fitness_keeps_its_meaning(self):
         # every fitness is at least as good as +inf under minimize, none as -inf
@@ -387,7 +351,7 @@ class TestRunPandemic:
 
     def test_evaluation_error_cancels_and_reports_partials(self):
         # 20 bits, seed 1: the 600th of the pandemic's 1,258 evaluations fails
-        partial = failed_pandemic(EpidemicParameters(seed=1, strains=5), 600)
+        partial = failed_pandemic(uniform(5, seed=1), 600)
         assert isinstance(partial, PandemicResult)
         assert partial.termination is None
         assert len(partial.strains) <= 5
@@ -433,10 +397,11 @@ STR_GENOTYPE_RUN = f"""
 import sys
 sys.path[:0] = [{SRC!r}, {str(Path(__file__).resolve().parent)!r}]
 from functools import partial
-from cvoa import EpidemicParameters, MultiStrainConfig, run_pandemic
+from cvoa import run_pandemic
+from conftest import uniform
 from test_multistrain import ViewCodec
 codec = ViewCodec("{{:020b}}".format, partial(int, base=2))
-result = run_pandemic(MultiStrainConfig.uniform(EpidemicParameters(seed=1, strains=3)), codec)
+result = run_pandemic(uniform(3, seed=1), codec)
 print(repr(result))
 """
 
@@ -448,7 +413,7 @@ class TestGenotypeContract:
         with pytest.raises(TypeError):
             UnorderedBits(1) < UnorderedBits(2)
         codec = ViewCodec(UnorderedBits, attrgetter("value"))
-        config = MultiStrainConfig.uniform(EpidemicParameters(seed=1, strains=2))
+        config = uniform(2, seed=1)
         first = run_pandemic(config, codec)
         assert first.evaluations_total > 2
         assert run_pandemic(config, codec) == first
@@ -474,9 +439,9 @@ class TestGenotypeContract:
         assert outputs[0] == outputs[1]
 
 
-def failed_pandemic(params, k):
+def failed_pandemic(config, k):
     with pytest.raises(EvaluationError) as err:
-        run_pandemic(MultiStrainConfig.uniform(params), Scored(fail_at=k))
+        run_pandemic(config, Scored(fail_at=k))
     return err.value.partial
 
 
@@ -485,7 +450,7 @@ class TestPartialResults:
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_patient_zero_failure_reports_no_strains(self, k):
-        partial = failed_pandemic(EpidemicParameters(seed=7, strains=3), k)
+        partial = failed_pandemic(uniform(3, seed=7), k)
         assert partial.strains == []
         assert partial.history == []
         assert partial.best is None
@@ -494,17 +459,17 @@ class TestPartialResults:
 
     def test_patient_zero_failure_reports_no_initial_best(self):
         # the patient zeros are scored as one batch, so none of them counts
-        partial = failed_pandemic(EpidemicParameters(seed=7, strains=3), 2)
+        partial = failed_pandemic(uniform(3, seed=7), 2)
         assert partial.initial_best is None
 
     def test_failure_in_a_middle_round(self):
         # 20 bits, seed 8: strain 4 dies out in iteration 1; the failure
         # comes in strain 2's step of round 3
-        params = EpidemicParameters(seed=8, strains=5)
-        full = run_pandemic(MultiStrainConfig.uniform(params), BinaryCodec(bits=20))
+        config = uniform(5, seed=8)
+        full = run_pandemic(config, BinaryCodec(bits=20))
         before = full.strains[1].history[2].evaluations_total
         assert full.strains[2].history[2].evaluations_total > before
-        partial = failed_pandemic(params, before + 1)
+        partial = failed_pandemic(config, before + 1)
         assert partial.termination is None
         assert [len(s.history) for s in partial.strains] == [3, 3, 2, 2, 1]
         assert [s.termination for s in partial.strains] == [None] * 4 + [Termination.EXTINCTION]
@@ -515,15 +480,15 @@ class TestPartialResults:
         assert partial.history[-1].evaluations_total == before
 
     def test_failure_in_the_last_iteration_leaves_the_strain_unfinished(self):
-        params = EpidemicParameters(seed=1, strains=2, pandemic_duration=1)
-        full = run_pandemic(MultiStrainConfig.uniform(params), BinaryCodec(bits=20))
+        config = uniform(2, seed=1, pandemic_duration=1)
+        full = run_pandemic(config, BinaryCodec(bits=20))
         before = full.strains[0].history[0].evaluations_total
         assert full.strains[1].history[0].evaluations_total > before
-        partial = failed_pandemic(params, before + 1)
+        partial = failed_pandemic(config, before + 1)
         assert [s.termination for s in partial.strains] == [Termination.DURATION_REACHED, None]
         assert partial.strains[1].history == []
         assert partial.history == full.strains[0].history
-        alone = failed_pandemic(params._replace(strains=1), 2)
+        alone = failed_pandemic(uniform(seed=1, pandemic_duration=1), 2)
         assert [s.termination for s in alone.strains] == [None]
 
 
