@@ -151,6 +151,10 @@ class TestPatientZero:
         assert BinaryCodec(bits=50).generate_patient_zero(rng) == clone.getrandbits(50)
         assert rng.getstate() == clone.getstate()
 
+    def test_below_minimum_rejected(self):
+        with pytest.raises(ValueError, match="unsupported bit length 1"):
+            BinaryCodec(bits=1)
+
     def test_two_draws_differ(self):
         rng = Random(42)
         codec = BinaryCodec(bits=20)
@@ -411,6 +415,10 @@ class TestBinaryCodec:
         g = BinaryCodec(bits=20).generate_patient_zero(Random(0))
         assert type(g) is int and 0 <= g < 2**20
         assert g == Random(0).getrandbits(20)
+
+    def test_target_must_fit(self):
+        with pytest.raises(ValueError):
+            BinaryCodec(bits=8, target=256)
 
     def test_optimum_is_zero(self):
         assert BinaryCodec().optimum_fitness() == 0

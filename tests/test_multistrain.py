@@ -236,6 +236,36 @@ class TestMultiStrainConfig:
         uniform = MultiStrainConfig.uniform(EpidemicParameters(seed=1, strains=5))
         assert by_hand.pz_strategy is uniform.pz_strategy is PzStrategy.MAX_HAMMING_SPREAD
 
+    def test_duplicate_seeds_rejected(self):
+        with pytest.raises(ValueError):
+            MultiStrainConfig(parameters=(EpidemicParameters(seed=1), EpidemicParameters(seed=1)))
+
+    def test_mixed_objectives_rejected(self):
+        # the pandemic's best is picked under one objective and each strain
+        # ranks its spreaders under its own, so a mix has no single answer
+        strains = (
+            EpidemicParameters(seed=1),
+            EpidemicParameters(seed=2, objective=Objective.MAXIMIZE),
+        )
+        with pytest.raises(ValueError, match="objective"):
+            MultiStrainConfig(parameters=strains)
+
+    def test_empty_config_rejected(self):
+        with pytest.raises(ValueError):
+            MultiStrainConfig(parameters=())
+
+    def test_uniform_validates_parameters(self):
+        from cvoa import ParameterError
+
+        with pytest.raises(ParameterError):
+            MultiStrainConfig.uniform(EpidemicParameters(p_die=2.0, strains=2))
+
+    def test_each_strain_validated_at_construction(self):
+        from cvoa import ParameterError
+
+        with pytest.raises(ParameterError, match="p_die"):
+            MultiStrainConfig(parameters=(EpidemicParameters(seed=1, p_die=2.0),))
+
     def test_uniform_validates_each_fanned_out_seed(self):
         from cvoa import ParameterError
 

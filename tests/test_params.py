@@ -1,6 +1,6 @@
-"""Parameter defaults, objectives and randbelow. Each field rule is a row of
-`test_records.CASES`; this file keeps the check a row cannot state, that
-every violation is reported together."""
+"""Parameter defaults, objectives and randbelow. `test_records.CASES` checks
+each field rule on every way in; this file checks that every violation is
+reported together and that a bad field stops a pandemic before any draw."""
 
 from random import Random
 
@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cvoa import EpidemicParameters, Objective, ParameterError
+from cvoa import BinaryCodec, EpidemicParameters, Objective, ParameterError, run_pandemic
 from cvoa.params import randbelow
+from conftest import uniform
 
 
 def test_disease_statistics_defaults():
@@ -25,6 +26,11 @@ def test_disease_statistics_defaults():
     assert p.objective is Objective.MINIMIZE
 
 
+def test_defaults_validate():
+    # construction runs the check, and the defaults pass it
+    EpidemicParameters()
+
+
 def test_all_violations_reported_together():
     with pytest.raises(ParameterError) as err:
         EpidemicParameters(p_die=2.0, p_isolation=-1.0, pandemic_duration=0)
@@ -32,10 +38,35 @@ def test_all_violations_reported_together():
     assert "p_die" in message and "p_isolation" in message and "pandemic_duration" in message
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("pandemic_duration", 2.5),
+        ("strains", 2.5),
+        ("seed", 1.5),
+        ("traveler_rate", True),
+        ("objective", "minimize"),
+        ("p_die", "0.05"),
+        ("ordinary_spread_range", [0, 5]),
+    ],
+)
+def test_field_of_wrong_type_rejected_before_any_draw(field, value):
+    # pandemic_duration=2.5 once ran this 16-bit maximize pandemic for 106
+    # iterations: no history length equals 2.5, so only extinction ended it
+    fields = {"seed": 1, "strains": 5, "objective": Objective.MAXIMIZE, field: value}
+    with pytest.raises(ParameterError, match=f"^{field} must be"):
+        run_pandemic(uniform(**fields), BinaryCodec(bits=16))
+
+
 def test_with_seed_replaces_only_seed():
     p = EpidemicParameters(p_die=0.2).with_seed(99)
     assert p.seed == 99
     assert p.p_die == 0.2
+
+
+def test_parameters_frozen():
+    with pytest.raises(AttributeError):
+        EpidemicParameters().p_die = 0.5
 
 
 def test_objective_direction():
