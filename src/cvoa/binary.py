@@ -19,14 +19,13 @@ engine hashes and compares every candidate in C.
 The codec breeds a spreader's whole brood in one call: `bit_brood` yields
 the children one at a time, drawing each only when the caller asks for
 it, and computes once per brood what its children share (the parent's
-gap to `toward` and its bias strength, the bit lengths of the position
-draws, the stream's bound methods, the traveler flip count). Flip
-positions come from bit masks rather than position lists, walking a mask
-a byte at a time to find its k-th set bit. Ordinary moves, most children,
-take a one-flip path with no mask of used positions; traveler moves loop
-over their flips. Position draws make the same getrandbits calls as
-`Random.randrange` (`params.randbelow`, inline on the ordinary path), so a
-fixed seed still flips the same bits.
+gap to `toward` and its bias strength, the stream's bound `random`, the
+traveler flip count). Flip positions come from bit masks rather than
+position lists, walking a mask a byte at a time to find its k-th set
+bit. Ordinary moves, most children, take a one-flip path with no mask of
+used positions; traveler moves loop over their flips. Every position is
+drawn by `params.randbelow`, which draws exactly as `Random.randrange`
+does, so a fixed seed still flips the same bits.
 """
 
 from __future__ import annotations
@@ -110,7 +109,7 @@ def bit_brood(
     """
     if n < 1:
         raise ValueError(f"bit length must be positive, got {n}")
-    random, getrandbits = rng.random, rng.getrandbits
+    random = rng.random
     full = (1 << n) - 1
     if mode is _TRAVELER:
         flips = traveler_flip_count(n)
@@ -137,18 +136,11 @@ def bit_brood(
         e = _bias_strength(delta.bit_count())
         diff = delta & full
     k = diff.bit_count()
-    k_bits, n_bits = k.bit_length(), n.bit_length()
     for _ in range(count):
         if toward is not None and random() < e and diff:
-            r = getrandbits(k_bits)
-            while r >= k:
-                r = getrandbits(k_bits)
-            yield parent ^ (1 << _nth_set_bit(diff, r))
+            yield parent ^ (1 << _nth_set_bit(diff, randbelow(rng, k)))
         else:
-            r = getrandbits(n_bits)
-            while r >= n:
-                r = getrandbits(n_bits)
-            yield parent ^ (1 << r)
+            yield parent ^ (1 << randbelow(rng, n))
 
 
 # _BYTE_SET_BITS[b]: positions of the set bits of byte value b, lowest first;

@@ -25,7 +25,7 @@ import sys
 from itertools import chain
 from pathlib import Path
 from random import Random
-from typing import Any, NamedTuple
+from typing import Any, Iterable, NamedTuple
 
 from .binary import BinaryCodec
 from .codec import Codec, EvaluationError
@@ -145,20 +145,22 @@ def build_codec(spec: Any, seed: int) -> Codec:
     return NetCodec(target=target)
 
 
-def write_iterations_csv(path: Path, result: PandemicResult) -> None:
+def _write_csv(path: Path, header: tuple[str, ...], rows: Iterable[tuple]) -> None:
     with path.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for record in result.history:
-            writer.writerow(
-                (
-                    record.iteration,
-                    record.deaths_total,
-                    record.recovered_total,
-                    record.infected_count,
-                    record.best_fitness,
-                )
-            )
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_iterations_csv(path: Path, result: PandemicResult) -> None:
+    _write_csv(
+        path,
+        CSV_HEADER,
+        (
+            (r.iteration, r.deaths_total, r.recovered_total, r.infected_count, r.best_fitness)
+            for r in result.history
+        ),
+    )
 
 
 def iterations_to_optimum(result: PandemicResult, codec: Codec, objective: Objective) -> int | None:
@@ -326,10 +328,7 @@ def cmd_sweep(config: RunConfig, lengths: list[int]) -> int:
             f"mean_evaluated_fraction={rows[-1][2]}"
         )
     sweep_path = config.out / "sweep.csv"
-    with sweep_path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("Length", "MeanIterationsToOptimum", "MeanEvaluatedFraction"))
-        writer.writerows(rows)
+    _write_csv(sweep_path, ("Length", "MeanIterationsToOptimum", "MeanEvaluatedFraction"), rows)
     print(f"wrote {sweep_path}")
     return 0
 

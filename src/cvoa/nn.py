@@ -232,13 +232,19 @@ class ExternalEvaluator:
 
     def fitness_all(self, genotypes: list[NetGenotype]) -> Iterator[float]:
         """Scores of the genotypes in order, from at most one evaluator
-        process per CPU at a time. Every process has finished on return;
-        iterating the result raises the first failure in order."""
+        process per CPU this process may run on at a time. Every process
+        has finished on return; iterating the result raises the first
+        failure in order."""
         self.invocations += len(genotypes)
         # loaded on first use: a surrogate run never needs the thread pool
         from concurrent.futures import ThreadPoolExecutor
 
-        workers = max(1, min(len(genotypes), os.cpu_count() or 1))
+        # the CPUs this process may run on, not the machine's; Linux alone has sched_getaffinity
+        if hasattr(os, "sched_getaffinity"):
+            cpus = len(os.sched_getaffinity(0))
+        else:
+            cpus = os.cpu_count() or 1
+        workers = max(1, min(len(genotypes), cpus))
         with ThreadPoolExecutor(max_workers=workers) as pool:
             scores = pool.map(self.fitness, genotypes)
         return scores

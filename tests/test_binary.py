@@ -283,7 +283,7 @@ class TestReplicateBits:
     @pytest.mark.parametrize("n", [0, -3])
     @pytest.mark.parametrize("mode", list(DistanceMode))
     def test_length_below_one_rejected(self, n, mode):
-        # the inline position draw would loop forever on an empty range
+        # the position draw alone would fail on randbelow's empty range, not name the length
         with pytest.raises(ValueError, match="bit length"):
             one_bit_child(0, n, mode, Random(0))
 

@@ -469,6 +469,30 @@ class TestExternalEvaluator:
         assert list(evaluator.fitness_all(genotypes[:2])) == [25.0, 50.0]
         assert evaluator.invocations == 6
 
+    def test_fitness_all_runs_one_evaluator_per_cpu_the_process_may_use(
+        self, tmp_path, monkeypatch
+    ):
+        # a machine of 4 CPUs with this process pinned to one of them: an
+        # evaluator that finds the lock file taken ran beside another one
+        lock = tmp_path / "running"
+        command = evaluator_script(
+            tmp_path,
+            "import os, sys, time\n"
+            "sys.stdin.readline()\n"
+            "try:\n"
+            f"    os.close(os.open({str(lock)!r}, os.O_CREAT | os.O_EXCL))\n"
+            "except FileExistsError:\n"
+            "    sys.exit('another evaluator is running')\n"
+            "time.sleep(0.3)\n"
+            f"os.remove({str(lock)!r})\n"
+            "print('{\"fitness\": 1.0}')\n",
+        )
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        evaluator = ExternalEvaluator(command)
+        genotypes = [NetGenotype(0, 0, (c, 0)) for c in range(3)]
+        assert list(evaluator.fitness_all(genotypes)) == [1.0, 1.0, 1.0]
+
     def test_fitness_all_raises_the_first_failure_in_order(self, tmp_path):
         # the evaluators that succeed are still running when the others fail
         pid_path = tmp_path / "pids"
