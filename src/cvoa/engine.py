@@ -74,9 +74,9 @@ class SharedLedger:
         self.recoveries = 0
         self.fitness_cache: dict[Any, float] = {}
 
-    def bury(self, genotype: Any) -> None:
-        self.dead.add(genotype)
-        self.recovered.discard(genotype)
+    def bury(self, genotypes: set) -> None:
+        self.dead |= genotypes
+        self.recovered -= genotypes
 
     def recover_all(self, genotypes: Iterable[Any]) -> None:
         """Move each genotype not dead into the recovered population, and
@@ -238,10 +238,8 @@ class Strain:
 
         # another strain may have buried some of this strain's infected
         alive = [g for g in self.infected if g not in shared.dead]
-        dying = die(alive, params, self.rng)
-        for genotype in dying:
-            shared.bury(genotype)
-        self.infected = dict.fromkeys(g for g in alive if g not in dying)
+        shared.bury(die(alive, params, self.rng))
+        self.infected = dict.fromkeys(g for g in alive if g not in shared.dead)
 
         self.new_infected = {}
         self.isolated_now = {}
@@ -268,8 +266,7 @@ class Strain:
             if params.objective.better(values[index], self.best.fitness):
                 self.best = EvaluatedIndividual(fresh[index], values[index])
 
-        for genotype in die(isolates, params, self.rng):
-            shared.bury(genotype)
+        shared.bury(die(isolates, params, self.rng))
         shared.recover_all([*isolates, *self.infected])
         self.infected = self.new_infected
         self.new_infected = {}

@@ -234,7 +234,8 @@ class ExternalEvaluator:
         """Scores of the genotypes in order, from at most one evaluator
         process per CPU this process may run on at a time. Every process
         has finished on return; iterating the result raises the first
-        failure in order."""
+        failure in order. An interrupt in the wait (Ctrl-C) starts no
+        queued round trip, and the running ones finish."""
         self.invocations += len(genotypes)
         # loaded on first use: a surrogate run never needs the thread pool
         from concurrent.futures import ThreadPoolExecutor
@@ -244,9 +245,14 @@ class ExternalEvaluator:
             cpus = len(os.sched_getaffinity(0))
         else:
             cpus = os.cpu_count() or 1
-        workers = max(1, min(len(genotypes), cpus))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        # the pool starts no more threads than there are round trips
+        pool = ThreadPoolExecutor(max_workers=cpus)
+        try:
             scores = pool.map(self.fitness, genotypes)
+            pool.shutdown()
+        except BaseException:
+            pool.shutdown(wait=False, cancel_futures=True)
+            raise
         return scores
 
     def fitness(self, genotype: NetGenotype) -> float:
@@ -288,7 +294,8 @@ class ExternalEvaluator:
 
 
 class _NetSpace:
-    """The genotype space that both nn codecs search."""
+    """The genotype space that both nn codecs search. Its one brood
+    generator steers toward the codec's `target`, unless that is None."""
 
     __slots__ = ()
 
@@ -316,6 +323,12 @@ class _NetSpace:
         )
         return len(LR_TABLE) * len(DROP_TABLE) * layer_shapes
 
+    def replicate(
+        self, parent: NetGenotype, mode: DistanceMode, count: int, traveler_rate: int, rng: Random
+    ) -> Iterator[NetGenotype]:
+        for _ in range(count):
+            yield replicate_net(parent, mode, traveler_rate, rng, toward=self.target)
+
     def text(self, genotype: NetGenotype) -> str:
         return genotype.text()
 
@@ -337,13 +350,6 @@ class NetCodec(Validated, _NetSpace, _NetCodecFields):
         if not isinstance(self.target, NetGenotype):
             raise ValueError(f"target must be a NetGenotype, got {self.target!r}")
         self.target.__post_init__()
-
-    def replicate(
-        self, parent: NetGenotype, mode: DistanceMode, count: int, traveler_rate: int, rng: Random
-    ) -> Iterator[NetGenotype]:
-        target = self.target
-        for _ in range(count):
-            yield replicate_net(parent, mode, traveler_rate, rng, toward=target)
 
     def fitness(self, genotype: NetGenotype) -> int:
         """Weighted mismatch distance to the target; 0 iff they are equal."""
@@ -372,16 +378,11 @@ class ExternalNetCodec(Validated, _NetSpace, _ExternalNetCodecFields):
     """
 
     __slots__ = ()
+    target = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.evaluator, ExternalEvaluator):
             raise ValueError(f"evaluator must be an ExternalEvaluator, got {self.evaluator!r}")
-
-    def replicate(
-        self, parent: NetGenotype, mode: DistanceMode, count: int, traveler_rate: int, rng: Random
-    ) -> Iterator[NetGenotype]:
-        for _ in range(count):
-            yield replicate_net(parent, mode, traveler_rate, rng)
 
     def fitness(self, genotype: NetGenotype) -> float:
         return self.evaluator.fitness(genotype)

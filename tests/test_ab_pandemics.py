@@ -14,9 +14,9 @@ SCRIPT = SRC.parent / "tools" / "ab_pandemics.py"
 TOY = ["--rounds", "1", "--bits", "10", "--seeds", "1-2"]
 
 
-def ab(parent, change):
+def ab(parent, change, *flags):
     return subprocess.run(
-        [sys.executable, str(SCRIPT), str(parent), str(change), *TOY],
+        [sys.executable, str(SCRIPT), str(parent), str(change), *TOY, *flags],
         capture_output=True,
         text=True,
         timeout=60,
@@ -31,6 +31,19 @@ def test_a_tree_against_itself_agrees():
     assert re.fullmatch(r"median ratio \S+; change faster in [01] of 1", lines[1])
     assert re.fullmatch(r"parent: history hash \w{16}, \d+ evaluations per round", lines[2])
     assert lines[3] == lines[2].replace("parent", "change")
+
+
+def test_bytecode_count_is_the_same_for_the_same_tree_and_on_every_run():
+    counts = []
+    for _ in range(2):
+        proc = ab(SRC, SRC, "--count")
+        assert proc.returncode == 0, proc.stderr
+        parent, change = proc.stdout.splitlines()[4:]
+        match = re.fullmatch(r"parent: (\S+ bytecodes per evaluation \(\d+ over \d+\))", parent)
+        assert match, parent
+        assert change == "change: " + match[1]
+        counts.append(match[1])
+    assert counts[0] == counts[1]
 
 
 def test_trees_whose_results_differ_exit_1(tmp_path):

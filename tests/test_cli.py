@@ -15,7 +15,10 @@ import cvoa.cli
 from cvoa import (
     BinaryCodec,
     EpidemicParameters,
+    EvaluationError,
+    ExternalEvaluator,
     MultiStrainConfig,
+    NetGenotype,
     Objective,
     PandemicResult,
     PzStrategy,
@@ -646,6 +649,22 @@ class TestEvaluationFailure:
         [line] = capsys.readouterr().err.splitlines()
         assert line.startswith("error: evaluation failed in run seed=1: ") and message in line
         assert len(line) < 1000  # a reply or stderr is quoted to 500 characters
+        rows = (out / "run_1" / "iterations.csv").read_text().splitlines()
+        assert rows == ["Iteration,Deaths,Recovered,Infected,Fitness"]
+
+    def test_evaluator_that_cannot_start_exits_one_with_no_rows(self, tmp_path, capsys):
+        command = [str(tmp_path / "missing-evaluator")]
+        evaluator = ExternalEvaluator(command)
+        g = NetGenotype(0, 0, (0, 0))
+        for score in (evaluator.fitness, lambda g: list(evaluator.fitness_all([g]))):
+            with pytest.raises(EvaluationError, match="^evaluator failed to run: "):
+                score(g)
+        status, out = run_nn(tmp_path, command, strains=2)
+        assert status == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(
+            "error: evaluation failed in run seed=1: evaluator failed to run: [Errno 2] "
+        )
         rows = (out / "run_1" / "iterations.csv").read_text().splitlines()
         assert rows == ["Iteration,Deaths,Recovered,Infected,Fitness"]
 

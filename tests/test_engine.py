@@ -409,13 +409,13 @@ class TestSharedLedger:
     def test_bury_overrides_recovered(self):
         shared = SharedLedger()
         shared.recover_all({5})
-        shared.bury(5)
+        shared.bury({5})
         assert 5 in shared.dead
         assert 5 not in shared.recovered
 
     def test_recover_never_resurrects(self):
         shared = SharedLedger()
-        shared.bury(5)
+        shared.bury({5})
         shared.recover_all({5, 6})
         assert 5 in shared.dead
         assert shared.recovered == {6}
@@ -433,7 +433,7 @@ class TestSharedLedger:
         shared.recover_all({5})
         shared.recovered.remove(5)  # reinfection
         shared.recover_all({5})
-        shared.bury(6)
+        shared.bury({6})
         shared.recover_all({6})
         assert shared.counts() == (1, 2)
 

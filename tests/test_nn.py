@@ -4,7 +4,10 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -33,6 +36,25 @@ from cvoa.nn import (
     MIN_LAYERS,
     decode,
 )
+
+SRC = Path(cvoa.nn.__file__).resolve().parent.parent
+
+# scores 8 genotypes on 2 CPUs through the evaluator command in argv[1:],
+# and interrupts itself 0.3 s into the batch
+INTERRUPTED_BATCH = f"""
+import os, signal, sys, threading
+sys.path.insert(0, {str(SRC)!r})
+from cvoa import ExternalEvaluator, NetGenotype
+
+os.sched_getaffinity = lambda pid: {{0, 1}}
+os.cpu_count = lambda: 2
+evaluator = ExternalEvaluator(sys.argv[1:])
+threading.Timer(0.3, os.kill, (os.getpid(), signal.SIGINT)).start()
+try:
+    evaluator.fitness_all([NetGenotype(0, 0, (c, 0)) for c in range(8)])
+except KeyboardInterrupt:
+    print("interrupted")
+"""
 
 
 class ForcedP(Random):
@@ -520,6 +542,28 @@ class TestExternalEvaluator:
         for pid in pids:
             with pytest.raises(ProcessLookupError):
                 os.kill(pid, 0)
+
+    def test_interrupt_starts_no_queued_round_trip(self, tmp_path):
+        # in a subprocess: the interrupt ends the process that takes it
+        pid_path = tmp_path / "pids"
+        command = evaluator_script(
+            tmp_path,
+            "import os, sys, time\n"
+            "sys.stdin.readline()\n"
+            f"with open({str(pid_path)!r}, 'a') as fh:\n"
+            "    fh.write(f'{os.getpid()}\\n')\n"
+            "time.sleep(1)\n"
+            "print('{\"fitness\": 1.0}')\n",
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", INTERRUPTED_BATCH, *command],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.stdout == "interrupted\n", proc.stderr
+        # the two round trips running at the interrupt, and no queued one
+        assert len(pid_path.read_text().split()) <= 2
 
 
 class TestNetCodec:

@@ -1,7 +1,7 @@
 """In-process A/B timing of two cvoa source trees on the guided sweep grid.
 
     python3 tools/ab_pandemics.py PARENT_SRC CHANGE_SRC [--rounds N]
-        [--bits 10,20,30,40,50] [--seeds 1-30]
+        [--bits 10,20,30,40,50] [--seeds 1-30] [--count]
 
 PARENT_SRC and CHANGE_SRC are directories that hold a `cvoa` package (a
 checkout's `src`). Each tree loads under its own package name in this one
@@ -10,7 +10,10 @@ seed: 5 strains, `max_hamming_spread`, target 15, stop at fitness 0) on
 both trees, pandemic by pandemic, alternating which tree goes first, and
 times each pandemic with `time.process_time`. Each round prints the ratio
 parent CPU / change CPU (above 1: the change is faster); the end prints
-the median ratio and the rounds the change won.
+the median ratio and the rounds the change won. With --count, one more
+pass of the grid per tree, after the timed rounds, counts the bytecodes it
+runs, for a per-evaluation figure that does not move with the machine's
+load.
 
 The trees must agree on every result: exit status 1 if their history
 hashes or evaluation counts differ, 2 on a usage error, 0 otherwise.
@@ -59,6 +62,29 @@ def pandemic(cvoa, bits: int, seed: int):
     return cvoa.run_pandemic(config, cvoa.BinaryCodec(bits=bits, target=15), stop_fitness=0)
 
 
+def count_bytecodes(tree, grid) -> tuple[int, int]:
+    """Bytecodes run (opcode events under sys.settrace) and evaluations
+    made by one pass of the grid."""
+    executed = 0
+
+    def trace(frame, event, arg):
+        nonlocal executed
+        if event == "call":
+            frame.f_trace_opcodes = True
+        elif event == "opcode":
+            executed += 1
+        return trace
+
+    evaluations = 0
+    sys.settrace(trace)
+    try:
+        for bits, seed in grid:
+            evaluations += pandemic(tree, bits, seed).evaluations_total
+    finally:
+        sys.settrace(None)
+    return executed, evaluations
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path, help="source directory holding the parent's cvoa")
@@ -66,6 +92,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--rounds", type=int, default=12)
     parser.add_argument("--bits", type=int_list, default=int_list("10,20,30,40,50"))
     parser.add_argument("--seeds", type=int_list, default=int_list("1-30"))
+    parser.add_argument(
+        "--count",
+        action="store_true",
+        help="also count each tree's bytecodes per evaluation over one more pass; "
+        "C-level work (set and dict operations, getrandbits) is not counted",
+    )
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error(f"--rounds must be at least 1, got {args.rounds}")
@@ -97,6 +129,10 @@ def main(argv: list[str] | None = None) -> int:
     digests = [h.hexdigest()[:16] for h in hashes]
     for name, digest, count in zip(NAMES, digests, evaluations):
         print(f"{name}: history hash {digest}, {count // args.rounds} evaluations per round")
+    if args.count:
+        for name, tree in zip(NAMES, trees):
+            executed, made = count_bytecodes(tree, grid)
+            print(f"{name}: {executed / made:.1f} bytecodes per evaluation ({executed} over {made})")
     if digests[0] != digests[1] or evaluations[0] != evaluations[1]:
         print("error: the trees' results differ", file=sys.stderr)
         return 1
