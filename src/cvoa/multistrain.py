@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
+from itertools import zip_longest
 from operator import attrgetter
 from random import Random
 from typing import NamedTuple
@@ -128,27 +129,18 @@ def seed_patient_zeros(n: int, codec: Codec, strategy: PzStrategy, rng: Random) 
 def _merge_histories(
     per_strain: list[list[IterationRecord]], objective: Objective
 ) -> list[IterationRecord]:
-    """Pandemic-level trace: infected counts summed, the cumulative ledger
-    counters taken from the latest row, and the best fitness carried
-    monotonically across strains (a strain that ended drops out)."""
-    depth = max((len(h) for h in per_strain), default=0)
+    """Pandemic-level trace: row i is lockstep round i's last strain step,
+    which holds the latest ledger counters, with the infected counts of the
+    strains that stepped summed and the best fitness carried monotonically."""
     merged: list[IterationRecord] = []
     best: float | None = None
-    for i in range(depth):
-        rows = [h[i] for h in per_strain if len(h) > i]
+    for round_ in zip_longest(*per_strain):
+        rows = [r for r in round_ if r is not None]
         for r in rows:
             if best is None or objective.better(r.best_fitness, best):
                 best = r.best_fitness
-        merged.append(
-            IterationRecord(
-                iteration=i + 1,
-                deaths_total=max(r.deaths_total for r in rows),
-                recovered_total=max(r.recovered_total for r in rows),
-                infected_count=sum(r.infected_count for r in rows),
-                best_fitness=best,
-                evaluations_total=max(r.evaluations_total for r in rows),
-            )
-        )
+        infected = sum(r.infected_count for r in rows)
+        merged.append(rows[-1]._replace(infected_count=infected, best_fitness=best))
     return merged
 
 

@@ -234,26 +234,44 @@ class ExternalEvaluator:
         """Scores of the genotypes in order, from at most one evaluator
         process per CPU this process may run on at a time. Every process
         has finished on return; iterating the result raises the first
-        failure in order. An interrupt in the wait (Ctrl-C) starts no
-        queued round trip, and the running ones finish."""
-        self.invocations += len(genotypes)
+        failure in order. A failed round trip starts no round trip queued
+        behind it, and an interrupt in the wait (Ctrl-C) starts no queued
+        round trip; the running ones finish."""
         # loaded on first use: a surrogate run never needs the thread pool
         from concurrent.futures import ThreadPoolExecutor
+        from threading import Event
 
         # the CPUs this process may run on, not the machine's; Linux alone has sched_getaffinity
         if hasattr(os, "sched_getaffinity"):
             cpus = len(os.sched_getaffinity(0))
         else:
             cpus = os.cpu_count() or 1
+        futures: list = []
+
+        def cancel_queued(future) -> None:
+            # runs on the failing worker's thread before it takes its next round trip
+            if not future.cancelled() and future.exception() is not None:
+                for later in futures[futures.index(future) + 1 :]:
+                    later.cancel()
+
+        # no worker takes a round trip before every future has its callback
+        attached = Event()
         # the pool starts no more threads than there are round trips
-        pool = ThreadPoolExecutor(max_workers=cpus)
+        pool = ThreadPoolExecutor(max_workers=cpus, initializer=attached.wait)
         try:
-            scores = pool.map(self.fitness, genotypes)
+            futures.extend(pool.submit(self.fitness, g) for g in genotypes)
+            for future in futures:
+                future.add_done_callback(cancel_queued)
+            attached.set()
             pool.shutdown()
         except BaseException:
             pool.shutdown(wait=False, cancel_futures=True)
             raise
-        return scores
+        finally:
+            # set after the cancel, so that an interrupt starts no queued round trip
+            attached.set()
+            self.invocations += sum(not f.cancelled() for f in futures)
+        return (f.result() for f in futures)
 
     def fitness(self, genotype: NetGenotype) -> float:
         """One round trip; a crash, timeout or bad reply is an EvaluationError."""

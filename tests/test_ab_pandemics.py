@@ -57,3 +57,16 @@ def test_trees_whose_results_differ_exit_1(tmp_path):
     proc = ab(SRC, tmp_path)
     assert proc.returncode == 1
     assert "the trees' results differ" in proc.stderr
+
+
+def test_trees_whose_strain_terminations_differ_exit_1(tmp_path):
+    shutil.copytree(SRC / "cvoa", tmp_path / "cvoa", ignore=shutil.ignore_patterns("__pycache__"))
+    multistrain = tmp_path / "cvoa" / "multistrain.py"
+    source = multistrain.read_text(encoding="utf-8")
+    # every strain reports no termination; the merged history is unchanged
+    moved = source.replace("s.history, s.termination)", "s.history, None)")
+    assert moved != source
+    multistrain.write_text(moved, encoding="utf-8")
+    proc = ab(SRC, tmp_path)
+    assert proc.returncode == 1
+    assert "the trees' results differ" in proc.stderr

@@ -491,10 +491,16 @@ class TestExternalEvaluator:
         assert list(evaluator.fitness_all(genotypes[:2])) == [25.0, 50.0]
         assert evaluator.invocations == 6
 
+    @pytest.mark.parametrize(
+        "cpu_count, sched_getaffinity",
+        [(4, lambda pid: {0}), (1, None)],
+        ids=["sched_getaffinity", "cpu_count"],
+    )
     def test_fitness_all_runs_one_evaluator_per_cpu_the_process_may_use(
-        self, tmp_path, monkeypatch
+        self, tmp_path, monkeypatch, cpu_count, sched_getaffinity
     ):
-        # a machine of 4 CPUs with this process pinned to one of them: an
+        # a machine of 4 CPUs with this process pinned to one of them, or a
+        # machine of one CPU off Linux, where os has no sched_getaffinity: an
         # evaluator that finds the lock file taken ran beside another one
         lock = tmp_path / "running"
         command = evaluator_script(
@@ -509,36 +515,44 @@ class TestExternalEvaluator:
             f"os.remove({str(lock)!r})\n"
             "print('{\"fitness\": 1.0}')\n",
         )
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        if sched_getaffinity is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", sched_getaffinity, raising=False)
         evaluator = ExternalEvaluator(command)
         genotypes = [NetGenotype(0, 0, (c, 0)) for c in range(3)]
         assert list(evaluator.fitness_all(genotypes)) == [1.0, 1.0, 1.0]
 
-    def test_fitness_all_raises_the_first_failure_in_order(self, tmp_path):
-        # the evaluators that succeed are still running when the others fail
-        pid_path = tmp_path / "pids"
+    def test_fitness_all_raises_the_first_failure_in_order(self, tmp_path, monkeypatch):
+        # on 2 CPUs the second round trip fails while the first still runs,
+        # and neither round trip queued behind the failure starts
+        starts, pid_path = tmp_path / "starts", tmp_path / "pids"
         command = evaluator_script(
             tmp_path,
             "import json, os, sys, time\n"
+            f"with open({str(starts)!r}, 'a') as fh:\n"
+            "    fh.write('started\\n')\n"
             "unit = json.loads(sys.stdin.readline())['units'][0]\n"
             "if unit in (50, 75):\n"
             "    sys.exit(unit // 25)\n"
             f"with open({str(pid_path)!r}, 'a') as fh:\n"
             "    fh.write(f'{os.getpid()}\\n')\n"
-            "time.sleep(0.2)\n"
+            "time.sleep(0.5)\n"
             "print(json.dumps({'fitness': 1.0}))\n",
         )
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         evaluator = ExternalEvaluator(command)
         genotypes = [NetGenotype(0, 0, (c, 0)) for c in range(4)]
         scores = iter(evaluator.fitness_all(genotypes))
         assert next(scores) == 1.0
         with pytest.raises(EvaluationError, match="exited 2"):
             next(scores)
-        assert evaluator.invocations == 4
+        assert len(starts.read_text().split()) == 2
+        assert evaluator.invocations == 2
         # every process has finished on return
         pids = [int(pid) for pid in pid_path.read_text().split()]
-        assert len(pids) == 2
+        assert len(pids) == 1
         for pid in pids:
             with pytest.raises(ProcessLookupError):
                 os.kill(pid, 0)

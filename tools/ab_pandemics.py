@@ -15,8 +15,9 @@ pass of the grid per tree, after the timed rounds, counts the bytecodes it
 runs, for a per-evaluation figure that does not move with the machine's
 load.
 
-The trees must agree on every result: exit status 1 if their history
-hashes or evaluation counts differ, 2 on a usage error, 0 otherwise.
+The trees must agree on every result: exit status 1 if their hashes of
+the whole results (merged and per-strain histories, terminations, bests)
+or their evaluation counts differ, 2 on a usage error, 0 otherwise.
 The script gates nothing; it measures what a benchmark run on a loaded
 machine cannot resolve.
 """
@@ -116,7 +117,7 @@ def main(argv: list[str] | None = None) -> int:
                 started = time.process_time()
                 result = pandemic(trees[side], bits, seed)
                 cpu[side] += time.process_time() - started
-                hashes[side].update(repr([tuple(row) for row in result.history]).encode())
+                hashes[side].update(repr(result).encode())
                 evaluations[side] += result.evaluations_total
         ratios.append(cpu[0] / cpu[1])
         print(
