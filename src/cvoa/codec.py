@@ -29,9 +29,9 @@ such batch in one call (concurrently, say) and returns an iterable of one
 score per genotype, in order, that raises at the first failure after the
 scores before it; without the hook, `fitness` scores one at a time. Of the
 shipped codecs only the nn evaluator codec, `ExternalNetCodec`, has the
-hook. Each score must be finite (an `int` always is); a failure, a
-non-finite score or a miscounted batch is an EvaluationError, raised once
-the scores before it are cached.
+hook. Each score must be a finite real number (an `int` always is); a
+failure, any other score or a miscounted batch is an EvaluationError,
+raised once the scores before it are cached.
 """
 
 from __future__ import annotations

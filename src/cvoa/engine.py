@@ -102,8 +102,9 @@ class SharedLedger:
         The uncached genotypes are scored once each, in list order, by one
         call of the codec's `fitness_all` hook, or else by `fitness` one at
         a time. Each score is checked and cached as it pairs with its
-        genotype; a failure, a non-finite score or a batch of the wrong
-        size is raised once the scores before it are cached.
+        genotype; a failure, a score that is no finite real number or a
+        batch of the wrong size is raised once the scores before it are
+        cached.
         """
         cache = self.fitness_cache
         uncached = [g for g in dict.fromkeys(genotypes) if g not in cache]
@@ -113,8 +114,13 @@ class SharedLedger:
             cached = len(cache)
             # zip reads uncached first, so a surplus score stays in `scores`
             for genotype, value in zip(uncached, scores):
-                if not (isinstance(value, int) or math.isfinite(value)):
-                    raise EvaluationError(f"non-finite fitness {value!r} for {genotype!r}")
+                if not isinstance(value, int):
+                    try:
+                        finite = math.isfinite(value)
+                    except TypeError:  # None or a str is no real number
+                        finite = False
+                    if not finite:
+                        raise EvaluationError(f"non-finite fitness {value!r} for {genotype!r}")
                 cache[genotype] = value
             # each paired score cached one new genotype
             returned = len(cache) - cached + sum(1 for _ in scores)

@@ -239,39 +239,39 @@ class ExternalEvaluator:
         round trip; the running ones finish."""
         # loaded on first use: a surrogate run never needs the thread pool
         from concurrent.futures import ThreadPoolExecutor
-        from threading import Event
 
         # the CPUs this process may run on, not the machine's; Linux alone has sched_getaffinity
         if hasattr(os, "sched_getaffinity"):
             cpus = len(os.sched_getaffinity(0))
         else:
             cpus = os.cpu_count() or 1
-        futures: list = []
+        # the pool hands out indices in order, so every index not taken yet
+        # lies above every index taken: no round trip past `last` starts
+        last = len(genotypes) - 1
+        started: list[int] = []
 
-        def cancel_queued(future) -> None:
-            # runs on the failing worker's thread before it takes its next round trip
-            if not future.cancelled() and future.exception() is not None:
-                for later in futures[futures.index(future) + 1 :]:
-                    later.cancel()
+        def round_trip(index: int) -> float | None:
+            # a skipped index yields None, which map never reaches: it raises at the failure first
+            nonlocal last
+            if index <= last:
+                started.append(index)
+                try:
+                    return self.fitness(genotypes[index])
+                except BaseException:
+                    last = min(last, index)  # before this worker takes its next index
+                    raise
 
-        # no worker takes a round trip before every future has its callback
-        attached = Event()
         # the pool starts no more threads than there are round trips
-        pool = ThreadPoolExecutor(max_workers=cpus, initializer=attached.wait)
+        pool = ThreadPoolExecutor(max_workers=cpus)
         try:
-            futures.extend(pool.submit(self.fitness, g) for g in genotypes)
-            for future in futures:
-                future.add_done_callback(cancel_queued)
-            attached.set()
+            scores = pool.map(round_trip, range(len(genotypes)))
             pool.shutdown()
-        except BaseException:
-            pool.shutdown(wait=False, cancel_futures=True)
-            raise
         finally:
-            # set after the cancel, so that an interrupt starts no queued round trip
-            attached.set()
-            self.invocations += sum(not f.cancelled() for f in futures)
-        return (f.result() for f in futures)
+            # an interrupt in the wait starts no queued round trip
+            last = -1
+            pool.shutdown(wait=False)
+            self.invocations += len(started)
+        return scores
 
     def fitness(self, genotype: NetGenotype) -> float:
         """One round trip; a crash, timeout or bad reply is an EvaluationError."""

@@ -469,6 +469,20 @@ class TestSharedLedger:
         assert b not in shared.fitness_cache
         assert shared.evaluations_total() == 1
 
+    @pytest.mark.parametrize("value", [None, "1.5"])
+    def test_evaluate_all_rejects_a_score_that_is_no_number(self, value):
+        # math.isfinite raised TypeError at such a score, which no caller caught
+        a, b = 1, 2
+        shared = SharedLedger()
+        with pytest.raises(EvaluationError, match=f"non-finite fitness {value!r}"):
+            shared.evaluate_all(BatchingCodec(scores={b: value}), [a, b])
+        assert b not in shared.fitness_cache
+        assert shared.evaluations_total() == 1
+        codec = BatchingCodec(scores={g: value for g in range(1024) if g % 7 == 3})
+        with pytest.raises(EvaluationError) as err:
+            run_pandemic(uniform(2, seed=1), codec)
+        assert isinstance(err.value.partial, PandemicResult)
+
     @pytest.mark.parametrize("returned", [1, 3], ids=["too-few", "too-many"])
     def test_evaluate_all_rejects_a_batch_of_the_wrong_size(self, returned):
         class MiscountingCodec(BatchingCodec):

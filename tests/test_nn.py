@@ -557,6 +557,40 @@ class TestExternalEvaluator:
             with pytest.raises(ProcessLookupError):
                 os.kill(pid, 0)
 
+    @pytest.mark.parametrize(
+        "cpus, first_exit, failure",
+        [({0}, 0, "exited 2"), ({0, 1}, 1, "exited 1")],
+        ids=["one-cpu", "earlier-fails-later"],
+    )
+    def test_fitness_all_starts_no_round_trip_past_the_first_failure(
+        self, tmp_path, monkeypatch, cpus, first_exit, failure
+    ):
+        # genotype 1 exits 2 at once, and genotype 0 ends 0.5 s in with
+        # first_exit: on one CPU the failing worker must not take genotype 2,
+        # and on two the failure first in order wins over the first in time
+        starts = tmp_path / "starts"
+        command = evaluator_script(
+            tmp_path,
+            "import json, sys, time\n"
+            f"with open({str(starts)!r}, 'a') as fh:\n"
+            "    fh.write('started\\n')\n"
+            "if json.loads(sys.stdin.readline())['units'][0] == 50:\n"
+            "    sys.exit(2)\n"
+            "time.sleep(0.5)\n"
+            f"if {first_exit}:\n"
+            f"    sys.exit({first_exit})\n"
+            "print(json.dumps({'fitness': 1.0}))\n",
+        )
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        evaluator = ExternalEvaluator(command)
+        scores = iter(evaluator.fitness_all([NetGenotype(0, 0, (c, 0)) for c in range(4)]))
+        if not first_exit:
+            assert next(scores) == 1.0
+        with pytest.raises(EvaluationError, match=failure):
+            next(scores)
+        assert len(starts.read_text().split()) == 2
+        assert evaluator.invocations == 2
+
     def test_interrupt_starts_no_queued_round_trip(self, tmp_path):
         # in a subprocess: the interrupt ends the process that takes it
         pid_path = tmp_path / "pids"
