@@ -12,7 +12,8 @@ before the first run. After the config and its codec are read, both
 commands make the same checks in one order: every strain's seed over the
 repeats, room for each strain's patient zero in each codec (a sweep names
 the length), the output directory, `run`'s run directories, and no
-directory where an output file goes.
+directory where an output file goes. Then each removes the output files it
+will write, so a failed run leaves none of an earlier run's beside its own.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import csv
 import json
 import os
 import sys
-from itertools import chain
 from pathlib import Path
 from random import Random
 from typing import Any, Iterable, NamedTuple
@@ -213,14 +213,15 @@ def _checked_plan(config: RunConfig, codec: Codec, lengths: list[int] | None = N
     first run, in one order: each strain's seed over the repeats; room for a
     patient zero per strain in each codec, the configured one or one per
     length (`length N: ` before the message); the output directory; for
-    `run`, each run directory; each output file. Returns the codecs to run;
+    `run`, each run directory; each output file. Once all pass, it removes
+    each output file an earlier command left. Returns the codecs to run;
     each run builds its own pandemic config when it starts."""
     params = config.parameters
     seeds = range(params.seed, params.seed + config.repeat)
     try:
         # seeds grow with the repeat and the strain, so these two bound every seed
         for seed in (seeds[0], seeds[-1]):
-            MultiStrainConfig.uniform(params.with_seed(seed), config.pz_strategy)
+            MultiStrainConfig.uniform(params._replace(seed=seed), config.pz_strategy)
     except ParameterError as exc:
         raise ConfigError(
             f"seed {params.seed} with repeat={config.repeat} and strains={params.strains}: {exc}"
@@ -249,14 +250,18 @@ def _checked_plan(config: RunConfig, codec: Codec, lengths: list[int] | None = N
                 f"cannot create run directory {run_dir}: a file is in its place",
             )
         names = ("iterations.csv", "best.txt")
-        files = chain(
-            (config.out / f"run_{seed}" / name for seed in seeds for name in names),
-            [config.out / "summary.json"],
-        )
+        files = [config.out / f"run_{seed}" / name for seed in seeds for name in names]
+        files.append(config.out / "summary.json")
     else:
         files = [config.out / "sweep.csv"]
     for path in files:
         _require(not path.is_dir(), f"cannot write {path}: a directory is in its place")
+    # an earlier command's outputs must not pass for this one's after a failure
+    for path in files:
+        try:
+            path.unlink(missing_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot remove {path}: {exc}")
     return codecs
 
 
@@ -269,7 +274,7 @@ def cmd_run(config: RunConfig) -> int:
     runs: list[dict] = []
     status = 0
     for seed in range(params.seed, params.seed + config.repeat):
-        pandemic = MultiStrainConfig.uniform(params.with_seed(seed), config.pz_strategy)
+        pandemic = MultiStrainConfig.uniform(params._replace(seed=seed), config.pz_strategy)
         run_dir = config.out / f"run_{seed}"
         run_dir.mkdir(parents=True, exist_ok=True)
         try:
@@ -316,7 +321,7 @@ def cmd_sweep(config: RunConfig, lengths: list[int]) -> int:
         optimum = codec.optimum_fitness()
         runs: list[dict] = []
         for seed in range(params.seed, params.seed + config.repeat):
-            pandemic = MultiStrainConfig.uniform(params.with_seed(seed), config.pz_strategy)
+            pandemic = MultiStrainConfig.uniform(params._replace(seed=seed), config.pz_strategy)
             result = run_pandemic(pandemic, codec, stop_fitness=optimum)
             runs.append(run_summary(seed, result, codec, params.objective))
         aggregates = aggregate_summaries(runs, codec.search_space_size())
@@ -362,7 +367,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = load_config(args.config)
         if args.seed is not None:
-            config = config._replace(parameters=config.parameters.with_seed(args.seed))
+            config = config._replace(parameters=config.parameters._replace(seed=args.seed))
         if args.out is not None:
             config = config._replace(out=args.out)
         if args.command == "run":

@@ -72,7 +72,7 @@ class MultiStrainConfig(Validated, _MultiStrainConfigFields):
         """Same parameters for every strain, seeds fanned out from params.seed;
         a ParameterError names any strain's seed outside [0, 2**64)."""
         per_strain = tuple(
-            params.with_seed(params.seed + j * STRAIN_SEED_STRIDE) for j in range(params.strains)
+            params._replace(seed=params.seed + j * STRAIN_SEED_STRIDE) for j in range(params.strains)
         )
         return cls(parameters=per_strain, pz_strategy=pz_strategy)
 

@@ -163,6 +163,3 @@ class EpidemicParameters(Validated, _EpidemicParametersFields):
             violations.append(f"objective must be an Objective, got {self.objective!r}")
         if violations:
             raise ParameterError("; ".join(violations))
-
-    def with_seed(self, seed: int) -> "EpidemicParameters":
-        return self._replace(seed=seed)

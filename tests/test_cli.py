@@ -1,5 +1,6 @@
 """Command-line behavior: artifacts, determinism, exit codes."""
 
+import hashlib
 import json
 import os
 import re
@@ -480,6 +481,38 @@ class TestDeterminism:
         assert trees[0] == trees[1]
 
 
+def tree_digest(out):
+    """sha256 over each file under `out`, in sorted POSIX relative-path
+    order, of `path NUL bytes NUL`, cut to 16 hex digits."""
+    digest = hashlib.sha256()
+    files = sorted((f.relative_to(out).as_posix(), f) for f in out.rglob("*") if f.is_file())
+    for name, f in files:
+        digest.update(name.encode() + b"\0" + f.read_bytes() + b"\0")
+    return digest.hexdigest()[:16]
+
+
+class TestOutputBytes:
+    """Every byte the CLI writes for the CI smoke configs, line endings
+    (`\r\n` in the CSVs) included."""
+
+    @pytest.mark.parametrize(
+        "argv, config, expected",
+        [
+            pytest.param(["run"], FIVE_STRAINS, "9b3431538615d3f6", id="binary-run"),
+            pytest.param(
+                ["sweep", "--lengths", "10,12"], FIVE_STRAINS, "cbb6c5a07e2c6896", id="binary-sweep"
+            ),
+            pytest.param(["run"], NN_SURROGATE, "5be81ddcbb9be62a", id="nn-run"),
+        ],
+    )
+    def test_output_tree_digest(self, tmp_path, argv, config, expected):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main([*argv, "--config", str(path), "--out", str(out)]) == 0
+        assert tree_digest(out) == expected
+
+
 class TestFlagOverrides:
     def test_seed_override_renames_run_and_changes_outcome(self, tmp_path):
         out = tmp_path / "out"
@@ -705,6 +738,85 @@ class TestEvaluationFailure:
         )
         assert (out / "run_2" / "iterations.csv").exists()
         assert not (out / "run_3").exists()
+
+    @staticmethod
+    def rerun(tmp_path, evaluator, **top_level):
+        """`cvoa run` of `nn_external(evaluator)` over 2 repeats into `tmp_path/out`."""
+        config = {**nn_external(evaluator), "repeat": 2, "out": str(tmp_path / "out"), **top_level}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        return main(["run", "--config", str(path)]), tmp_path / "out"
+
+    @staticmethod
+    def tree(out):
+        return {str(f.relative_to(out)): f.is_file() and f.read_bytes() for f in out.rglob("*")}
+
+    def test_failed_rerun_leaves_none_of_the_earlier_runs_outputs(self, tmp_path, capsys):
+        status, out = self.rerun(tmp_path, EVALUATOR)
+        assert status == 0
+        assert (out / "run_2" / "best.txt").exists()
+        status, out = self.rerun(tmp_path, evaluator_script(tmp_path, "import sys; sys.exit(3)"))
+        assert status == 1
+        assert "evaluation failed in run seed=1" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
+        assert not (out / "run_1" / "best.txt").exists()
+        assert [f for f in (out / "run_2").rglob("*") if f.is_file()] == []
+        rows = (out / "run_1" / "iterations.csv").read_text().splitlines()
+        assert rows == ["Iteration,Deaths,Recovered,Infected,Fitness"]
+
+    @pytest.mark.parametrize(
+        "rejected, top_level, message",
+        [
+            ("repeat-0", {"repeat": 0}, "repeat must be"),
+            (
+                "last-output-file-blocked",
+                {"repeat": 3},
+                "cannot write {out}/run_3/iterations.csv: a directory is in its place",
+            ),
+            (
+                "file-cannot-be-removed",
+                {},
+                "cannot remove {out}/run_1/iterations.csv: [Errno 13] Permission denied",
+            ),
+        ],
+        ids=["repeat-0", "last-output-file-blocked", "file-cannot-be-removed"],
+    )
+    def test_rejected_rerun_leaves_the_earlier_tree_unchanged(
+        self, tmp_path, capsys, monkeypatch, rejected, top_level, message
+    ):
+        status, out = self.rerun(tmp_path, EVALUATOR)
+        assert status == 0
+        if rejected == "last-output-file-blocked":
+            # the output-file check is the last one before the earlier files go
+            (out / "run_3" / "iterations.csv").mkdir(parents=True)
+        before = self.tree(out)
+        capsys.readouterr()
+        if rejected == "file-cannot-be-removed":
+
+            def unlink(path, missing_ok=False):
+                raise PermissionError(13, "Permission denied", str(path))
+
+            monkeypatch.setattr(Path, "unlink", unlink)
+        status, out = self.rerun(tmp_path, EVALUATOR, **top_level)
+        assert status == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and message.format(out=out) in line, line
+        assert self.tree(out) == before
+
+    def test_interrupted_sweep_leaves_no_earlier_table(self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, {"out": str(out)})
+        argv = ["sweep", "--config", str(path), "--lengths", "10"]
+        assert main(argv) == 0
+        assert (out / "sweep.csv").exists()
+
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cvoa.cli, "run_pandemic", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main(argv)
+        assert not (out / "sweep.csv").exists()
 
 
 class TestExternalEvaluatorRun:

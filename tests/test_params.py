@@ -59,9 +59,11 @@ def test_field_of_wrong_type_rejected_before_any_draw(field, value):
 
 
 def test_with_seed_replaces_only_seed():
-    p = EpidemicParameters(p_die=0.2).with_seed(99)
+    p = EpidemicParameters(p_die=0.2)._replace(seed=99)
     assert p.seed == 99
     assert p.p_die == 0.2
+    with pytest.raises(ParameterError, match="^seed must be"):
+        p._replace(seed=-1)
 
 
 def test_parameters_frozen():
