@@ -200,7 +200,7 @@ def infect(strain: Strain, individual: Any, wide: bool) -> None:
     params, rng = strain.params, strain.rng
     traveling = rng.random() < params.p_travel
     lo, hi = params.superspreader_spread_range if wide else params.ordinary_spread_range
-    count = lo + randbelow(rng, hi - lo + 1)  # rng.randint(lo, hi), draw for draw
+    count = lo + randbelow(rng, hi - lo + 1)  # as randint(lo, hi) draws it
     mode = _TRAVELER if traveling else _ORDINARY
     _route(strain, strain.codec.replicate(individual, mode, count, params.traveler_rate, rng))
 

@@ -28,7 +28,7 @@ from .engine import (
     StrainResult,
     Termination,
 )
-from .params import EpidemicParameters, Validated
+from .params import EpidemicParameters, Validated, randbelow
 
 STRAIN_SEED_STRIDE = 1_000_003
 
@@ -112,7 +112,7 @@ def seed_patient_zeros(n: int, codec: Codec, strategy: PzStrategy, rng: Random) 
             f"{n} patient zeros need {n} distinct genotypes, "
             f"but the first {draws} draws gave {distinct}"
         )
-    chosen = [pool[rng.randrange(len(pool))]]
+    chosen = [pool[randbelow(rng, len(pool))]]
     # each pool member's distance to its nearest pick so far; a pick's
     # copies rank below every other member
     nearest = [float("inf")] * len(pool)

@@ -12,11 +12,11 @@ Building one checks nothing: the engine builds only well-formed genotypes,
 and `parse_net_text` and `NetCodec` check the types and ranges of those
 that enter from outside.
 
-Two codecs search this space, one per scoring mode. `NetCodec(target)`
-scores a surrogate distance to a hidden target genotype (desk-scale
-stand-in for model training). `ExternalNetCodec(evaluator)` ships the
-decoded architecture to an external evaluator process as line JSON; it is
-the one codec with the `fitness_all` batch hook.
+Two codecs search this space, one per scoring mode, and every integer draw
+is `params.randbelow`. `NetCodec(target)` scores a surrogate distance to a
+hidden target genotype (desk-scale stand-in for model training).
+`ExternalNetCodec(evaluator)` ships the decoded architecture to an external
+evaluator process as line JSON; it is the one with the `fitness_all` hook.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from random import Random
 from typing import Iterator, NamedTuple
 
 from .codec import EvaluationError
-from .params import DistanceMode, Validated, is_integer
+from .params import DistanceMode, Validated, is_integer, randbelow
 
 LR_TABLE = (0.0, 0.1, 0.01, 0.001, 0.0001, 0.00001)
 DROP_TABLE = (0.0, 0.10, 0.15, 0.20, 0.25, 0.30, 0.35, 0.40, 0.45)
@@ -132,7 +132,7 @@ def resize_layers(g: NetGenotype, new_count: int, rng: Random) -> NetGenotype:
     if not MIN_LAYERS <= new_count <= MAX_LAYERS:
         raise ValueError(f"layer count {new_count} out of ({MIN_LAYERS - 1},{MAX_LAYERS}]")
     codes = g.layer_codes[:new_count]
-    codes += tuple(rng.randint(0, LAYER_CODE_MAX) for _ in range(new_count - len(codes)))
+    codes += tuple(randbelow(rng, LAYER_CODE_MAX + 1) for _ in range(new_count - len(codes)))
     return NetGenotype(g.lr_code, g.drop_code, codes)
 
 
@@ -172,7 +172,7 @@ def replicate_net(
     elif traveler_rate >= 0:
         m = traveler_rate
     else:
-        m = rng.randint(0, positions)
+        m = randbelow(rng, positions + 1)
     m = min(m, positions)
 
     # the toward genotype's codes by position, front-aligned with values
@@ -183,10 +183,10 @@ def replicate_net(
     for _ in range(m):
         pool = [p for p in differing if p not in chosen]
         if pool and rng.random() < _E_GUIDE:
-            pos = pool[rng.randrange(len(pool))]
+            pos = pool[randbelow(rng, len(pool))]
         else:
             free = [p for p in range(positions) if p not in chosen]
-            pos = free[rng.randrange(len(free))]
+            pos = free[randbelow(rng, len(free))]
         chosen.add(pos)
 
     for pos in sorted(chosen):
@@ -319,11 +319,11 @@ class _NetSpace:
 
     @staticmethod
     def generate_patient_zero(rng: Random) -> NetGenotype:
-        layer_count = rng.randint(MIN_LAYERS, MAX_LAYERS)
+        layer_count = MIN_LAYERS + randbelow(rng, MAX_LAYERS - MIN_LAYERS + 1)
         return NetGenotype(
-            lr_code=rng.randint(0, len(LR_TABLE) - 1),
-            drop_code=rng.randint(0, len(DROP_TABLE) - 1),
-            layer_codes=tuple(rng.randint(0, LAYER_CODE_MAX) for _ in range(layer_count)),
+            lr_code=randbelow(rng, len(LR_TABLE)),
+            drop_code=randbelow(rng, len(DROP_TABLE)),
+            layer_codes=tuple(randbelow(rng, LAYER_CODE_MAX + 1) for _ in range(layer_count)),
         )
 
     @staticmethod

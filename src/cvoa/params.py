@@ -2,9 +2,9 @@
 
 All probabilities and spread ranges carry the suggested disease-statistics
 defaults, so a default-constructed parameter set is immediately runnable.
-The module also holds `randbelow`, the integer draw that the engine and the
-bit codec share, `Validated`, the base of the named tuples that check
-their fields, and `is_integer`, the integer rule those checks share.
+The module also holds `randbelow` (every integer draw in cvoa is
+`randbelow`), `Validated`, the base of the named tuples that check their
+fields, and `is_integer`, the integer rule those checks share.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Any, Callable, Iterable, NamedTuple
 
 
 def randbelow(rng: Random, n: int) -> int:
-    """Uniform integer in [0, n), drawn exactly as rng.randrange(n) draws it.
+    """Uniform integer in [0, n), drawn exactly as `randrange(n)` draws it.
 
     For a `Random` (not a subclass that overrides `random()` alone) this
     makes the same getrandbits calls as CPython's `randrange(n)` and

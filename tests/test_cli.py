@@ -503,6 +503,7 @@ class TestOutputBytes:
                 ["sweep", "--lengths", "10,12"], FIVE_STRAINS, "cbb6c5a07e2c6896", id="binary-sweep"
             ),
             pytest.param(["run"], NN_SURROGATE, "5be81ddcbb9be62a", id="nn-run"),
+            pytest.param(["run"], nn_external(EVALUATOR), "3761c631022e51eb", id="nn-evaluator-run"),
         ],
     )
     def test_output_tree_digest(self, tmp_path, argv, config, expected):

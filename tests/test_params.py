@@ -2,12 +2,15 @@
 each field rule on every way in; this file checks that every violation is
 reported together and that a bad field stops a pandemic before any draw."""
 
+import ast
+from pathlib import Path
 from random import Random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import cvoa
 from cvoa import BinaryCodec, EpidemicParameters, Objective, ParameterError, run_pandemic
 from cvoa.params import randbelow
 from conftest import uniform
@@ -102,3 +105,17 @@ class TestRandbelow:
     def test_empty_range_rejected(self, n):
         with pytest.raises(ValueError):
             randbelow(Random(0), n)
+
+    def test_src_draws_integers_only_through_randbelow(self):
+        # a Random subclass that overrides random() alone sends these calls
+        # down another path than randbelow's, so one seed could give two runs
+        stdlib_draws = {"randint", "randrange", "choice", "choices", "sample", "shuffle"}
+        found = [
+            f"{path.name}:{node.lineno} .{node.func.attr}"
+            for path in sorted(Path(cvoa.__file__).parent.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in stdlib_draws
+        ]
+        assert found == []

@@ -60,6 +60,19 @@ def test_binary_run_loads_no_nn_code(tmp_path):
     assert "concurrent.futures" not in loaded
 
 
+def test_binary_sweep_loads_no_nn_code(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(
+        json.dumps({"codec": {"kind": "binary", "bits": 10}, "parameters": {"seed": 1, "strains": 5}}),
+        encoding="utf-8",
+    )
+    argv = ["sweep", "--lengths", "10,12", "--config", str(config), "--out", str(tmp_path / "out")]
+    loaded = modules_loaded_by(f"import cvoa.cli\nassert cvoa.cli.main({argv!r}) == 0")
+    assert (tmp_path / "out" / "sweep.csv").is_file()
+    assert "cvoa.nn" not in loaded
+    assert "concurrent.futures" not in loaded
+
+
 def test_nn_run_loads_the_nn_codec(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(
