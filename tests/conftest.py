@@ -2,12 +2,16 @@
 (`reference.py`) after every strain step, the tests' one watch on the
 ledger rules; the scoring double, which counts scores and can fail a
 score or stop at a deadline; scripted external evaluators, the reply table
-that states their contract, and the `cvoa run` of an nn config they score."""
+that states their contract, and the `cvoa run` of an nn config they score;
+and `python`, the one way a test starts a fresh interpreter on this checkout."""
 
 import json
+import os
+import subprocess
 import sys
 import time
 from itertools import count
+from pathlib import Path
 from unittest.mock import patch
 
 import pytest
@@ -25,6 +29,22 @@ from cvoa import (
     run_strain,
 )
 from cvoa.cli import main
+
+# this checkout's source tree and test directory
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
+
+
+def python(*args, hash_seed=None, timeout=60):
+    """`python *args` in a fresh interpreter that imports cvoa from SRC and
+    test modules from TESTS, under PYTHONHASHSEED=`hash_seed` when one is
+    given: the finished process, its output captured as text."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join((str(SRC), str(TESTS)))}
+    if hash_seed is not None:
+        env["PYTHONHASHSEED"] = str(hash_seed)
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, timeout=timeout, env=env
+    )
 
 
 def uniform(strains=1, pz_strategy=PzStrategy.MAX_HAMMING_SPREAD, **fields):

@@ -3,24 +3,15 @@ itself and refuses two trees whose results differ."""
 
 import re
 import shutil
-import subprocess
-import sys
-from pathlib import Path
 
-import cvoa
+from conftest import SRC, python
 
-SRC = Path(cvoa.__file__).resolve().parent.parent
 SCRIPT = SRC.parent / "tools" / "ab_pandemics.py"
 TOY = ["--rounds", "1", "--bits", "10", "--seeds", "1-2"]
 
 
 def ab(parent, change, *flags):
-    return subprocess.run(
-        [sys.executable, str(SCRIPT), str(parent), str(change), *TOY, *flags],
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
+    return python(str(SCRIPT), str(parent), str(change), *TOY, *flags)
 
 
 def test_a_tree_against_itself_agrees():

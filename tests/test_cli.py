@@ -2,11 +2,9 @@
 
 import hashlib
 import json
-import os
 import re
 import shlex
 import statistics
-import subprocess
 import sys
 from pathlib import Path
 
@@ -26,7 +24,7 @@ from cvoa import (
     Termination,
 )
 from cvoa.cli import iterations_to_optimum, load_config, main
-from conftest import FAILING_REPLIES, evaluator_script, run_nn
+from conftest import FAILING_REPLIES, evaluator_script, python, run_nn
 
 BINARY_CONFIG = {
     "codec": {"kind": "binary", "bits": 10, "target": 15},
@@ -458,7 +456,6 @@ class TestDeterminism:
     )
     def test_rerun_is_byte_identical(self, tmp_path, argv, first, second):
         # each side runs in a fresh interpreter under its own hash seed
-        src = str(Path(cvoa.cli.__file__).resolve().parents[1])
         trees = []
         for hash_seed, config in enumerate((first, second)):
             side = tmp_path / str(hash_seed)
@@ -466,12 +463,9 @@ class TestDeterminism:
             path = side / "config.json"
             path.write_text(json.dumps(config), encoding="utf-8")
             out = side / "out"
-            proc = subprocess.run(
-                [sys.executable, "-m", "cvoa.cli", *argv, "--config", str(path), "--out", str(out)],
-                env={**os.environ, "PYTHONHASHSEED": str(hash_seed), "PYTHONPATH": src},
-                capture_output=True,
-                text=True,
-                timeout=120,
+            proc = python(
+                "-m", "cvoa.cli", *argv, "--config", str(path), "--out", str(out),
+                hash_seed=hash_seed, timeout=120,
             )
             assert proc.returncode == 0, proc.stderr
             trees.append(
@@ -921,13 +915,7 @@ class TestReadmeLibraryExample:
     def test_example_runs_and_prints_fitness_and_termination(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
         example = re.search(r"## Library.*?```python\n(.*?)```", readme, re.S).group(1)
-        src = str(Path(cvoa.cli.__file__).resolve().parents[1])
-        proc = subprocess.run(
-            [sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r})\n{example}"],
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
+        proc = python("-c", example)
         assert proc.returncode == 0, proc.stderr
         fitness, termination = proc.stdout.split()
         assert float(fitness) >= 0

@@ -1,19 +1,14 @@
 """Shared-ledger pandemics: PZ spreading, concurrency, aggregation."""
 
 import hashlib
-import os
-import subprocess
-import sys
 from dataclasses import dataclass
 from operator import attrgetter
-from pathlib import Path
 from random import Random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import cvoa.engine
 import cvoa.multistrain
 from cvoa import (
     BinaryCodec,
@@ -29,10 +24,9 @@ from cvoa import (
     seed_patient_zeros,
 )
 from cvoa.cli import build_codec
-from conftest import Scored, same_as_reference, stepped_with_deaths, uniform
+from conftest import Scored, python, same_as_reference, stepped_with_deaths, uniform
 
 B20 = BinaryCodec(bits=20)
-SRC = str(Path(cvoa.engine.__file__).resolve().parent.parent)
 
 
 def reference_seed_patient_zeros(n, codec, strategy, rng):
@@ -88,9 +82,8 @@ class FlatDistance(BinaryCodec):
 
 # seed_patient_zeros of 3 under the strategy named in argv[1], from a codec
 # that draws only the genotypes 0 and 1
-TWO_GENOTYPE_DRAWS = f"""
+TWO_GENOTYPE_DRAWS = """
 import sys
-sys.path.insert(0, {SRC!r})
 from random import Random
 from cvoa import BinaryCodec, PzStrategy, seed_patient_zeros
 
@@ -103,7 +96,7 @@ class TwoGenotypes(BinaryCodec):
 try:
     print(seed_patient_zeros(3, TwoGenotypes(bits=10), PzStrategy(sys.argv[1]), Random(0)))
 except ValueError as exc:
-    print(f"ValueError: {{exc}}")
+    print(f"ValueError: {exc}")
 """
 
 
@@ -190,13 +183,8 @@ class TestSeedPatientZeros:
     @pytest.mark.parametrize("strategy", PzStrategy)
     def test_too_few_drawable_genotypes_refused(self, strategy):
         # in a subprocess, so that a draw loop that never ends fails on the timeout
-        proc = subprocess.run(
-            [sys.executable, "-c", TWO_GENOTYPE_DRAWS, strategy.value],
-            capture_output=True,
-            text=True,
-            check=True,
-            timeout=60,
-        )
+        proc = python("-c", TWO_GENOTYPE_DRAWS, strategy.value)
+        assert proc.returncode == 0, proc.stderr
         assert proc.stdout == (
             "ValueError: 3 patient zeros need 3 distinct genotypes, "
             "but the first 150 draws gave 2\n"
@@ -423,14 +411,12 @@ class ViewCodec:
 
 
 # a 3-strain run over bit-string genotypes, whose set order follows PYTHONHASHSEED
-STR_GENOTYPE_RUN = f"""
-import sys
-sys.path[:0] = [{SRC!r}, {str(Path(__file__).resolve().parent)!r}]
+STR_GENOTYPE_RUN = """
 from functools import partial
 from cvoa import run_pandemic
 from conftest import uniform
 from test_multistrain import ViewCodec
-codec = ViewCodec("{{:020b}}".format, partial(int, base=2))
+codec = ViewCodec("{:020b}".format, partial(int, base=2))
 result = run_pandemic(uniform(3, seed=1), codec)
 print(repr(result))
 """
@@ -454,17 +440,11 @@ class TestGenotypeContract:
         assert first.best.genotype == UnorderedBits(plain.best.genotype)
 
     def test_str_genotypes_give_the_same_run_under_any_hash_seed(self):
-        outputs = [
-            subprocess.run(
-                [sys.executable, "-c", STR_GENOTYPE_RUN],
-                capture_output=True,
-                text=True,
-                check=True,
-                timeout=120,
-                env={**os.environ, "PYTHONHASHSEED": hash_seed},
-            ).stdout
-            for hash_seed in ("0", "1")
-        ]
+        outputs = []
+        for hash_seed in (0, 1):
+            proc = python("-c", STR_GENOTYPE_RUN, hash_seed=hash_seed, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
         assert "PandemicResult(" in outputs[0]
         assert outputs[0] == outputs[1]
 

@@ -4,10 +4,7 @@ import hashlib
 import json
 import math
 import os
-import subprocess
-import sys
 import time
-from pathlib import Path
 from random import Random
 
 import pytest
@@ -15,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cvoa.nn
-from conftest import REPLIES, REQUEST, evaluator_script, replying
+from conftest import REPLIES, REQUEST, evaluator_script, python, replying
 from cvoa import (
     DistanceMode,
     EvaluationError,
@@ -37,16 +34,13 @@ from cvoa.nn import (
     decode,
 )
 
-SRC = Path(cvoa.nn.__file__).resolve().parent.parent
-
 # scores 8 genotypes on 2 CPUs through the evaluator command in argv[1:],
 # and interrupts itself 0.3 s into the batch
-INTERRUPTED_BATCH = f"""
+INTERRUPTED_BATCH = """
 import os, signal, sys, threading
-sys.path.insert(0, {str(SRC)!r})
 from cvoa import ExternalEvaluator, NetGenotype
 
-os.sched_getaffinity = lambda pid: {{0, 1}}
+os.sched_getaffinity = lambda pid: {0, 1}
 os.cpu_count = lambda: 2
 evaluator = ExternalEvaluator(sys.argv[1:])
 threading.Timer(0.3, os.kill, (os.getpid(), signal.SIGINT)).start()
@@ -603,12 +597,7 @@ class TestExternalEvaluator:
             "time.sleep(1)\n"
             "print('{\"fitness\": 1.0}')\n",
         )
-        proc = subprocess.run(
-            [sys.executable, "-c", INTERRUPTED_BATCH, *command],
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
+        proc = python("-c", INTERRUPTED_BATCH, *command)
         assert proc.stdout == "interrupted\n", proc.stderr
         # the two round trips running at the interrupt, and no queued one
         assert len(pid_path.read_text().split()) <= 2

@@ -1,35 +1,29 @@
 """Start-up cost: a binary run loads neither the nn codec nor its thread pool,
-and importing cvoa loads no dataclasses."""
+and importing cvoa loads no dataclasses. Every fresh interpreter a test
+starts comes from `conftest.python` and runs this checkout."""
 
+import ast
 import json
-import subprocess
-import sys
-from pathlib import Path
+from functools import cache
 
 import cvoa
-
-SRC = str(Path(cvoa.__file__).resolve().parent.parent)
+from conftest import SRC, TESTS, python
 
 # loaded only by the nn codec (the evaluator's thread pool) or after the last run
 DEFERRED = ("cvoa.nn", "concurrent.futures", "statistics")
 
 
-def modules_loaded_by(code: str) -> set[str]:
+@cache
+def modules_after(code: str) -> frozenset[str]:
+    """Modules in sys.modules after `code` runs in a fresh interpreter."""
+    proc = python("-c", f"{code}\nimport json, sys; print(json.dumps(sorted(sys.modules)))")
+    assert proc.returncode == 0, proc.stderr
+    return frozenset(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def modules_loaded_by(code: str) -> frozenset[str]:
     """Modules in sys.modules after `code`, less those a bare interpreter loads."""
-    report = "import json, sys; print(json.dumps(sorted(sys.modules)))"
-
-    def loaded(prelude: str) -> set[str]:
-        out = subprocess.run(
-            [sys.executable, "-c", f"{prelude}\n{report}"],
-            capture_output=True,
-            text=True,
-            check=True,
-            timeout=60,
-        ).stdout
-        return set(json.loads(out.splitlines()[-1]))
-
-    bare = loaded("pass")
-    return loaded(f"import sys; sys.path.insert(0, {SRC!r})\n{code}") - bare
+    return modules_after(code) - modules_after("pass")
 
 
 def test_import_loads_no_deferred_module():
@@ -101,3 +95,39 @@ def test_nn_names_resolve_to_the_nn_module():
 
 def test_unknown_attribute_is_missing():
     assert not hasattr(cvoa, "no_such_name")
+
+
+def test_the_launcher_runs_this_checkout():
+    proc = python(
+        "-c",
+        "import os, cvoa, reference\n"
+        "print(cvoa.__file__, reference.__file__, os.environ['PYTHONHASHSEED'], sep='\\n')",
+        hash_seed=1,
+    )
+    assert proc.returncode == 0, proc.stderr
+    cvoa_file, reference_file, hash_seed = proc.stdout.splitlines()
+    assert cvoa_file == str(SRC / "cvoa" / "__init__.py")
+    assert reference_file == str(TESTS / "reference.py")
+    assert hash_seed == "1"
+
+
+def test_only_conftest_starts_a_fresh_interpreter():
+    # a child script is a string, so a path edit in it shows only in the text;
+    # each name is split so that this file does not match itself
+    path_edits = ("sys" + ".path", "PYTHON" + "PATH")
+    found = []
+    for path in sorted(TESTS.glob("*.py")):
+        if path.name == "conftest.py":
+            continue
+        text = path.read_text(encoding="utf-8")
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(module.partition(".")[0] == "subprocess" for module in modules):
+                found.append(f"{path.name}:{node.lineno} imports subprocess")
+        found += [f"{path.name} names {edit}" for edit in path_edits if edit in text]
+    assert not found, "start a fresh interpreter through conftest.python:\n" + "\n".join(found)
